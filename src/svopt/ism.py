@@ -256,20 +256,67 @@ class MotionParams:
             raise ValueError("block must be odd and >= 3")
 
 
-def _box_cost(diff: np.ndarray, block: int) -> np.ndarray:
-    """Per-pixel SAD over a block x block patch, borders edge-clamped."""
-    half = block // 2
-    padded = np.pad(diff, half, mode="edge")
-    rows = np.lib.stride_tricks.sliding_window_view(padded, block, axis=0).sum(axis=-1)
-    return np.lib.stride_tricks.sliding_window_view(rows, block, axis=1).sum(axis=-1)
+def _sum_terms(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays in numpy's pairwise order.
+
+    This is the order `np.add.reduce` adds a contiguous float axis in:
+    left to right below eight terms; from eight on, eight running partial
+    sums joined as a balanced tree, with the rest added after; above 128
+    terms, split in two at a multiple of eight.
+    """
+    n = len(terms)
+    if n > 128:
+        mid = n // 2 - (n // 2) % 8
+        return _sum_terms(terms[:mid]) + _sum_terms(terms[mid:])
+    if n < 8:
+        acc = terms[0] + terms[1]
+        rest = terms[2:]
+    else:
+        part = [t.copy() for t in terms[:8]]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                part[j] += terms[i + j]
+        acc = ((part[0] + part[1]) + (part[2] + part[3])) + (
+            (part[4] + part[5]) + (part[6] + part[7])
+        )
+        rest = terms[tail:]
+    for t in rest:
+        acc += t
+    return acc
 
 
-def _shift_clamped(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """img sampled at (y+dy, x+dx) with coordinates clamped to the frame."""
-    h, w = img.shape
-    ys = np.clip(np.arange(h) + dy, 0, h - 1)
-    xs = np.clip(np.arange(w) + dx, 0, w - 1)
-    return img[ys[:, None], xs[None, :]]
+def _box_cost(padded: np.ndarray, block: int) -> np.ndarray:
+    """Per-pixel SAD over block x block patches of an edge-padded |diff|.
+
+    `padded` carries a block // 2 border on its last two axes (the frame
+    edge-clamped, as `np.pad(mode="edge")` makes it); the result drops it.
+    The float32 adds run in a fixed order: `block` rows are summed top to
+    bottom, then `block` of those column sums in numpy's pairwise order
+    (left to right for block < 8). That is the order of a sliding-window
+    `sum` along axis 0 and then axis 1, so every SAD is the same bit for
+    bit and exact ties between candidates fall where they always did. A
+    cumulative-sum box filter would round differently and move the ties.
+    """
+    h = padded.shape[-2] - block + 1
+    w = padded.shape[-1] - block + 1
+    rows = padded[..., 0:h, :] + padded[..., 1 : 1 + h, :]
+    for i in range(2, block):
+        rows += padded[..., i : i + h, :]
+    return _sum_terms([rows[..., j : j + w] for j in range(block)])
+
+
+def _sort_keys(cost: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """uint64 keys that sort like the pairs (cost, rank), for ranks below 2**32.
+
+    `cost` is a float32 SAD, a sum of absolute values and so never
+    negative; the bit pattern of a non-negative float32 read as an
+    unsigned integer sorts like its value, with every NaN after +inf. It
+    fills bits 32-62, the rank the low 32 bits, and bit 63 stays free.
+    """
+    key = np.left_shift(cost.view(np.uint32), np.uint64(32), dtype=np.uint64)
+    key |= rank
+    return key
 
 
 def _offsets(radius: int) -> list[tuple[int, int]]:
@@ -281,6 +328,55 @@ def _offsets(radius: int) -> list[tuple[int, int]]:
     ]
     offs.sort(key=lambda o: (abs(o[0]) + abs(o[1]), o))
     return offs
+
+
+MOTION_BAND = 64
+
+
+def _search_offsets(
+    p: np.ndarray, warped: np.ndarray, params: MotionParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel residual (dy, dx) whose block SAD between p and warped is least.
+
+    Offsets are tried in `_offsets` order and only a strictly smaller SAD
+    replaces the best so far, so ties keep the earlier offset. The frame
+    is searched in bands of MOTION_BAND rows, whose buffers stay in cache.
+    """
+    h, w = p.shape
+    r, half = params.search_radius, params.block // 2
+    offsets = _offsets(r)
+    # with `warped` edge-padded by the search radius every clamped shift is a slice
+    src = np.pad(warped, r, mode="edge")
+    best = np.empty((h, w), np.min_scalar_type(len(offsets)))
+    for y0 in range(0, h, MOTION_BAND):
+        band = best[y0 : y0 + MOTION_BAND]
+        # band rows plus a `half` halo, clamped: the edge padding of the diff image
+        cy = np.clip(np.arange(y0 - half, y0 + band.shape[0] + half), 0, h - 1)
+        p_rows = p[cy]
+        src_rows = {dy: src[r + dy + cy] for dy in range(-r, r + 1)}
+        diff = np.empty((cy.size, w + 2 * half), np.float32)
+        inner = diff[:, half : half + w]
+        better = np.empty(band.shape, bool)
+        for k, (dy, dx) in enumerate(offsets):
+            np.subtract(p_rows, src_rows[dy][:, r + dx : r + dx + w], out=inner)
+            np.abs(inner, out=inner)
+            diff[:, :half] = diff[:, half : half + 1]
+            diff[:, -half:] = diff[:, -half - 1 : -half]
+            cost = _box_cost(diff, params.block)
+            if k == 0:
+                # nothing is below a NaN, so such a pixel keeps the first offset:
+                # -inf stands in for it, which nothing is below either
+                best_cost = np.where(np.isnan(cost), -np.inf, cost).astype(np.float32)
+                band.fill(0)
+                continue
+            np.less(cost, best_cost, out=better)
+            # the same as taking cost where better: an equal SAD has equal bits
+            # (none is -0.0), and fmin keeps best_cost against a NaN cost
+            np.fmin(best_cost, cost, out=best_cost)
+            # k only grows, so "k where better" is the larger of the two
+            np.maximum(band, better * band.dtype.type(k), out=band)
+    table = np.array(offsets, np.int32)
+    return table[best, 0], table[best, 1]
 
 
 def estimate_motion(
@@ -328,23 +424,16 @@ def estimate_motion(
         fx = np.clip(fx, -xs, w - 1 - xs)
         fy = np.clip(fy, -ys, h - 1 - ys)
         warped = c[np.clip(ys + fy, 0, h - 1), np.clip(xs + fx, 0, w - 1)]
-        best_cost = None
-        best_dy = np.zeros((h, w), np.int32)
-        best_dx = np.zeros((h, w), np.int32)
-        for dy, dx in _offsets(params.search_radius):
-            cost = _box_cost(np.abs(p - _shift_clamped(warped, dy, dx)), params.block)
-            if best_cost is None:
-                best_cost = cost
-                best_dy.fill(dy)
-                best_dx.fill(dx)
-            else:
-                better = cost < best_cost
-                best_cost = np.where(better, cost, best_cost)
-                best_dy = np.where(better, dy, best_dy)
-                best_dx = np.where(better, dx, best_dx)
-        fx = np.clip(fx + best_dx, -xs, w - 1 - xs)
-        fy = np.clip(fy + best_dy, -ys, h - 1 - ys)
+        dy, dx = _search_offsets(p, warped, params)
+        fx = np.clip(fx + dx, -xs, w - 1 - xs)
+        fy = np.clip(fy + dy, -ys, h - 1 - ys)
     return MotionField(fx.astype(np.float32), fy.astype(np.float32))
+
+
+REFINE_TILE = 64
+# candidates scored at once in a tile, which bounds the tile's buffers
+REFINE_CHUNK = 32
+_EXCLUDED = np.uint64(1 << 63)
 
 
 def refine(
@@ -362,6 +451,15 @@ def refine(
     then to the smaller offset. Pixels whose guess is invalid or out of
     reach fall back to a zero guess with a doubled radius. Patches are
     edge-clamped at the borders.
+
+    The frame is searched in REFINE_TILE-square tiles. A tile scores only
+    the distinct offsets that one of its pixels may take, so the work per
+    pixel is the number of distinct candidates in its tile (2*radius+1 on
+    a smooth guess map), not the largest disparity in the frame. Each
+    (pixel, offset) gets one integer key that sorts like (SAD, distance
+    to the guess, offset), and the least key wins: the same choice as
+    trying the offsets in increasing order and keeping a strictly
+    smaller SAD, or an equal SAD nearer the guess.
     """
     if block < 3 or block % 2 == 0:
         raise ValueError("block must be odd and >= 3")
@@ -370,6 +468,7 @@ def refine(
     if left.luma.shape != right.luma.shape or left.luma.shape != init.d.shape:
         raise ValueError("left, right, and init must share their extents")
     h, w = left.luma.shape
+    half = block // 2
     xs = np.arange(w)[None, :]
     max_d = w - 1 - xs
     usable = (init.d >= 0) & (init.d <= max_d)
@@ -377,19 +476,40 @@ def refine(
     reach = np.where(usable, radius, 2 * radius).astype(np.int32)
     lo = np.maximum(guess - reach, 0)
     hi = np.minimum(guess + reach, max_d)
-    best_cost = np.full((h, w), np.inf, dtype=np.float64)
     best_d = np.zeros((h, w), np.int32)
-    best_dist = np.full((h, w), np.iinfo(np.int32).max, dtype=np.int32)
-    for d in range(0, int(hi.max()) + 1):
-        cost = _box_cost(np.abs(left.luma - _shift_clamped(right.luma, 0, d)), block)
-        allowed = (d >= lo) & (d <= hi)
-        dist = np.abs(d - guess)
-        better = allowed & (
-            (cost < best_cost) | ((cost == best_cost) & (dist < best_dist))
-        )
-        best_cost = np.where(better, cost, best_cost)
-        best_d = np.where(better, d, best_d)
-        best_dist = np.where(better, dist, best_dist)
+    for y0 in range(0, h, REFINE_TILE):
+        ty = slice(y0, min(y0 + REFINE_TILE, h))
+        # tile rows plus a `half` halo, clamped: the edge padding of the diff image
+        cy = np.clip(np.arange(y0 - half, ty.stop + half), 0, h - 1)
+        right_rows = right.luma[cy]
+        for x0 in range(0, w, REFINE_TILE):
+            tx = slice(x0, min(x0 + REFINE_TILE, w))
+            cx = np.clip(np.arange(x0 - half, tx.stop + half), 0, w - 1)
+            t_lo, t_hi, t_guess = lo[ty, tx], hi[ty, tx], guess[ty, tx]
+            # d is a candidate where some pixel's [lo, hi] is open over it
+            open_ = np.cumsum(
+                np.bincount(t_lo.ravel(), minlength=w + 1)
+                - np.bincount(t_hi.ravel() + 1, minlength=w + 1)
+            )
+            cands = np.flatnonzero(open_ > 0).astype(np.int32)
+            left_crop = left.luma[cy[:, None], cx]
+            best = np.full(t_guess.shape, _EXCLUDED, np.uint64)
+            for k0 in range(0, cands.size, REFINE_CHUNK):
+                ds = cands[k0 : k0 + REFINE_CHUNK, None, None]
+                right_crop = right_rows[:, np.clip(cx + ds[:, 0], 0, w - 1)].swapaxes(0, 1)
+                costs = _box_cost(np.abs(left_crop - right_crop), block)
+                # ties go nearer the guess, then below it: rank 2|d - g| + (d > g)
+                offset = ds - t_guess
+                rank = 2 * np.abs(offset) + (offset > 0)
+                keys = _sort_keys(costs, rank.astype(np.uint64))
+                # a NaN SAD never wins a strict comparison, so it never wins here
+                excluded = (ds < t_lo) | (ds > t_hi) | np.isnan(costs)
+                keys |= excluded.astype(np.uint64) << np.uint64(63)
+                np.minimum(best, keys.min(axis=0), out=best)
+            rank = (best & np.uint64(0xFFFFFFFF)).astype(np.int32)
+            found = best < _EXCLUDED
+            step = rank >> 1
+            best_d[ty, tx] = np.where(found, np.where(rank & 1, t_guess + step, t_guess - step), 0)
     return DisparityMap(best_d)
 
 
@@ -476,7 +596,17 @@ def nonkey_operation_count(
     Counts the two dense motion estimations (pyramid blur, warp, and
     residual SAD search), the pair bookkeeping, and the block-matching
     refinement. SAD costs are charged at 7 ops per pixel per candidate
-    (difference, absolute value, incremental box sums, compare).
+    (difference, absolute value, two incremental box-sum updates, compare
+    and select), the cost of a running-sum box filter. The code spends
+    more per candidate: its box sums add 2 * (block - 1) terms directly,
+    in a fixed order that keeps ties bit-exact (see `_box_cost`).
+
+    Refinement is charged 2 * radius + 1 candidates per pixel, the search
+    window of a usable guess. `refine` scores the distinct candidates of
+    each pixel's tile, which is at least that many and more where guesses
+    vary inside a tile or fall back to the zero guess. With
+    `max_disparity` set, refinement is charged max_disparity + 1
+    candidates per pixel instead: a whole-frame scan of every disparity.
     """
     level_px = []
     px = width * height

@@ -17,6 +17,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .deconv import SubKernelSet, _slice_dims
 
 __all__ = [
@@ -317,11 +319,13 @@ def validate_schedule(
     """Raise InfeasibleScheduleError naming the violated constraint, if any.
 
     Checks the buffer-capacity constraint for every round and, grouping
-    rounds by tile origin, that each filter group is scheduled exactly
-    out_channels times per origin.
+    rounds by tile origin, that all rounds at an origin share one tile
+    shape, that each filter group is scheduled exactly out_channels times
+    per origin, and that the origins' tiles cover every ifmap element
+    exactly once.
     """
     groups = filter_group_dims(layer)
-    coverage: dict[tuple[int, ...], list[int]] = {}
+    coverage: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
     for i, round_ in enumerate(schedule.rounds):
         if len(round_.filters) != len(groups):
             raise InfeasibleScheduleError(
@@ -340,10 +344,16 @@ def validate_schedule(
                 f"layer {layer.name} round {i}: buffer capacity constraint violated "
                 f"({need} elements, usable {hw.usable_buffer})"
             )
-        tally = coverage.setdefault(round_.origin, [0] * len(groups))
+        tile, tally = coverage.setdefault(round_.origin, (round_.tile, [0] * len(groups)))
+        if round_.tile != tile:
+            raise InfeasibleScheduleError(
+                f"layer {layer.name} round {i}: tile {round_.tile} at origin "
+                f"{round_.origin} differs from tile {tile} of an earlier round there"
+            )
         for k, c in enumerate(round_.filters):
             tally[k] += c
-    for origin, tally in coverage.items():
+    covered = np.zeros(layer.ifmap, np.int32)
+    for origin, (tile, tally) in coverage.items():
         for k, total in enumerate(tally):
             if total != layer.out_channels:
                 raise InfeasibleScheduleError(
@@ -351,6 +361,14 @@ def validate_schedule(
                     f"group {k} at origin {origin} ({total} scheduled, "
                     f"{layer.out_channels} required)"
                 )
+        covered[tuple(slice(o, o + t) for o, t in zip(origin, tile))] += 1
+    wrong = np.flatnonzero(covered != 1)
+    if wrong.size:
+        element = tuple(int(i) for i in np.unravel_index(wrong[0], covered.shape))
+        raise InfeasibleScheduleError(
+            f"layer {layer.name}: tile coverage constraint violated at ifmap element "
+            f"{element} ({int(covered[element])} tiles cover it, 1 required)"
+        )
 
 
 def total_latency(

@@ -31,3 +31,31 @@ def make_sequence(panorama, n_frames, height, width, disparity, motion=(0, 0), o
     if disparity > 0:
         gt[:, width - disparity :] = -1
     return frames, DisparityMap(gt)
+
+
+def make_two_plane(panorama, height, width, d_back, d_front, box, origin=(4, 70)):
+    """One stereo pair of a textured box floating in front of a textured wall.
+
+    The wall sits at disparity `d_back`, the box (top, left, bottom, right
+    in left-view pixels) at `d_front`. Both views sample the same two
+    textures, so x_right = x_left + d holds exactly. The ground truth marks
+    invalid the left pixels whose partner leaves the frame and the wall
+    pixels the box hides in the right view (occluded).
+    """
+    oy, ox = origin
+    y0, x0, y1, x1 = box
+    wall = panorama[oy : oy + height, ox - d_back : ox - d_back + width + d_back]
+    front = panorama[::-1, ::-1][: y1 - y0, : x1 - x0]
+    ys = np.arange(height)[:, None]
+    xs = np.arange(width)[None, :]
+    in_box = (ys >= y0) & (ys < y1) & (xs >= x0) & (xs < x1)
+    left = wall[:, d_back : d_back + width].copy()
+    left[y0:y1, x0:x1] = front
+    right = wall[:, :width].copy()
+    right[y0:y1, x0 + d_front : x1 + d_front] = front[:, : max(0, width - x0 - d_front)]
+    gt = np.where(in_box, d_front, d_back)
+    partner = xs + gt
+    behind_box = (partner >= x0 + d_front) & (partner < x1 + d_front)
+    hidden = ~in_box & (ys >= y0) & (ys < y1) & behind_box
+    gt = np.where((partner >= width) | hidden, -1, gt).astype(np.int32)
+    return (Frame(left), Frame(right)), DisparityMap(gt)

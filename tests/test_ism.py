@@ -20,7 +20,8 @@ from svopt.ism import (
     triangulate,
 )
 from svopt.tensor import ConvMode, Tensor, conv_valid
-from conftest import make_sequence
+import ism_oracle as oracle
+from conftest import make_sequence, make_two_plane
 
 BUMBLEBEE_LIKE = CameraRig(baseline_m=0.12, focal_length_m=0.0025, pixel_pitch_m=7.4e-6)
 
@@ -198,6 +199,33 @@ class TestRefine:
         valid = gt.valid_mask()
         valid[:, -10:] = False
         assert np.all(out.d[valid] == 4)
+
+
+class TestTensOfPixels:
+    """Refinement on a 192x256 wall at D=16 behind a box at D=48."""
+
+    @pytest.fixture(scope="class")
+    def scene(self, panorama):
+        return make_two_plane(panorama, 192, 256, 16, 48, box=(40, 60, 150, 170))
+
+    @staticmethod
+    def clean(gt):
+        # valid pixels whose whole 5x5 block sees one unoccluded surface
+        d = gt.d
+        windows = np.lib.stride_tricks.sliding_window_view(np.pad(d, 2, mode="edge"), (5, 5))
+        return (d >= 0) & (windows == d[:, :, None, None]).all(axis=(-1, -2))
+
+    @pytest.mark.parametrize("offset", [-3, -1, 0, 1, 3])
+    def test_init_near_ground_truth(self, scene, offset):
+        (left, right), gt = scene
+        init = DisparityMap(np.where(gt.d >= 0, gt.d + offset, INVALID_DISPARITY))
+        out = refine(left, right, init, 5, 2)
+        assert np.array_equal(out.d, oracle.refine(left, right, init, 5, 2).d)
+        if abs(offset) <= 2:
+            # the truth is inside the search window: every clean pixel finds it
+            clean = self.clean(gt)
+            assert set(np.unique(gt.d[clean])) == {16, 48}
+            assert np.array_equal(out.d[clean], gt.d[clean])
 
 
 class TestScatterPairs:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,8 @@ from svopt.perfmodel import (
     InfeasibleScheduleError,
     LayerKind,
     LayerSpec,
+    RoundPlan,
+    TileSchedule,
     total_latency,
     validate_schedule,
 )
@@ -237,6 +240,43 @@ class TestExhaustive:
         hw = HardwareConfig(3, 3, 300, 4.0)
         sched = exhaustive(layer, kset((3, 3)), hw, ScheduleMode.ILAR)
         validate_schedule(sched, layer, hw)  # checks per-round occupancy
+
+
+class TestValidateCoverage:
+    """The tiles of a schedule's origins must cover the ifmap exactly once."""
+
+    layer = deconv_layer(out_ch=4, in_ch=2, ifmap=(8, 8))
+    hw = HardwareConfig(4, 4, 300, 4.0)
+
+    def solved(self, mode):
+        sched = solve(self.layer, kset((3, 3)), self.hw, mode)
+        assert len({r.origin for r in sched.rounds}) > 1
+        return sched
+
+    @pytest.mark.parametrize("mode", list(ScheduleMode))
+    def test_dropping_one_origin_is_rejected(self, mode):
+        sched = self.solved(mode)
+        gone = sched.rounds[-1].origin
+        kept = tuple(r for r in sched.rounds if r.origin != gone)
+        with pytest.raises(InfeasibleScheduleError, match=rf"element {re.escape(str(gone))}"):
+            validate_schedule(TileSchedule(sched.beta, kept), self.layer, self.hw)
+
+    def test_overlapping_origins_name_a_doubly_covered_element(self):
+        sched = self.solved(ScheduleMode.ILAR)
+        first = [r for r in sched.rounds if r.origin == (0, 0)]
+        shifted = tuple(RoundPlan((0, 1), r.tile, r.filters) for r in first)
+        with pytest.raises(InfeasibleScheduleError, match=r"element \(0, 1\) \(2 tiles"):
+            validate_schedule(
+                TileSchedule(sched.beta, sched.rounds + shifted), self.layer, self.hw
+            )
+
+    def test_tile_shape_must_agree_within_an_origin(self):
+        sched = self.solved(ScheduleMode.CONV_R)
+        r0, *rest = sched.rounds
+        assert any(r.origin == r0.origin for r in rest)
+        odd = RoundPlan(r0.origin, (1, 2), r0.filters)
+        with pytest.raises(InfeasibleScheduleError, match="differs from tile"):
+            validate_schedule(TileSchedule(sched.beta, (*rest, odd)), self.layer, self.hw)
 
 
 class TestCompareModes:
