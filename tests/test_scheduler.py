@@ -1,8 +1,11 @@
+import math
 import random
 import re
+import sys
 
 import pytest
 
+from svopt import scheduler
 from svopt.deconv import decompose_nd
 from svopt.perfmodel import (
     HardwareConfig,
@@ -18,6 +21,7 @@ from svopt.scheduler import (
     InfeasibleTileError,
     KnapsackItem,
     ScheduleMode,
+    SearchSpaceExceeded,
     build_items,
     compare_modes,
     exhaustive,
@@ -305,3 +309,86 @@ class TestCompareModes:
         cmp_ = compare_modes(layer, ks_, hw)
         again = total_latency(cmp_.ilar_schedule, layer, ks_, hw)
         assert again == cmp_.ilar_report
+
+
+def guard_case(rng, small):
+    """A random layer, hardware and mode drawn across every modeled regime."""
+    kind = rng.choice([LayerKind.CONV, LayerKind.DECONV])
+    rank = rng.choice([2, 3])
+    kernel = tuple(rng.randint(1, 3 if small or rank == 3 else 5) for _ in range(rank))
+    top = (6 if small else 12) if rank == 2 else (4 if small else 6)
+    layer = LayerSpec(
+        "g",
+        kind,
+        kernel,
+        rng.randint(1, 3),
+        rng.randint(1, 2 if small else 5),
+        tuple(rng.randint(max(k, 2), max(k, 2, top)) for k in kernel),
+        2 if kind is LayerKind.DECONV else rng.choice([1, 2]),
+    )
+    hw = HardwareConfig(
+        rng.randint(2, 6),
+        rng.randint(2, 6),
+        rng.randint(40, 2500),
+        rng.choice([1.0, 2.0, 8.0, math.inf]),
+        double_buffered=rng.random() < 0.5,
+    )
+    ilar = kind is LayerKind.DECONV and rng.random() < 0.5
+    mode = ScheduleMode.ILAR if ilar else ScheduleMode.CONV_R
+    ks_ = kset(kernel) if kind is LayerKind.DECONV else None
+    return layer, ks_, hw, mode, rng.random() < 0.5
+
+
+class TestSearchCostMatchesReport:
+    """The cycles solve and exhaustive minimize equal total_latency's total.
+
+    Each search ends by materializing its incumbent `best`, a tuple
+    (cycles, tile, parts, beta); the spy reads it from the caller's frame.
+    """
+
+    @pytest.fixture
+    def chosen(self, monkeypatch):
+        seen = []
+        materialize = scheduler._materialize
+
+        def spy(layer, tile, parts, beta):
+            best = sys._getframe(1).f_locals["best"]
+            assert best[1:] == (tile, parts, beta)
+            seen.append(best[0])
+            return materialize(layer, tile, parts, beta)
+
+        monkeypatch.setattr(scheduler, "_materialize", spy)
+        return seen
+
+    @pytest.mark.parametrize("search", ["solve", "exhaustive"])
+    def test_random_instances(self, chosen, search):
+        rng = random.Random(2024 if search == "solve" else 2025)
+        regimes = set()
+        checked = 0
+        for _ in range(600 if search == "solve" else 300):
+            layer, ks_, hw, mode, iaware = guard_case(rng, small=search == "exhaustive")
+            try:
+                if search == "solve":
+                    sched = solve(layer, ks_, hw, mode, include_input_channels=iaware)
+                else:
+                    sched = exhaustive(
+                        layer, ks_, hw, mode, max_candidates=3000,
+                        include_input_channels=iaware,
+                    )
+            except (InfeasibleScheduleError, SearchSpaceExceeded):
+                continue
+            report = total_latency(sched, layer, ks_, hw, include_input_channels=iaware)
+            assert chosen.pop() == report.total_cycles, (layer, hw, mode, iaware)
+            regimes |= {
+                ("kind", layer.kind), ("rank", layer.rank), ("mode", mode),
+                ("iaware", iaware), ("double", hw.double_buffered),
+                ("inf", math.isinf(hw.bandwidth)),
+            }
+            checked += 1
+        assert checked >= 200
+        assert regimes == {
+            ("kind", LayerKind.CONV), ("kind", LayerKind.DECONV), ("rank", 2), ("rank", 3),
+            ("mode", ScheduleMode.CONV_R), ("mode", ScheduleMode.ILAR),
+            ("iaware", False), ("iaware", True), ("double", False), ("double", True),
+            ("inf", False), ("inf", True),
+        }
