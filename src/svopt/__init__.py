@@ -12,12 +12,10 @@ from .perfmodel import (
     LayerKind,
     LayerSpec,
     RoundPlan,
+    RoundPricer,
+    RoundTerms,
     TileSchedule,
-    check_buffer,
-    compute_time,
     dense_equivalent,
-    dram_deltas,
-    memory_time,
     total_latency,
 )
 from .scheduler import KnapsackItem, ScheduleMode, build_items, compare_modes, \

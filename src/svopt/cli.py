@@ -39,6 +39,11 @@ from .scheduler import ScheduleMode, solve
 from .tensor import Tensor
 
 MODES = ("baseline", "dct", "convr", "ilar")
+MODE_HELP = (
+    "baseline: dense convolution over the zero-upsampled ifmap; convr: "
+    "transformed, each sub-kernel's filters packed separately (dct is another "
+    "name for convr); ilar: transformed, rounds mix sub-kernels"
+)
 
 REPORT_HEADER = [
     "layer",
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="write a schedule file per layer")
     p.add_argument("--network", required=True)
     p.add_argument("--hardware", required=True)
-    p.add_argument("--mode", required=True, choices=MODES)
+    p.add_argument("--mode", required=True, choices=MODES, help=MODE_HELP)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_schedule)
@@ -284,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="write the latency/traffic report CSV")
     p.add_argument("--network", required=True)
     p.add_argument("--hardware", required=True)
-    p.add_argument("--mode", required=True, choices=MODES)
+    p.add_argument("--mode", required=True, choices=MODES, help=MODE_HELP)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_model)

@@ -9,12 +9,18 @@ beta: with beta=1 the sub-kernels stay resident and the ifmap tile plus
 fresh ofmap elements move each round, with beta=0 the ifmap tile stays
 resident and the weights plus ofmap elements move. All quantities are
 whole elements and whole cycles.
+
+That rule is written once: RoundPricer prices a (tile, filters) round
+into a RoundTerms record, and validation, latency reports, the
+scheduler's tile search, its exhaustive oracle and its knapsack items
+all derive from it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +28,6 @@ import numpy as np
 from .deconv import SubKernelSet, _slice_dims
 
 __all__ = [
-    "DramDeltas",
     "HardwareConfig",
     "InfeasibleScheduleError",
     "LatencyReport",
@@ -30,13 +35,11 @@ __all__ = [
     "LayerSpec",
     "RoundCost",
     "RoundPlan",
+    "RoundPricer",
+    "RoundTerms",
     "TileSchedule",
-    "check_buffer",
-    "compute_time",
     "dense_equivalent",
-    "dram_deltas",
     "filter_group_dims",
-    "memory_time",
     "output_dims",
     "total_latency",
     "validate_schedule",
@@ -167,15 +170,6 @@ class RoundCost:
 
 
 @dataclass(frozen=True)
-class DramDeltas:
-    """Elements moved for one round: ifmap tile, weights per group, ofmap per group."""
-
-    ifmap: int
-    weights: tuple[int, ...]
-    ofmap: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LatencyReport:
     """Per-layer cost summary under one schedule."""
 
@@ -207,106 +201,100 @@ def filter_group_dims(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def _groups_for(layer: LayerSpec, kernel_set: SubKernelSet | None) -> tuple[tuple[int, ...], ...]:
+def _check_kernel_set(layer: LayerSpec, kernel_set: SubKernelSet | None) -> None:
+    """Reject a deconvolution whose SubKernelSet is missing or does not match it."""
+    if layer.kind is not LayerKind.DECONV:
+        return
+    if kernel_set is None:
+        raise ValueError(f"layer {layer.name}: deconvolution rounds need a SubKernelSet")
     expected = filter_group_dims(layer)
-    if layer.kind is LayerKind.DECONV:
-        if kernel_set is None:
-            raise ValueError(f"layer {layer.name}: deconvolution rounds need a SubKernelSet")
-        actual = tuple(sub.dims for sub in kernel_set.non_empty())
-        if actual != expected:
-            raise ValueError(
-                f"layer {layer.name}: sub-kernel dims {actual} do not match kernel "
-                f"{layer.kernel} (expected {expected})"
+    actual = tuple(sub.dims for sub in kernel_set.non_empty())
+    if actual != expected:
+        raise ValueError(
+            f"layer {layer.name}: sub-kernel dims {actual} do not match kernel "
+            f"{layer.kernel} (expected {expected})"
+        )
+
+
+@dataclass(frozen=True)
+class RoundTerms:
+    """What one round of a layer costs, per filter group.
+
+    macs_k = prod(group_k) * I * C_k * prod(tile); ifmap = prod(tile) * I;
+    weights_k = prod(group_k) * C_k, times I under the input-channel-aware
+    weight model; ofmap_k = ceil(prod(tile) * C_k / stride^rank). Latency
+    is max(compute_cycles, memory_cycles), and the round is feasible when
+    its occupancy fits the usable buffer.
+    """
+
+    macs: tuple[int, ...]
+    ifmap: int
+    weights: tuple[int, ...]
+    ofmap: tuple[int, ...]
+
+    @property
+    def occupancy(self) -> int:
+        """Buffer elements the round needs: ifmap tile, weights and ofmap."""
+        return self.ifmap + sum(self.weights) + sum(self.ofmap)
+
+    def compute_cycles(self, hw: HardwareConfig) -> int:
+        """PE-array cycles with the groups serialized, one ceiling per group."""
+        pe_count = hw.pe_count
+        return sum([-(-m // pe_count) for m in self.macs if m])
+
+    def memory_cycles(self, beta: int, hw: HardwareConfig) -> int:
+        """DRAM cycles under reuse order beta, rounded up.
+
+        beta=1 keeps the weights resident and moves the ifmap tile and
+        the ofmap; beta=0 keeps the tile resident and moves the weights
+        and the ofmap.
+        """
+        if beta == 1:
+            traffic = self.ifmap + sum(self.ofmap)
+        elif beta == 0:
+            traffic = sum(self.weights) + sum(self.ofmap)
+        else:
+            raise ValueError(f"beta must be 0 or 1, got {beta}")
+        if traffic == 0 or math.isinf(hw.bandwidth):
+            return 0
+        return math.ceil(traffic / hw.bandwidth)
+
+
+class RoundPricer:
+    """Prices the rounds of one layer under one weight model.
+
+    The filter groups are derived once, and each distinct (tile, filters)
+    pair is priced once per pricer; both must be tuples.
+    """
+
+    def __init__(self, layer: LayerSpec, include_input_channels: bool = False) -> None:
+        self.layer = layer
+        self.groups = filter_group_dims(layer)
+        self._sizes = tuple(math.prod(dims) for dims in self.groups)
+        self._w_scale = layer.in_channels if include_input_channels else 1
+        self._stride_vol = layer.stride**layer.rank
+        self._priced: dict[tuple[tuple[int, ...], tuple[int, ...]], RoundTerms] = {}
+
+    def __call__(self, tile: tuple[int, ...], filters: tuple[int, ...]) -> RoundTerms:
+        terms = self._priced.get((tile, filters))
+        if terms is None:
+            if len(filters) != len(self.groups):
+                raise ValueError(
+                    f"round carries {len(filters)} filter counts for {len(self.groups)} groups"
+                )
+            tile_elems = math.prod(tile)
+            in_ch = self.layer.in_channels
+            stride_vol = self._stride_vol
+            # the solver prices thousands of rounds per layer: list comprehensions
+            # and inline ceil divisions keep this cheap
+            terms = RoundTerms(
+                macs=tuple([s * in_ch * c * tile_elems for s, c in zip(self._sizes, filters)]),
+                ifmap=tile_elems * in_ch,
+                weights=tuple([s * c * self._w_scale for s, c in zip(self._sizes, filters)]),
+                ofmap=tuple([-(-tile_elems * c // stride_vol) for c in filters]),
             )
-    return expected
-
-
-def compute_time(
-    round_: RoundPlan,
-    layer: LayerSpec,
-    kernel_set: SubKernelSet | None,
-    hw: HardwareConfig,
-) -> int:
-    """Cycles the PE array needs for one round, sub-kernels serialized.
-
-    Each group runs to completion before the next starts, so the ceiling
-    applies per group: sum_k ceil(prod(group_k) * I * C_k * prod(tile) / A).
-    """
-    groups = _groups_for(layer, kernel_set)
-    if len(round_.filters) != len(groups):
-        raise ValueError(
-            f"round carries {len(round_.filters)} filter counts for {len(groups)} groups"
-        )
-    tile_elems = math.prod(round_.tile)
-    cycles = 0
-    for dims, c in zip(groups, round_.filters):
-        if c == 0:
-            continue
-        macs = math.prod(dims) * layer.in_channels * c * tile_elems
-        cycles += _ceil_div(macs, hw.pe_count)
-    return cycles
-
-
-def dram_deltas(
-    round_: RoundPlan,
-    layer: LayerSpec,
-    *,
-    include_input_channels: bool = False,
-) -> DramDeltas:
-    """Element traffic of one round.
-
-    ifmap = prod(tile) * I; weights_k = prod(group_k) * C_k; ofmap_k =
-    ceil(prod(tile) * C_k / stride^rank). The weight expression carries no
-    input-channel factor by default; include_input_channels adds it.
-    """
-    groups = filter_group_dims(layer)
-    if len(round_.filters) != len(groups):
-        raise ValueError(
-            f"round carries {len(round_.filters)} filter counts for {len(groups)} groups"
-        )
-    tile_elems = math.prod(round_.tile)
-    d_if = tile_elems * layer.in_channels
-    w_scale = layer.in_channels if include_input_channels else 1
-    stride_vol = layer.stride**layer.rank
-    d_w = tuple(math.prod(dims) * c * w_scale for dims, c in zip(groups, round_.filters))
-    d_of = tuple(_ceil_div(tile_elems * c, stride_vol) if c else 0 for c in round_.filters)
-    return DramDeltas(d_if, d_w, d_of)
-
-
-def memory_time(
-    round_: RoundPlan,
-    layer: LayerSpec,
-    hw: HardwareConfig,
-    beta: int,
-    *,
-    include_input_channels: bool = False,
-) -> int:
-    """Cycles DRAM needs for one round under reuse order beta, rounded up."""
-    deltas = dram_deltas(round_, layer, include_input_channels=include_input_channels)
-    if beta == 1:
-        traffic = deltas.ifmap + sum(deltas.ofmap)
-    elif beta == 0:
-        traffic = sum(deltas.weights) + sum(deltas.ofmap)
-    else:
-        raise ValueError(f"beta must be 0 or 1, got {beta}")
-    if traffic == 0:
-        return 0
-    if math.isinf(hw.bandwidth):
-        return 0
-    return math.ceil(traffic / hw.bandwidth)
-
-
-def check_buffer(
-    round_: RoundPlan,
-    layer: LayerSpec,
-    hw: HardwareConfig,
-    *,
-    include_input_channels: bool = False,
-) -> bool:
-    """True iff the round's ifmap tile, weights, and ofmap fit the usable buffer."""
-    deltas = dram_deltas(round_, layer, include_input_channels=include_input_channels)
-    occupancy = deltas.ifmap + sum(deltas.weights) + sum(deltas.ofmap)
-    return occupancy <= hw.usable_buffer
+            self._priced[tile, filters] = terms
+        return terms
 
 
 def validate_schedule(
@@ -324,27 +312,27 @@ def validate_schedule(
     per origin, and that the origins' tiles cover every ifmap element
     exactly once.
     """
-    groups = filter_group_dims(layer)
+    price = RoundPricer(layer, include_input_channels)
+    n_groups = len(price.groups)
     coverage: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
     for i, round_ in enumerate(schedule.rounds):
-        if len(round_.filters) != len(groups):
+        if len(round_.filters) != n_groups:
             raise InfeasibleScheduleError(
                 f"layer {layer.name} round {i}: {len(round_.filters)} filter counts "
-                f"for {len(groups)} filter groups"
+                f"for {n_groups} filter groups"
             )
         if any(o + t > e for o, t, e in zip(round_.origin, round_.tile, layer.ifmap)):
             raise InfeasibleScheduleError(
                 f"layer {layer.name} round {i}: tile {round_.tile} at origin "
                 f"{round_.origin} exceeds ifmap {layer.ifmap}"
             )
-        if not check_buffer(round_, layer, hw, include_input_channels=include_input_channels):
-            deltas = dram_deltas(round_, layer, include_input_channels=include_input_channels)
-            need = deltas.ifmap + sum(deltas.weights) + sum(deltas.ofmap)
+        need = price(round_.tile, round_.filters).occupancy
+        if need > hw.usable_buffer:
             raise InfeasibleScheduleError(
                 f"layer {layer.name} round {i}: buffer capacity constraint violated "
                 f"({need} elements, usable {hw.usable_buffer})"
             )
-        tile, tally = coverage.setdefault(round_.origin, (round_.tile, [0] * len(groups)))
+        tile, tally = coverage.setdefault(round_.origin, (round_.tile, [0] * n_groups))
         if round_.tile != tile:
             raise InfeasibleScheduleError(
                 f"layer {layer.name} round {i}: tile {round_.tile} at origin "
@@ -386,29 +374,24 @@ def total_latency(
     beta=0, fresh ofmap elements always.
     """
     validate_schedule(schedule, layer, hw, include_input_channels=include_input_channels)
-    groups = _groups_for(layer, kernel_set)
+    _check_kernel_set(layer, kernel_set)
+    price = RoundPricer(layer, include_input_channels)
+    beta = schedule.beta
+    costs: dict[tuple[tuple[int, ...], tuple[int, ...]], RoundCost] = {}
     total = compute_total = memory_total = 0
     dram_if = dram_w = dram_of = macs = 0
-    round_costs = []
-    for round_ in schedule.rounds:
-        l_c = compute_time(round_, layer, kernel_set, hw)
-        l_m = memory_time(
-            round_, layer, hw, schedule.beta, include_input_channels=include_input_channels
-        )
-        cost = RoundCost(l_c, l_m)
-        round_costs.append(cost)
-        total += cost.cycles
-        compute_total += l_c
-        memory_total += l_m
-        deltas = dram_deltas(round_, layer, include_input_channels=include_input_channels)
-        if schedule.beta == 1:
-            dram_if += deltas.ifmap
+    for key, n in Counter((r.tile, r.filters) for r in schedule.rounds).items():
+        terms = price(*key)
+        cost = costs[key] = RoundCost(terms.compute_cycles(hw), terms.memory_cycles(beta, hw))
+        total += n * cost.cycles
+        compute_total += n * cost.compute_cycles
+        memory_total += n * cost.memory_cycles
+        if beta == 1:
+            dram_if += n * terms.ifmap
         else:
-            dram_w += sum(deltas.weights)
-        dram_of += sum(deltas.ofmap)
-        tile_elems = math.prod(round_.tile)
-        for dims, c in zip(groups, round_.filters):
-            macs += math.prod(dims) * layer.in_channels * c * tile_elems
+            dram_w += n * sum(terms.weights)
+        dram_of += n * sum(terms.ofmap)
+        macs += n * sum(terms.macs)
     utilization = macs / (total * hw.pe_count) if total else 0.0
     return LatencyReport(
         total_cycles=total,
@@ -419,7 +402,7 @@ def total_latency(
         dram_ofmap=dram_of,
         macs=macs,
         utilization=utilization,
-        rounds=tuple(round_costs),
+        rounds=tuple(costs[r.tile, r.filters] for r in schedule.rounds),
     )
 
 

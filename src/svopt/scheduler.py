@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,11 @@ from .perfmodel import (
     LayerKind,
     LayerSpec,
     RoundPlan,
+    RoundPricer,
+    RoundTerms,
     TileSchedule,
-    _groups_for,
+    _ceil_div,
+    _check_kernel_set,
     total_latency,
     validate_schedule,
 )
@@ -82,8 +86,22 @@ class KnapsackItem:
             raise ValueError("item value must be non-negative")
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def _filter_round(price: RoundPricer, tile) -> RoundTerms:
+    """One filter of every group on `tile`: group g's knapsack item.
+
+    The item weighs weights[g] + ofmap[g] and is worth macs[g]; its ofmap
+    share is rounded up per filter, not per round.
+    """
+    return price(tile, (1,) * len(price.groups))
+
+
+def _items(price: RoundPricer, tile) -> list[KnapsackItem]:
+    terms = _filter_round(price, tile)
+    return [
+        KnapsackItem(g, f, w + o, v)
+        for g, (w, o, v) in enumerate(zip(terms.weights, terms.ofmap, terms.macs))
+        for f in range(price.layer.out_channels)
+    ]
 
 
 def build_items(
@@ -94,20 +112,8 @@ def build_items(
     include_input_channels: bool = False,
 ) -> list[KnapsackItem]:
     """One item per (filter group, output filter) for the given ifmap tile."""
-    groups = _groups_for(layer, kernel_set)
-    if not groups:
-        raise ValueError(f"layer {layer.name}: no filter groups to schedule")
-    tile = tuple(int(t) for t in tile)
-    tile_elems = math.prod(tile)
-    of_share = _ceil_div(tile_elems, layer.stride**layer.rank)
-    w_scale = layer.in_channels if include_input_channels else 1
-    items = []
-    for g, dims in enumerate(groups):
-        weight = math.prod(dims) * w_scale + of_share
-        value = math.prod(dims) * layer.in_channels * tile_elems
-        for f in range(layer.out_channels):
-            items.append(KnapsackItem(g, f, weight, value))
-    return items
+    _check_kernel_set(layer, kernel_set)
+    return _items(RoundPricer(layer, include_input_channels), tuple(int(t) for t in tile))
 
 
 def _pack_counts(classes: list[tuple[int, int, int]], capacity: int) -> list[int]:
@@ -224,43 +230,17 @@ def _tile_shapes(layer: LayerSpec, tile) -> list[tuple[tuple[int, ...], int]]:
     return shapes
 
 
-def _evaluate_parts(
-    layer: LayerSpec,
-    groups,
-    tile,
-    parts,
-    beta: int,
-    hw: HardwareConfig,
-    include_input_channels: bool,
-) -> int:
-    """Total cycles when `parts` runs at every origin of the tile grid."""
-    in_ch = layer.in_channels
-    stride_vol = layer.stride**layer.rank
-    w_scale = in_ch if include_input_channels else 1
-    group_sizes = [math.prod(d) for d in groups]
-    total = 0
-    for shape, mult in _tile_shapes(layer, tile):
-        tile_elems = math.prod(shape)
-        d_if = tile_elems * in_ch
-        origin_cycles = 0
-        for part in parts:
-            l_c = 0
-            of_sum = 0
-            w_sum = 0
-            for size, c in zip(group_sizes, part):
-                if not c:
-                    continue
-                l_c += _ceil_div(size * in_ch * c * tile_elems, hw.pe_count)
-                of_sum += _ceil_div(tile_elems * c, stride_vol)
-                w_sum += size * c * w_scale
-            if math.isinf(hw.bandwidth):
-                l_m = 0
-            else:
-                traffic = d_if + of_sum if beta == 1 else w_sum + of_sum
-                l_m = math.ceil(traffic / hw.bandwidth) if traffic else 0
-            origin_cycles += max(l_c, l_m)
-        total += mult * origin_cycles
-    return total
+def _grid_cycles(price: RoundPricer, tile, parts, hw: HardwareConfig) -> tuple[int, int]:
+    """Total cycles at beta=1 and at beta=0 when `parts` runs at every tile origin."""
+    beta1 = beta0 = 0
+    repeats = Counter(parts)
+    for shape, mult in _tile_shapes(price.layer, tile):
+        for part, n in repeats.items():
+            terms = price(shape, part)
+            l_c = terms.compute_cycles(hw)
+            beta1 += mult * n * max(l_c, terms.memory_cycles(1, hw))
+            beta0 += mult * n * max(l_c, terms.memory_cycles(0, hw))
+    return beta1, beta0
 
 
 def _origins(layer: LayerSpec, tile):
@@ -278,97 +258,67 @@ def _materialize(layer: LayerSpec, tile, parts, beta: int) -> TileSchedule:
     return TileSchedule(beta, tuple(rounds))
 
 
-def _round_capacity(layer: LayerSpec, tile, hw: HardwareConfig) -> int:
-    return hw.usable_buffer - math.prod(tile) * layer.in_channels
+def _round_capacity(price: RoundPricer, tile, hw: HardwareConfig) -> int:
+    """Buffer elements left for filters once the ifmap tile is resident."""
+    return hw.usable_buffer - _filter_round(price, tile).ifmap
 
 
 def _pack_tile(
-    layer: LayerSpec,
-    kernel_set: SubKernelSet | None,
-    tile,
-    hw: HardwareConfig,
-    mode: ScheduleMode,
-    include_input_channels: bool,
+    price: RoundPricer, tile, hw: HardwareConfig, mode: ScheduleMode
 ) -> list[tuple[int, ...]]:
-    """Filter-count vectors, one per round, consuming every filter once."""
-    items = build_items(
-        layer, kernel_set, tile, include_input_channels=include_input_channels
-    )
-    n_groups = max(it.group for it in items) + 1
-    capacity = _round_capacity(layer, tile, hw)
-    parts: list[tuple[int, ...]] = []
+    """Filter-count vectors, one per round, consuming every filter once.
+
+    CONV_R packs each group's items on their own, ILAR packs all items
+    together.
+    """
+    items = _items(price, tile)
+    n_groups = len(price.groups)
+    capacity = _round_capacity(price, tile, hw)
     if mode is ScheduleMode.CONV_R:
-        for g in range(n_groups):
-            remaining = [it for it in items if it.group == g]
-            while remaining:
-                selected = pack_round(remaining, capacity)
-                counts = [0] * n_groups
-                counts[g] = len(selected)
-                parts.append(tuple(counts))
-                chosen = {(it.group, it.filter_index) for it in selected}
-                remaining = [
-                    it for it in remaining if (it.group, it.filter_index) not in chosen
-                ]
+        pools = [[it for it in items if it.group == g] for g in range(n_groups)]
     else:
-        remaining = list(items)
+        pools = [items]
+    parts: list[tuple[int, ...]] = []
+    for remaining in pools:
         while remaining:
             selected = pack_round(remaining, capacity)
             counts = [0] * n_groups
             for it in selected:
                 counts[it.group] += 1
             parts.append(tuple(counts))
-            chosen = {(it.group, it.filter_index) for it in selected}
-            remaining = [
-                it for it in remaining if (it.group, it.filter_index) not in chosen
-            ]
+            chosen = set(map(id, selected))
+            remaining = [it for it in remaining if id(it) not in chosen]
     return parts
 
 
-def _tile_lower_bound(
-    layer: LayerSpec,
-    groups,
-    tile,
-    hw: HardwareConfig,
-    mode: ScheduleMode,
-    include_input_channels: bool,
-) -> int:
+def _tile_lower_bound(price: RoundPricer, tile, hw: HardwareConfig, mode: ScheduleMode) -> int:
     """Cheap cycle lower bound for any schedule built on this tile."""
-    in_ch = layer.in_channels
+    layer = price.layer
     out_ch = layer.out_channels
-    ifmap_elems = math.prod(layer.ifmap)
-    group_sizes = [math.prod(d) for d in groups]
-    total_macs = sum(group_sizes) * in_ch * out_ch * ifmap_elems
-    lb = _ceil_div(total_macs, hw.pe_count)
+    whole = price(layer.ifmap, (out_ch,) * len(price.groups))
+    lb = _ceil_div(sum(whole.macs), hw.pe_count)
     if math.isinf(hw.bandwidth):
         return lb
-    stride_vol = layer.stride**layer.rank
-    w_scale = in_ch if include_input_channels else 1
-    of_floor = (ifmap_elems * out_ch * len(groups)) // stride_vol
-    capacity = _round_capacity(layer, tile, hw)
-    tile_elems = math.prod(tile)
-    of_share = _ceil_div(tile_elems, stride_vol)
+    one = _filter_round(price, tile)
+    capacity = hw.usable_buffer - one.ifmap
     if capacity <= 0:
         return lb
+    group_weights = [(w + o) * out_ch for w, o in zip(one.weights, one.ofmap)]
     if mode is ScheduleMode.CONV_R:
-        rounds_min = sum(
-            _ceil_div((size * w_scale + of_share) * out_ch, capacity)
-            for size in group_sizes
-        )
+        rounds_min = sum(_ceil_div(w, capacity) for w in group_weights)
     else:
-        item_total = sum((size * w_scale + of_share) * out_ch for size in group_sizes)
-        rounds_min = _ceil_div(item_total, capacity)
+        rounds_min = _ceil_div(sum(group_weights), capacity)
     n_origins = math.prod(_ceil_div(e, t) for e, t in zip(layer.ifmap, tile))
-    beta1 = rounds_min * ifmap_elems * in_ch + of_floor
-    beta0 = n_origins * sum(group_sizes) * out_ch * w_scale + of_floor
-    lb_mem = math.ceil(min(beta1, beta0) / hw.bandwidth)
-    return max(lb, lb_mem)
+    of_floor = (math.prod(layer.ifmap) * out_ch * len(price.groups)) // layer.stride**layer.rank
+    beta1 = rounds_min * whole.ifmap + of_floor
+    beta0 = n_origins * sum(whole.weights) + of_floor
+    return max(lb, math.ceil(min(beta1, beta0) / hw.bandwidth))
 
 
 def _check_mode(layer: LayerSpec, kernel_set: SubKernelSet | None, mode: ScheduleMode):
     if mode is ScheduleMode.ILAR and layer.kind is not LayerKind.DECONV:
         raise ValueError("ILAR applies only to transformed deconvolution layers")
-    if layer.kind is LayerKind.DECONV and kernel_set is None:
-        raise ValueError(f"layer {layer.name}: scheduling a deconvolution needs its SubKernelSet")
+    _check_kernel_set(layer, kernel_set)
 
 
 def solve(
@@ -387,30 +337,22 @@ def solve(
     so provably worse tiles are pruned. Deterministic for fixed inputs.
     """
     _check_mode(layer, kernel_set, mode)
-    groups = _groups_for(layer, kernel_set)
-    candidates = _tile_candidates(layer, groups)
+    price = RoundPricer(layer, include_input_channels)
     scored = sorted(
-        (
-            _tile_lower_bound(layer, groups, tile, hw, mode, include_input_channels),
-            tile,
-        )
-        for tile in candidates
+        (_tile_lower_bound(price, tile, hw, mode), tile)
+        for tile in _tile_candidates(layer, price.groups)
     )
     best = None
     for bound, tile in scored:
         if best is not None and bound >= best[0]:
             break
-        capacity = _round_capacity(layer, tile, hw)
-        if capacity <= 0:
+        if _round_capacity(price, tile, hw) <= 0:
             continue
         try:
-            parts = _pack_tile(layer, kernel_set, tile, hw, mode, include_input_channels)
+            parts = _pack_tile(price, tile, hw, mode)
         except InfeasibleTileError:
             continue
-        for beta in (1, 0):
-            cycles = _evaluate_parts(
-                layer, groups, tile, parts, beta, hw, include_input_channels
-            )
+        for beta, cycles in zip((1, 0), _grid_cycles(price, tile, parts, hw)):
             if best is None or cycles < best[0]:
                 best = (cycles, tile, parts, beta)
     if best is None:
@@ -444,69 +386,30 @@ def exhaustive(
     SearchSpaceExceeded is raised beyond it. Intended as a test oracle.
     """
     _check_mode(layer, kernel_set, mode)
-    groups = _groups_for(layer, kernel_set)
-    full = tuple(layer.out_channels for _ in groups)
-    group_sizes = [math.prod(d) for d in groups]
-    in_ch = layer.in_channels
-    stride_vol = layer.stride**layer.rank
-    w_scale = in_ch if include_input_channels else 1
+    price = RoundPricer(layer, include_input_channels)
+    full = (layer.out_channels,) * len(price.groups)
+
+    def round_options(state):
+        if mode is ScheduleMode.CONV_R:
+            for g, avail in enumerate(state):
+                for c in range(1, avail + 1):
+                    part = [0] * len(state)
+                    part[g] = c
+                    yield tuple(part)
+        else:
+            for part in itertools.product(*(range(c + 1) for c in state)):
+                if any(part):
+                    yield part
+
+    states = sorted(
+        itertools.product(*(range(c + 1) for c in full)),
+        key=lambda v: (sum(v), v),
+    )
     best = None
     explored = 0
-    for tile in sorted(_tile_candidates(layer, groups)):
-        shapes = _tile_shapes(layer, tile)
-        tile_occ = math.prod(tile) * in_ch
-        cost_cache: dict[tuple[int, ...], tuple[int, int] | None] = {}
-
-        def part_costs(part, _shapes=shapes, _cache=cost_cache, _occ=tile_occ, _tile=tile):
-            """(cycles at beta=1, cycles at beta=0) or None when infeasible."""
-            hit = _cache.get(part, -1)
-            if hit != -1:
-                return hit
-            occupancy = _occ
-            for size, c in zip(group_sizes, part):
-                if c:
-                    occupancy += size * c * w_scale
-                    occupancy += _ceil_div(math.prod(_tile) * c, stride_vol)
-            if occupancy > hw.usable_buffer:
-                _cache[part] = None
-                return None
-            beta1 = beta0 = 0
-            for shape, mult in _shapes:
-                tile_elems = math.prod(shape)
-                l_c = of_sum = w_sum = 0
-                for size, c in zip(group_sizes, part):
-                    if not c:
-                        continue
-                    l_c += _ceil_div(size * in_ch * c * tile_elems, hw.pe_count)
-                    of_sum += _ceil_div(tile_elems * c, stride_vol)
-                    w_sum += size * c * w_scale
-                if math.isinf(hw.bandwidth):
-                    l_m1 = l_m0 = 0
-                else:
-                    d_if = tile_elems * in_ch
-                    l_m1 = math.ceil((d_if + of_sum) / hw.bandwidth) if d_if + of_sum else 0
-                    l_m0 = math.ceil((w_sum + of_sum) / hw.bandwidth) if w_sum + of_sum else 0
-                beta1 += mult * max(l_c, l_m1)
-                beta0 += mult * max(l_c, l_m0)
-            _cache[part] = (beta1, beta0)
-            return beta1, beta0
-
-        def round_options(state):
-            if mode is ScheduleMode.CONV_R:
-                for g, avail in enumerate(state):
-                    for c in range(1, avail + 1):
-                        part = [0] * len(state)
-                        part[g] = c
-                        yield tuple(part)
-            else:
-                for part in itertools.product(*(range(c + 1) for c in state)):
-                    if any(part):
-                        yield part
-
-        states = sorted(
-            itertools.product(*(range(c + 1) for c in full)),
-            key=lambda v: (sum(v), v),
-        )
+    for tile in sorted(_tile_candidates(layer, price.groups)):
+        # (cycles at beta=1, cycles at beta=0) per part, None when it overflows the buffer
+        costs: dict[tuple[int, ...], tuple[int, int] | None] = {}
         dp: dict[int, dict[tuple[int, ...], int]] = {1: {states[0]: 0}, 0: {states[0]: 0}}
         parent: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {1: {}, 0: {}}
         for state in states[1:]:
@@ -516,11 +419,14 @@ def exhaustive(
                     raise SearchSpaceExceeded(
                         f"more than {max_candidates} candidate extensions"
                     )
-                costs = part_costs(part)
-                if costs is None:
+                if part not in costs:
+                    fits = price(tile, part).occupancy <= hw.usable_buffer
+                    costs[part] = _grid_cycles(price, tile, (part,), hw) if fits else None
+                part_costs = costs[part]
+                if part_costs is None:
                     continue
                 rest = tuple(s - p for s, p in zip(state, part))
-                for beta, part_cost in ((1, costs[0]), (0, costs[1])):
+                for beta, part_cost in zip((1, 0), part_costs):
                     base = dp[beta].get(rest)
                     if base is None:
                         continue

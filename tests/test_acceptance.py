@@ -26,8 +26,8 @@ from svopt.perfmodel import (
     InfeasibleScheduleError,
     LayerKind,
     LayerSpec,
+    RoundPricer,
     dense_equivalent,
-    dram_deltas,
     filter_group_dims,
     total_latency,
 )
@@ -180,9 +180,10 @@ def test_criterion_06_constraint_soundness():
         except InfeasibleScheduleError:
             continue
         groups = filter_group_dims(layer)
+        price = RoundPricer(layer)
         coverage = {}
         for round_ in schedule.rounds:
-            deltas = dram_deltas(round_, layer)
+            deltas = price(round_.tile, round_.filters)
             occupancy = deltas.ifmap + sum(deltas.weights) + sum(deltas.ofmap)
             assert occupancy <= hw.usable_buffer  # per-round buffer constraint
             tally = coverage.setdefault(round_.origin, [0] * len(groups))

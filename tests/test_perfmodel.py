@@ -9,13 +9,10 @@ from svopt.perfmodel import (
     LayerKind,
     LayerSpec,
     RoundPlan,
+    RoundPricer,
     TileSchedule,
-    check_buffer,
-    compute_time,
     dense_equivalent,
-    dram_deltas,
     filter_group_dims,
-    memory_time,
     output_dims,
     total_latency,
     validate_schedule,
@@ -29,6 +26,10 @@ def deconv_layer(kernel=(3, 3), in_ch=3, out_ch=4, ifmap=(8, 8)):
 
 def kernel_set_for(layer):
     return decompose_nd(Tensor.zeros(layer.kernel))
+
+
+def terms(round_, layer, include_input_channels=False):
+    return RoundPricer(layer, include_input_channels)(round_.tile, round_.filters)
 
 
 class TestHardwareConfig:
@@ -69,13 +70,13 @@ class TestComputeTime:
         layer = deconv_layer((4, 4), in_ch=1, out_ch=1)
         hw = HardwareConfig(8, 8, 10**6, 1.0)
         round_ = RoundPlan((0, 0), (4, 4), (1, 0, 0, 0))
-        assert compute_time(round_, layer, kernel_set_for(layer), hw) == 1
+        assert terms(round_, layer).compute_cycles(hw) == 1
 
     def test_no_filters_no_cycles(self):
         layer = deconv_layer((4, 4), in_ch=1, out_ch=1)
         hw = HardwareConfig(8, 8, 10**6, 1.0)
         round_ = RoundPlan((0, 0), (4, 4), (0, 0, 0, 0))
-        assert compute_time(round_, layer, kernel_set_for(layer), hw) == 0
+        assert terms(round_, layer).compute_cycles(hw) == 0
 
     def test_ceiling_applies_per_subkernel(self):
         # two groups, each 1.5x the PE array: 2 + 2 cycles, not ceil(3) = 3
@@ -83,37 +84,37 @@ class TestComputeTime:
         hw = HardwareConfig(8, 8, 10**6, 1.0)
         round_ = RoundPlan((0, 0), (6, 4), (1, 1, 0, 0))
         # each group is 2x2 -> 4 * 1 * 1 * 24 = 96 MACs = 1.5 * 64
-        assert compute_time(round_, layer, kernel_set_for(layer), hw) == 4
+        assert terms(round_, layer).compute_cycles(hw) == 4
 
     def test_deconv_requires_kernel_set(self):
         layer = deconv_layer()
         hw = HardwareConfig(8, 8, 10**6, 1.0)
-        with pytest.raises(ValueError):
-            compute_time(RoundPlan((0, 0), (4, 4), (1, 0, 0, 0)), layer, None, hw)
+        with pytest.raises(ValueError, match="SubKernelSet"):
+            total_latency(full_cover_schedule(layer), layer, None, hw)
 
 
 class TestDramDeltas:
     def test_ifmap_traffic(self):
         layer = deconv_layer((3, 3), in_ch=3)
-        deltas = dram_deltas(RoundPlan((0, 0), (8, 8), (0, 0, 0, 0)), layer)
+        deltas = terms(RoundPlan((0, 0), (8, 8), (0, 0, 0, 0)), layer)
         assert deltas.ifmap == 192
 
     def test_zero_filters_zero_traffic(self):
         layer = deconv_layer((3, 3))
-        deltas = dram_deltas(RoundPlan((0, 0), (4, 4), (0, 0, 0, 0)), layer)
+        deltas = terms(RoundPlan((0, 0), (4, 4), (0, 0, 0, 0)), layer)
         assert deltas.weights == (0, 0, 0, 0)
         assert deltas.ofmap == (0, 0, 0, 0)
 
     def test_ofmap_scaled_by_stride_square(self):
         layer = deconv_layer((3, 3))
-        deltas = dram_deltas(RoundPlan((0, 0), (4, 4), (2, 0, 0, 0)), layer)
+        deltas = terms(RoundPlan((0, 0), (4, 4), (2, 0, 0, 0)), layer)
         assert deltas.ofmap[0] == 8  # 4*4*2 / 2^2
 
     def test_weights_follow_group_extents(self):
         layer = deconv_layer((3, 3))
-        deltas = dram_deltas(RoundPlan((0, 0), (4, 4), (2, 1, 0, 0)), layer)
+        deltas = terms(RoundPlan((0, 0), (4, 4), (2, 1, 0, 0)), layer)
         assert deltas.weights == (8, 2, 0, 0)  # 2x2*2 filters, 1x2*1 filter
-        with_i = dram_deltas(
+        with_i = terms(
             RoundPlan((0, 0), (4, 4), (2, 1, 0, 0)), layer, include_input_channels=True
         )
         assert with_i.weights == (24, 6, 0, 0)
@@ -125,27 +126,27 @@ class TestMemoryTime:
         layer = deconv_layer((3, 3), in_ch=3)
         hw = HardwareConfig(4, 4, 10**6, 16.0)
         round_ = RoundPlan((0, 0), (8, 8), (2, 0, 0, 0))
-        assert memory_time(round_, layer, hw, beta=1) == 14  # ceil(224/16)
+        assert terms(round_, layer).memory_cycles(1, hw) == 14  # ceil(224/16)
 
     def test_zero_traffic_zero_cycles(self):
         layer = deconv_layer((3, 3), in_ch=1)
         hw = HardwareConfig(4, 4, 10**6, 16.0)
         round_ = RoundPlan((0, 0), (4, 4), (0, 0, 0, 0))
-        assert memory_time(round_, layer, hw, beta=0) == 0
+        assert terms(round_, layer).memory_cycles(0, hw) == 0
 
     def test_beta_difference_is_if_minus_weights(self):
         layer = deconv_layer((3, 3), in_ch=2)
         hw = HardwareConfig(4, 4, 10**6, 1.0)  # unit bandwidth: cycles == elements
         round_ = RoundPlan((0, 0), (6, 6), (3, 1, 2, 1))
-        deltas = dram_deltas(round_, layer)
-        diff = memory_time(round_, layer, hw, 1) - memory_time(round_, layer, hw, 0)
+        deltas = terms(round_, layer)
+        diff = deltas.memory_cycles(1, hw) - deltas.memory_cycles(0, hw)
         assert diff == deltas.ifmap - sum(deltas.weights)
 
     def test_infinite_bandwidth(self):
         layer = deconv_layer((3, 3), in_ch=2)
         hw = HardwareConfig(4, 4, 10**6, math.inf)
         round_ = RoundPlan((0, 0), (6, 6), (3, 1, 2, 1))
-        assert memory_time(round_, layer, hw, 1) == 0
+        assert terms(round_, layer).memory_cycles(1, hw) == 0
 
 
 class TestCheckBuffer:
@@ -153,7 +154,7 @@ class TestCheckBuffer:
         layer = deconv_layer((3, 3), in_ch=1)
         round_ = RoundPlan((0, 0), (1, 1), (0, 0, 0, 0))
         hw = HardwareConfig(2, 2, 2, 1.0, double_buffered=False)
-        assert check_buffer(round_, layer, hw)
+        assert terms(round_, layer).occupancy <= hw.usable_buffer
 
     def test_exact_boundary(self):
         # occupancy: ifmap 192 + weights 20 + ofmap 80 = 292 elements
@@ -161,8 +162,8 @@ class TestCheckBuffer:
         round_ = RoundPlan((0, 0), (8, 8), (5, 0, 0, 0))
         fits = HardwareConfig(2, 2, 292, 1.0, double_buffered=False)
         tight = HardwareConfig(2, 2, 291, 1.0, double_buffered=False)
-        assert check_buffer(round_, layer, fits)
-        assert not check_buffer(round_, layer, tight)
+        assert terms(round_, layer).occupancy <= fits.usable_buffer
+        assert terms(round_, layer).occupancy > tight.usable_buffer
 
     def test_validate_rejects_oversized_round(self):
         layer = LayerSpec("d", LayerKind.DECONV, (4, 4), 3, 5, (8, 8), 2)

@@ -166,31 +166,26 @@ class TestSolve:
 
     def test_pruning_preserves_the_tile_grid_minimum(self):
         # re-derive the best candidate without pruning via module internals
-        from svopt.scheduler import (
-            _evaluate_parts,
-            _pack_tile,
-            _tile_candidates,
-        )
-        from svopt.perfmodel import _groups_for
+        from svopt.perfmodel import RoundPricer
+        from svopt.scheduler import _grid_cycles, _pack_tile, _tile_candidates
 
         rng = random.Random(99)
         for _ in range(10):
             layer, ks, hw = random_instance(rng)
-            groups = _groups_for(layer, ks)
+            price = RoundPricer(layer)
             best = None
             try:
-                candidates = _tile_candidates(layer, groups)
+                candidates = _tile_candidates(layer, price.groups)
             except InfeasibleScheduleError:
                 continue
             for tile in candidates:
                 if hw.usable_buffer <= tile[0] * tile[1] * layer.in_channels:
                     continue
                 try:
-                    parts = _pack_tile(layer, ks, tile, hw, ScheduleMode.ILAR, False)
+                    parts = _pack_tile(price, tile, hw, ScheduleMode.ILAR)
                 except InfeasibleTileError:
                     continue
-                for beta in (1, 0):
-                    cycles = _evaluate_parts(layer, groups, tile, parts, beta, hw, False)
+                for cycles in _grid_cycles(price, tile, parts, hw):
                     if best is None or cycles < best:
                         best = cycles
             if best is None:
