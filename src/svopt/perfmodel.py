@@ -284,14 +284,14 @@ class RoundPricer:
                 )
             tile_elems = math.prod(tile)
             in_ch = self.layer.in_channels
-            stride_vol = self._stride_vol
-            # the solver prices thousands of rounds per layer: list comprehensions
-            # and inline ceil divisions keep this cheap
+            sizes, w_scale, stride_vol = self._sizes, self._w_scale, self._stride_vol
+            # the solver prices thousands of rounds per layer: positional fields,
+            # list comprehensions and inline ceil divisions keep this cheap
             terms = RoundTerms(
-                macs=tuple([s * in_ch * c * tile_elems for s, c in zip(self._sizes, filters)]),
-                ifmap=tile_elems * in_ch,
-                weights=tuple([s * c * self._w_scale for s, c in zip(self._sizes, filters)]),
-                ofmap=tuple([-(-tile_elems * c // stride_vol) for c in filters]),
+                tuple([s * in_ch * c * tile_elems for s, c in zip(sizes, filters)]),
+                tile_elems * in_ch,
+                tuple([s * c * w_scale for s, c in zip(sizes, filters)]),
+                tuple([-(-tile_elems * c // stride_vol) for c in filters]),
             )
             self._priced[tile, filters] = terms
         return terms

@@ -279,15 +279,15 @@ def _pack_tile(
     else:
         pools = [items]
     parts: list[tuple[int, ...]] = []
-    for remaining in pools:
+    for pool in pools:
+        remaining = {(it.group, it.filter_index): it for it in pool}
         while remaining:
-            selected = pack_round(remaining, capacity)
+            selected = pack_round(list(remaining.values()), capacity)
             counts = [0] * n_groups
             for it in selected:
                 counts[it.group] += 1
+                del remaining[it.group, it.filter_index]
             parts.append(tuple(counts))
-            chosen = set(map(id, selected))
-            remaining = [it for it in remaining if id(it) not in chosen]
     return parts
 
 
