@@ -22,6 +22,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,8 +217,7 @@ def _check_kernel_set(layer: LayerSpec, kernel_set: SubKernelSet | None) -> None
         )
 
 
-@dataclass(frozen=True)
-class RoundTerms:
+class RoundTerms(NamedTuple):
     """What one round of a layer costs, per filter group.
 
     macs_k = prod(group_k) * I * C_k * prod(tile); ifmap = prod(tile) * I;
@@ -285,8 +285,8 @@ class RoundPricer:
             tile_elems = math.prod(tile)
             in_ch = self.layer.in_channels
             sizes, w_scale, stride_vol = self._sizes, self._w_scale, self._stride_vol
-            # the solver prices thousands of rounds per layer: positional fields,
-            # list comprehensions and inline ceil divisions keep this cheap
+            # the solver prices thousands of rounds per layer: a named tuple, list
+            # comprehensions and inline ceil divisions keep this cheap
             terms = RoundTerms(
                 tuple([s * in_ch * c * tile_elems for s, c in zip(sizes, filters)]),
                 tile_elems * in_ch,

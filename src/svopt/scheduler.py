@@ -291,28 +291,35 @@ def _pack_tile(
     return parts
 
 
-def _tile_lower_bound(price: RoundPricer, tile, hw: HardwareConfig, mode: ScheduleMode) -> int:
-    """Cheap cycle lower bound for any schedule built on this tile."""
+def _scored_tiles(price: RoundPricer, hw: HardwareConfig, mode: ScheduleMode):
+    """Candidate tiles with a cheap cycle lower bound, sorted by (bound, tile).
+
+    No schedule built on a tile beats its bound; the order also decides
+    which of two equal-cost tiles the solver keeps.
+    """
     layer = price.layer
     out_ch = layer.out_channels
-    whole = price(layer.ifmap, (out_ch,) * len(price.groups))
+    n_groups = len(price.groups)
+    whole = price(layer.ifmap, (out_ch,) * n_groups)
     lb = _ceil_div(sum(whole.macs), hw.pe_count)
-    if math.isinf(hw.bandwidth):
-        return lb
-    one = _filter_round(price, tile)
-    capacity = hw.usable_buffer - one.ifmap
-    if capacity <= 0:
-        return lb
-    group_weights = [(w + o) * out_ch for w, o in zip(one.weights, one.ofmap)]
-    if mode is ScheduleMode.CONV_R:
-        rounds_min = sum(_ceil_div(w, capacity) for w in group_weights)
-    else:
-        rounds_min = _ceil_div(sum(group_weights), capacity)
-    n_origins = math.prod(_ceil_div(e, t) for e, t in zip(layer.ifmap, tile))
-    of_floor = (math.prod(layer.ifmap) * out_ch * len(price.groups)) // layer.stride**layer.rank
-    beta1 = rounds_min * whole.ifmap + of_floor
-    beta0 = n_origins * sum(whole.weights) + of_floor
-    return max(lb, math.ceil(min(beta1, beta0) / hw.bandwidth))
+    of_floor = (math.prod(layer.ifmap) * out_ch * n_groups) // layer.stride**layer.rank
+    scored = []
+    for tile in _tile_candidates(layer, price.groups):
+        one = _filter_round(price, tile)
+        capacity = hw.usable_buffer - one.ifmap
+        if math.isinf(hw.bandwidth) or capacity <= 0:
+            scored.append((lb, tile))
+            continue
+        group_weights = [(w + o) * out_ch for w, o in zip(one.weights, one.ofmap)]
+        if mode is ScheduleMode.CONV_R:
+            rounds_min = sum(_ceil_div(w, capacity) for w in group_weights)
+        else:
+            rounds_min = _ceil_div(sum(group_weights), capacity)
+        n_origins = math.prod(_ceil_div(e, t) for e, t in zip(layer.ifmap, tile))
+        beta1 = rounds_min * whole.ifmap + of_floor
+        beta0 = n_origins * sum(whole.weights) + of_floor
+        scored.append((max(lb, math.ceil(min(beta1, beta0) / hw.bandwidth)), tile))
+    return sorted(scored)
 
 
 def _check_mode(layer: LayerSpec, kernel_set: SubKernelSet | None, mode: ScheduleMode):
@@ -338,12 +345,8 @@ def solve(
     """
     _check_mode(layer, kernel_set, mode)
     price = RoundPricer(layer, include_input_channels)
-    scored = sorted(
-        (_tile_lower_bound(price, tile, hw, mode), tile)
-        for tile in _tile_candidates(layer, price.groups)
-    )
     best = None
-    for bound, tile in scored:
+    for bound, tile in _scored_tiles(price, hw, mode):
         if best is not None and bound >= best[0]:
             break
         if _round_capacity(price, tile, hw) <= 0:
