@@ -2,13 +2,17 @@
 
 A layer's schedule is found by enumerating candidate ifmap tiles and, for
 each tile, packing filters into rounds. Packing is a 0/1 knapsack over
-(filter group, output filter) items solved exactly by dynamic programming
-over integer element weights; because every filter must eventually run,
-the packer is applied repeatedly until all items are consumed. ILAR mode
-lets one round mix filters from different sub-kernels so they share the
-resident ifmap tile; CONV_R mode packs each sub-kernel separately, which
-is also the only mode meaningful for plain convolutions. The reuse order
-beta is chosen per layer as the argmin of total modeled latency.
+(filter group, output filter) items. A group's items are identical, so it
+is solved exactly over classes of equal items, at most one per group: it
+maximizes total value, then takes the lexicographically largest class
+counts, classes ordered by value and then weight, descending, and within
+a class the lowest group and filter indices. Because every filter must
+eventually run, the packer is applied repeatedly until all items are
+consumed. ILAR mode lets one round mix filters from different sub-kernels
+so they share the resident ifmap tile; CONV_R mode packs each sub-kernel
+separately, which is also the only mode meaningful for plain
+convolutions. The reuse order beta is chosen per layer as the argmin of
+total modeled latency.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .deconv import SubKernelSet
 from .perfmodel import (
@@ -119,46 +122,53 @@ def build_items(
 def _pack_counts(classes: list[tuple[int, int, int]], capacity: int) -> list[int]:
     """Exact bounded knapsack over (weight, value, count) classes.
 
-    `classes` arrive in descending selection priority. Counts are split
-    into binary bundles and processed lowest priority first, so the
-    backtrack visits high-priority bundles first and keeps them on value
-    ties.
+    `classes` arrive in descending selection priority. Of the counts of
+    maximum total value it returns the lexicographically largest, by a
+    depth-first search over counts, descending, that keeps only strictly
+    better leaves. Branches are cut by the fractional relaxation (room
+    rounded down to the gcd of the valuable weights) and by the value
+    proven for the same (class, room); fastest with the most valuable first.
     """
-    taken = [0] * len(classes)
-    pseudo = []  # (class index, bundle count, bundle weight, bundle value)
-    for ci in range(len(classes) - 1, -1, -1):
-        weight, value, count = classes[ci]
-        chunk = 1
-        while count > 0:
-            take = min(chunk, count)
-            pseudo.append((ci, take, weight * take, value * take))
-            count -= take
-            chunk *= 2
-    dp = np.zeros(capacity + 1, dtype=np.int64)
-    takes = np.zeros((len(pseudo), capacity + 1), dtype=bool)
-    for i, (_, _, bw, bv) in enumerate(pseudo):
-        if bw > capacity:
-            continue
-        candidate = dp[: capacity + 1 - bw] + bv
-        keep = candidate >= dp[bw:]
-        takes[i, bw:] = keep
-        dp[bw:] = np.where(keep, candidate, dp[bw:])
-    w = capacity
-    for i in range(len(pseudo) - 1, -1, -1):
-        ci, cnt, bw, _ = pseudo[i]
-        if bw <= w and takes[i, w]:
-            taken[ci] += cnt
-            w -= bw
-    return taken
+    n = len(classes)
+    order = sorted(range(n), key=lambda i: Fraction(classes[i][1], classes[i][0]), reverse=True)
+    tails = [[i for i in order if i >= k] for k in range(n)]
+    steps = [math.gcd(*(w for w, v, _ in classes[k:] if v)) or 1 for k in range(n)]
+    counts, best, ceiling = [0] * n, [-1, None], {}
+
+    def bound(k: int, room: int, most: int) -> int:
+        total, room = 0, room - room % steps[k]
+        for i in tails[k]:
+            weight, value, count = classes[i]
+            count = most if i == k else count
+            if count * weight > room:
+                return total - (-room * value // weight)
+            total, room = total + count * value, room - count * weight
+        return total
+
+    def search(k: int, room: int, gained: int) -> None:
+        if k == n:
+            best[:] = gained, counts[:]  # only a strictly better leaf gets here
+        elif gained + ceiling.get((k, room), math.inf) > best[0]:
+            weight, value, count = classes[k]
+            for c in range(min(count, room // weight), -1, -1):
+                if gained + bound(k, room, c) <= best[0]:
+                    break  # the bound also covers every smaller count
+                counts[k] = c
+                search(k + 1, room - c * weight, gained + c * value)
+            ceiling[k, room] = best[0] - gained
+
+    search(0, capacity, 0)
+    return best[1]
 
 
 def pack_round(items: list[KnapsackItem], capacity: int) -> list[KnapsackItem]:
     """Select a maximal-value subset of items fitting `capacity` elements.
 
-    Exact 0/1 knapsack DP over integer weights. Ties are broken toward
-    larger items (for layer-derived items, item value at a fixed tile is
-    proportional to the sub-kernel footprint), then lower group index,
-    then lower filter index. Raises InfeasibleTileError when nothing fits.
+    Exact 0/1 knapsack over classes of equal (weight, value) items. Of the
+    maximal-value subsets it takes the most items of the highest value,
+    then of the largest weight (for layer-derived items, value at a fixed
+    tile grows with the sub-kernel footprint), and so on; within a class,
+    lower group, then lower filter. Raises InfeasibleTileError if none fits.
     """
     if not items:
         raise ValueError("no items to pack")
@@ -170,20 +180,13 @@ def pack_round(items: list[KnapsackItem], capacity: int) -> list[KnapsackItem]:
         )
     if sum(it.weight for it in items) <= capacity:
         return list(items)
-    members: dict[tuple[int, int, int], list[KnapsackItem]] = {}
+    members: dict[tuple[int, int], list[KnapsackItem]] = {}
     for it in sorted(items, key=lambda it: (it.group, it.filter_index)):
-        members.setdefault((it.group, it.weight, it.value), []).append(it)
-    keys = sorted(
-        members,
-        key=lambda k: (-k[2], -k[1], k[0], members[k][0].filter_index),
-    )
-    classes = [(k[1], k[2], len(members[k])) for k in keys]
-    counts = _pack_counts(classes, capacity)
-    selection = []
-    for key, count in zip(keys, counts):
-        selection.extend(members[key][:count])
-    selection.sort(key=lambda it: (it.group, it.filter_index))
-    return selection
+        members.setdefault((it.weight, it.value), []).append(it)
+    keys = sorted(members, key=lambda k: (-k[1], -k[0]))
+    counts = _pack_counts([(*k, len(members[k])) for k in keys], capacity)
+    selection = [it for key, count in zip(keys, counts) for it in members[key][:count]]
+    return sorted(selection, key=lambda it: (it.group, it.filter_index))
 
 
 def _axis_candidates(extent: int, min_extent: int) -> list[int]:
@@ -391,62 +394,58 @@ def exhaustive(
     _check_mode(layer, kernel_set, mode)
     price = RoundPricer(layer, include_input_channels)
     full = (layer.out_channels,) * len(price.groups)
+    # Filter-count vectors are numbered as mixed-radix integers with radices
+    # full[g] + 1. A part never exceeds its state in any group, so the number
+    # of state - part is the state's number minus the part's, with no borrow;
+    # it is smaller, so the DP can visit states in number order.
+    strides = [math.prod(c + 1 for c in full[g + 1:]) for g in range(len(full))]
+    vectors = list(itertools.product(*(range(c + 1) for c in full)))
 
     def round_options(state):
         if mode is ScheduleMode.CONV_R:
-            for g, avail in enumerate(state):
-                for c in range(1, avail + 1):
-                    part = [0] * len(state)
-                    part[g] = c
-                    yield tuple(part)
-        else:
-            for part in itertools.product(*(range(c + 1) for c in state)):
-                if any(part):
-                    yield part
+            return [c * stride for avail, stride in zip(state, strides)
+                    for c in range(1, avail + 1)]
+        parts = [0]
+        for avail, stride in zip(state, strides):
+            parts = [p + c * stride for p in parts for c in range(avail + 1)]
+        return parts[1:]
 
-    states = sorted(
-        itertools.product(*(range(c + 1) for c in full)),
-        key=lambda v: (sum(v), v),
-    )
     best = None
     explored = 0
     for tile in sorted(_tile_candidates(layer, price.groups)):
         # (cycles at beta=1, cycles at beta=0) per part, None when it overflows the buffer
-        costs: dict[tuple[int, ...], tuple[int, int] | None] = {}
-        dp: dict[int, dict[tuple[int, ...], int]] = {1: {states[0]: 0}, 0: {states[0]: 0}}
-        parent: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {1: {}, 0: {}}
-        for state in states[1:]:
-            for part in round_options(state):
-                explored += 1
-                if explored > max_candidates:
-                    raise SearchSpaceExceeded(
-                        f"more than {max_candidates} candidate extensions"
-                    )
+        costs: dict[int, tuple[int, int] | None] = {}
+        dp = [[0] + [None] * (len(vectors) - 1) for _ in (0, 1)]  # by beta, then state
+        parent = [[0] * len(vectors) for _ in (0, 1)]
+        for state in range(1, len(vectors)):
+            options = round_options(vectors[state])
+            explored += len(options)
+            if explored > max_candidates:
+                raise SearchSpaceExceeded(f"more than {max_candidates} candidate extensions")
+            for part in options:
                 if part not in costs:
-                    fits = price(tile, part).occupancy <= hw.usable_buffer
-                    costs[part] = _grid_cycles(price, tile, (part,), hw) if fits else None
+                    fits = price(tile, vectors[part]).occupancy <= hw.usable_buffer
+                    costs[part] = _grid_cycles(price, tile, (vectors[part],), hw) if fits else None
                 part_costs = costs[part]
                 if part_costs is None:
                     continue
-                rest = tuple(s - p for s, p in zip(state, part))
                 for beta, part_cost in zip((1, 0), part_costs):
-                    base = dp[beta].get(rest)
+                    base = dp[beta][state - part]
                     if base is None:
                         continue
                     candidate = base + part_cost
-                    incumbent = dp[beta].get(state)
+                    incumbent = dp[beta][state]
                     if incumbent is None or candidate < incumbent:
                         dp[beta][state] = candidate
                         parent[beta][state] = part
         for beta in (1, 0):
-            cycles = dp[beta].get(full)
+            cycles = dp[beta][-1]
             if cycles is not None and (best is None or cycles < best[0]):
                 parts = []
-                state = full
-                while any(state):
-                    part = parent[beta][state]
-                    parts.append(part)
-                    state = tuple(s - p for s, p in zip(state, part))
+                state = len(vectors) - 1
+                while state:
+                    parts.append(vectors[parent[beta][state]])
+                    state -= parent[beta][state]
                 parts.sort(reverse=True)
                 best = (cycles, tile, tuple(parts), beta)
     if best is None:

@@ -1,0 +1,99 @@
+"""The scheduler's class-level knapsack against the capacity-wide DP in knapsack_oracle.
+
+Every comparison is exact: the same count taken from every class. The
+random instances are built the way pack_round builds them, in its
+priority order (value, then weight, descending), and include duplicate
+(weight, value) classes, zero values, counts up to 512 and capacities
+from below the lightest item to above the total weight. The layer
+instances are the ones `solve` itself hands to the packer.
+"""
+
+import random
+
+import pytest
+
+import knapsack_oracle as oracle
+from svopt import scheduler
+from svopt.deconv import decompose_nd
+from svopt.perfmodel import HardwareConfig, InfeasibleScheduleError, LayerKind, LayerSpec
+from svopt.scheduler import ScheduleMode, solve
+from svopt.tensor import Tensor
+
+
+def random_classes(rng):
+    classes = []
+    for _ in range(rng.randint(1, 8)):
+        if classes and rng.random() < 0.3:
+            weight, value, _ = rng.choice(classes)
+        else:
+            weight = rng.randint(1, 60)
+            value = rng.choice([0, rng.randint(0, 80), 2 * weight])
+        classes.append((weight, value, rng.randint(1, rng.choice([4, 40, 512]))))
+    return sorted(classes, key=lambda c: (-c[1], -c[0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_class_instances(seed):
+    rng = random.Random(seed)
+    for _ in range(250):
+        classes = random_classes(rng)
+        lightest = min(w for w, _, _ in classes)
+        total = sum(w * c for w, _, c in classes)
+        capacity = rng.choice([
+            rng.randint(0, lightest - 1),
+            rng.randint(lightest, total),
+            rng.randint(total, total + 100),
+        ])
+        want = oracle._pack_counts(classes, capacity)
+        assert scheduler._pack_counts(classes, capacity) == want, (classes, capacity)
+
+
+def test_any_class_order():
+    # the answer depends on the order only through the lexicographic rule
+    rng = random.Random(11)
+    for _ in range(200):
+        classes = [(rng.randint(1, 12), rng.randint(0, 20), rng.randint(1, 6))
+                   for _ in range(rng.randint(1, 5))]
+        capacity = rng.randint(0, sum(w * c for w, _, c in classes) + 5)
+        assert scheduler._pack_counts(classes, capacity) == oracle._pack_counts(
+            classes, capacity), (classes, capacity)
+
+
+def random_layer(rng, rank):
+    if rank == 2:
+        kernel = (rng.randint(2, 5), rng.randint(2, 5))
+        ifmap = (rng.randint(3, 16), rng.randint(3, 16))
+        in_ch, out_ch = rng.randint(1, 16), rng.randint(1, 48)
+    else:
+        kernel = tuple(rng.randint(2, 3) for _ in range(3))
+        ifmap = tuple(rng.randint(2, 7) for _ in range(3))
+        in_ch, out_ch = rng.randint(1, 8), rng.randint(1, 24)
+    return LayerSpec("r", LayerKind.DECONV, kernel, in_ch, out_ch, ifmap, 2)
+
+
+@pytest.mark.parametrize("mode", list(ScheduleMode))
+@pytest.mark.parametrize("rank", [2, 3])
+def test_layer_instances(monkeypatch, rank, mode):
+    calls = []
+    pack_counts = scheduler._pack_counts
+
+    def spy(classes, capacity):
+        taken = pack_counts(classes, capacity)
+        calls.append((list(classes), capacity, taken))
+        return taken
+
+    monkeypatch.setattr(scheduler, "_pack_counts", spy)
+    rng = random.Random(f"{rank}-{mode.value}")
+    for _ in range(12):
+        layer = random_layer(rng, rank)
+        hw = HardwareConfig(rng.randint(2, 8), rng.randint(2, 8), rng.randint(300, 6000), 8.0)
+        try:
+            solve(layer, decompose_nd(Tensor.zeros(layer.kernel)), hw, mode,
+                  include_input_channels=True)
+        except InfeasibleScheduleError:
+            continue
+    assert len(calls) >= 20
+    if rank == 3 and mode is ScheduleMode.ILAR:
+        assert any(len(classes) > 2 for classes, _, _ in calls)
+    for classes, capacity, taken in calls:
+        assert taken == oracle._pack_counts(classes, capacity), (classes, capacity)

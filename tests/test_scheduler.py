@@ -92,6 +92,32 @@ class TestPackRound:
         selected = pack_round([big] + small, 8)
         assert selected == [big]
 
+    @staticmethod
+    def bruteforce_selection(items, capacity):
+        """Max value, then lexicographic-max class counts, then lowest filters.
+
+        Classes are the (group, weight, value) sets of items, taken in the
+        order (-value, -weight, group, first filter).
+        """
+        classes = sorted(
+            {(it.group, it.weight, it.value) for it in items},
+            key=lambda c: (-c[2], -c[1], c[0],
+                           min(it.filter_index for it in items
+                               if (it.group, it.weight, it.value) == c)),
+        )
+        best = None
+        for mask in range(1 << len(items)):
+            chosen = [it for i, it in enumerate(items) if mask >> i & 1]
+            if sum(it.weight for it in chosen) > capacity:
+                continue
+            counts = [sum((it.group, it.weight, it.value) == c for it in chosen) for c in classes]
+            lowest = [(-it.group, -it.filter_index) for it in sorted(
+                chosen, key=lambda it: (it.group, it.filter_index))]
+            key = (sum(it.value for it in chosen), counts, lowest)
+            if best is None or key > best[0]:
+                best = (key, chosen)
+        return sorted(best[1], key=lambda it: (it.group, it.filter_index))
+
     def test_matches_bruteforce_subset_oracle(self):
         rng = random.Random(13)
         for _ in range(30):
@@ -113,6 +139,18 @@ class TestPackRound:
             got = pack_round(items, capacity)
             assert sum(it.value for it in got) == best
             assert sum(it.weight for it in got) <= capacity
+            assert got == self.bruteforce_selection(items, capacity)
+        # tie-heavy: a group's filters share (weight, value), groups repeat them
+        for _ in range(60):
+            shapes = [(rng.randint(1, 4), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+            groups = [rng.choice(shapes) for _ in range(rng.randint(1, 4))]
+            items = [
+                KnapsackItem(g, f, *shape)
+                for g, shape in enumerate(groups)
+                for f in range(rng.randint(1, 4))
+            ][:12]
+            capacity = rng.randint(min(i.weight for i in items), sum(i.weight for i in items))
+            assert pack_round(items, capacity) == self.bruteforce_selection(items, capacity)
 
     def test_nothing_fits_raises(self):
         items = [KnapsackItem(0, 0, weight=50, value=1)]
