@@ -18,8 +18,7 @@ from .perfmodel import (
     dense_equivalent,
     total_latency,
 )
-from .scheduler import KnapsackItem, ScheduleMode, build_items, compare_modes, \
-    exhaustive, pack_round, solve
+from .scheduler import ScheduleMode, compare_modes, exhaustive, pack_round, solve
 from .ism import (
     CameraRig,
     CorrespondenceSet,

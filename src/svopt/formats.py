@@ -139,6 +139,11 @@ def save_network(path, layers: list[LayerSpec]) -> None:
     )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, but JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_hardware(path, strict: bool = False) -> HardwareConfig:
     data = _load_json(path)
     _check_fields(
@@ -148,18 +153,28 @@ def load_hardware(path, strict: bool = False) -> HardwareConfig:
         {"double_buffered"},
         strict,
     )
+    pe_array, capacity = data["pe_array"], data["buffer_capacity"]
+    double_buffered = data.get("double_buffered", True)
+    for name, ok, want in (
+        ("pe_array", isinstance(pe_array, list) and len(pe_array) == 2
+         and all(map(_is_int, pe_array)), "two JSON integers"),
+        ("buffer_capacity", _is_int(capacity), "a JSON integer"),
+        ("double_buffered", isinstance(double_buffered, bool), "true or false"),
+    ):
+        if not ok:
+            raise SpecValidationError(f"{path}: field {name!r} must be {want}, got {data[name]!r}")
     bandwidth = data["bandwidth"]
     if bandwidth == "inf":
         bandwidth = math.inf
     try:
         return HardwareConfig(
-            pe_rows=int(data["pe_array"][0]),
-            pe_cols=int(data["pe_array"][1]),
-            buffer_capacity=int(data["buffer_capacity"]),
+            pe_rows=pe_array[0],
+            pe_cols=pe_array[1],
+            buffer_capacity=capacity,
             bandwidth=float(bandwidth),
-            double_buffered=bool(data.get("double_buffered", True)),
+            double_buffered=double_buffered,
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecValidationError(f"{path}: {exc}")
 
 

@@ -11,7 +11,7 @@ disparities are whole pixels; x_right = x_left + d with d >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -535,7 +535,6 @@ def ism_run(
     *,
     block: int = 5,
     radius: int = 2,
-    motion_fn: Callable[[Frame, Frame], MotionField] | None = None,
 ) -> list[DisparityMap]:
     """Disparity for every frame of a stereo sequence.
 
@@ -546,8 +545,6 @@ def ism_run(
     """
     if pw < 2:
         raise ValueError(f"propagation window must be >= 2, got {pw}")
-    if motion_fn is None:
-        motion_fn = estimate_motion
     out: list[DisparityMap] = []
     for t, (left, right) in enumerate(frames):
         if t % pw == 0:
@@ -559,8 +556,8 @@ def ism_run(
             out.append(dmap)
             continue
         prev_left, prev_right = frames[t - 1]
-        mf_left = motion_fn(prev_left, left)
-        mf_right = motion_fn(prev_right, right)
+        mf_left = estimate_motion(prev_left, left)
+        mf_right = estimate_motion(prev_right, right)
         pairs = propagate(reconstruct(out[-1]), mf_left, mf_right)
         guess = scatter_pairs(pairs, left.height, left.width)
         out.append(refine(left, right, guess, block, radius))
@@ -589,7 +586,6 @@ def nonkey_operation_count(
     params: MotionParams = MotionParams(),
     block: int = 5,
     radius: int = 2,
-    max_disparity: int | None = None,
 ) -> int:
     """Analytic arithmetic-operation count of one non-key frame.
 
@@ -604,9 +600,7 @@ def nonkey_operation_count(
     Refinement is charged 2 * radius + 1 candidates per pixel, the search
     window of a usable guess. `refine` scores the distinct candidates of
     each pixel's tile, which is at least that many and more where guesses
-    vary inside a tile or fall back to the zero guess. With
-    `max_disparity` set, refinement is charged max_disparity + 1
-    candidates per pixel instead: a whole-frame scan of every disparity.
+    vary inside a tile or fall back to the zero guess.
     """
     level_px = []
     px = width * height
@@ -620,7 +614,6 @@ def nonkey_operation_count(
         per_field += px * (2 * blur_taps * 2)  # two separable blur passes
         per_field += px * 2  # warp by the carried flow
         per_field += px * search * 7  # residual SAD search
-    candidates = 2 * radius + 1 if max_disparity is None else max_disparity + 1
-    refine_ops = width * height * candidates * 7
+    refine_ops = width * height * (2 * radius + 1) * 7
     bookkeeping = width * height * 8  # reconstruct, displace, scatter
     return 2 * per_field + refine_ops + bookkeeping

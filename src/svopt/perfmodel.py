@@ -12,7 +12,7 @@ whole elements and whole cycles.
 
 That rule is written once: RoundPricer prices a (tile, filters) round
 into a RoundTerms record, and validation, latency reports, the
-scheduler's tile search, its exhaustive oracle and its knapsack items
+scheduler's tile search, its exhaustive oracle and its knapsack classes
 all derive from it.
 """
 
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deconv import SubKernelSet, _slice_dims
+from .deconv import SubKernelSet, _slice_dims, upsampled_dims
 
 __all__ = [
     "HardwareConfig",
@@ -414,16 +414,13 @@ def dense_equivalent(layer: LayerSpec, with_border: bool = True) -> LayerSpec:
     """
     if layer.kind is not LayerKind.DECONV:
         raise ValueError(f"layer {layer.name} is not a deconvolution")
-    factor = layer.stride
-    pad = 2 * (factor - 1) if with_border else 0
-    up = tuple(factor * (n - 1) + 1 + pad for n in layer.ifmap)
     return LayerSpec(
         name=layer.name,
         kind=LayerKind.CONV,
         kernel=layer.kernel,
         in_channels=layer.in_channels,
         out_channels=layer.out_channels,
-        ifmap=up,
+        ifmap=upsampled_dims(layer.ifmap, layer.stride, with_border),
         stride=1,
     )
 
@@ -434,9 +431,7 @@ def output_dims(layer: LayerSpec, with_border: bool = True) -> tuple[int, ...]:
         if any(k > n for k, n in zip(layer.kernel, layer.ifmap)):
             raise ValueError(f"layer {layer.name}: kernel exceeds ifmap")
         return tuple((n - k) // layer.stride + 1 for n, k in zip(layer.ifmap, layer.kernel))
-    factor = layer.stride
-    pad = 2 * (factor - 1) if with_border else 0
-    up = tuple(factor * (n - 1) + 1 + pad for n in layer.ifmap)
+    up = upsampled_dims(layer.ifmap, layer.stride, with_border)
     if any(k > u for k, u in zip(layer.kernel, up)):
         raise ValueError(f"layer {layer.name}: kernel exceeds upsampled ifmap")
     return tuple(u - k + 1 for u, k in zip(up, layer.kernel))

@@ -1,18 +1,18 @@
 """Schedule construction: minimize modeled latency under the buffer constraint.
 
 A layer's schedule is found by enumerating candidate ifmap tiles and, for
-each tile, packing filters into rounds. Packing is a 0/1 knapsack over
-(filter group, output filter) items. A group's items are identical, so it
-is solved exactly over classes of equal items, at most one per group: it
-maximizes total value, then takes the lexicographically largest class
-counts, classes ordered by value and then weight, descending, and within
-a class the lowest group and filter indices. Because every filter must
-eventually run, the packer is applied repeatedly until all items are
-consumed. ILAR mode lets one round mix filters from different sub-kernels
-so they share the resident ifmap tile; CONV_R mode packs each sub-kernel
-separately, which is also the only mode meaningful for plain
-convolutions. The reuse order beta is chosen per layer as the argmin of
-total modeled latency.
+each tile, packing filters into rounds. On a given tile every output
+filter of one filter group weighs and is worth the same, so a round is a
+bounded knapsack over per-group filter counts. It is solved exactly over
+the distinct (weight, value) classes of the groups: it maximizes total
+value, then takes the lexicographically largest class counts, classes
+ordered by value and then weight, descending, and hands a class's count
+to its lowest groups first. Because every filter must eventually run,
+the packer is applied repeatedly until every count is consumed. ILAR
+mode lets one round mix filters from different sub-kernels so they share
+the resident ifmap tile; CONV_R mode packs each sub-kernel separately,
+which is also the only mode meaningful for plain convolutions. The reuse
+order beta is chosen per layer as the argmin of total modeled latency.
 """
 
 from __future__ import annotations
@@ -43,11 +43,9 @@ from .perfmodel import (
 
 __all__ = [
     "InfeasibleTileError",
-    "KnapsackItem",
     "ModeComparison",
     "ScheduleMode",
     "SearchSpaceExceeded",
-    "build_items",
     "compare_modes",
     "exhaustive",
     "pack_round",
@@ -56,7 +54,7 @@ __all__ = [
 
 
 class InfeasibleTileError(InfeasibleScheduleError):
-    """No item fits the per-round capacity left by this ifmap tile."""
+    """No filter fits the per-round capacity left by this ifmap tile."""
 
 
 class SearchSpaceExceeded(RuntimeError):
@@ -68,55 +66,13 @@ class ScheduleMode(enum.Enum):
     ILAR = "ilar"
 
 
-@dataclass(frozen=True)
-class KnapsackItem:
-    """One output filter of one filter group, as a knapsack item.
-
-    weight is the buffer footprint of scheduling this filter in a round
-    (its kernel elements plus its ofmap slice for the current tile);
-    value is the MAC work it contributes on that tile.
-    """
-
-    group: int
-    filter_index: int
-    weight: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("item weight must be positive")
-        if self.value < 0:
-            raise ValueError("item value must be non-negative")
-
-
 def _filter_round(price: RoundPricer, tile) -> RoundTerms:
-    """One filter of every group on `tile`: group g's knapsack item.
+    """One filter of every group on `tile`: group g's knapsack class.
 
-    The item weighs weights[g] + ofmap[g] and is worth macs[g]; its ofmap
-    share is rounded up per filter, not per round.
+    A filter of group g weighs weights[g] + ofmap[g] and is worth macs[g];
+    its ofmap share is rounded up per filter, not per round.
     """
     return price(tile, (1,) * len(price.groups))
-
-
-def _items(price: RoundPricer, tile) -> list[KnapsackItem]:
-    terms = _filter_round(price, tile)
-    return [
-        KnapsackItem(g, f, w + o, v)
-        for g, (w, o, v) in enumerate(zip(terms.weights, terms.ofmap, terms.macs))
-        for f in range(price.layer.out_channels)
-    ]
-
-
-def build_items(
-    layer: LayerSpec,
-    kernel_set: SubKernelSet | None,
-    tile,
-    *,
-    include_input_channels: bool = False,
-) -> list[KnapsackItem]:
-    """One item per (filter group, output filter) for the given ifmap tile."""
-    _check_kernel_set(layer, kernel_set)
-    return _items(RoundPricer(layer, include_input_channels), tuple(int(t) for t in tile))
 
 
 def _pack_counts(classes: list[tuple[int, int, int]], capacity: int) -> list[int]:
@@ -161,32 +117,38 @@ def _pack_counts(classes: list[tuple[int, int, int]], capacity: int) -> list[int
     return best[1]
 
 
-def pack_round(items: list[KnapsackItem], capacity: int) -> list[KnapsackItem]:
-    """Select a maximal-value subset of items fitting `capacity` elements.
+def pack_round(
+    classes: list[tuple[int, int]], counts: list[int], capacity: int
+) -> tuple[int, ...]:
+    """Filters per group for one round: a maximal-value fit in `capacity` elements.
 
-    Exact 0/1 knapsack over classes of equal (weight, value) items. Of the
-    maximal-value subsets it takes the most items of the highest value,
-    then of the largest weight (for layer-derived items, value at a fixed
-    tile grows with the sub-kernel footprint), and so on; within a class,
-    lower group, then lower filter. Raises InfeasibleTileError if none fits.
+    Group g offers counts[g] filters that each weigh and are worth
+    classes[g] = (weight, value). Exact bounded knapsack over the groups'
+    distinct (weight, value) classes. Of the maximal-value selections it
+    takes the most filters of the highest value, then of the largest weight
+    (for layer-derived classes, value at a fixed tile grows with the
+    sub-kernel footprint), and so on; a class's count goes to its lowest
+    groups first. Raises InfeasibleTileError if no filter fits.
     """
-    if not items:
-        raise ValueError("no items to pack")
-    capacity = int(capacity)
-    if capacity < min(it.weight for it in items):
+    live = [g for g, c in enumerate(counts) if c]
+    lightest = min(classes[g][0] for g in live)
+    if capacity < lightest:
         raise InfeasibleTileError(
-            f"capacity {capacity} holds no item (smallest weight "
-            f"{min(it.weight for it in items)})"
+            f"capacity {capacity} holds no filter (smallest weight {lightest})"
         )
-    if sum(it.weight for it in items) <= capacity:
-        return list(items)
-    members: dict[tuple[int, int], list[KnapsackItem]] = {}
-    for it in sorted(items, key=lambda it: (it.group, it.filter_index)):
-        members.setdefault((it.weight, it.value), []).append(it)
+    if sum(classes[g][0] * counts[g] for g in live) <= capacity:
+        return tuple(counts)
+    members: dict[tuple[int, int], list[int]] = {}
+    for g in live:
+        members.setdefault(classes[g], []).append(g)
     keys = sorted(members, key=lambda k: (-k[1], -k[0]))
-    counts = _pack_counts([(*k, len(members[k])) for k in keys], capacity)
-    selection = [it for key, count in zip(keys, counts) for it in members[key][:count]]
-    return sorted(selection, key=lambda it: (it.group, it.filter_index))
+    taken = _pack_counts([(*k, sum(counts[g] for g in members[k])) for k in keys], capacity)
+    selection = [0] * len(counts)
+    for key, n in zip(keys, taken):
+        for g in members[key]:
+            selection[g] = min(n, counts[g])
+            n -= selection[g]
+    return tuple(selection)
 
 
 def _axis_candidates(extent: int, min_extent: int) -> list[int]:
@@ -261,36 +223,31 @@ def _materialize(layer: LayerSpec, tile, parts, beta: int) -> TileSchedule:
     return TileSchedule(beta, tuple(rounds))
 
 
-def _round_capacity(price: RoundPricer, tile, hw: HardwareConfig) -> int:
-    """Buffer elements left for filters once the ifmap tile is resident."""
-    return hw.usable_buffer - _filter_round(price, tile).ifmap
-
-
 def _pack_tile(
     price: RoundPricer, tile, hw: HardwareConfig, mode: ScheduleMode
 ) -> list[tuple[int, ...]]:
     """Filter-count vectors, one per round, consuming every filter once.
 
-    CONV_R packs each group's items on their own, ILAR packs all items
+    CONV_R packs each group's filters on their own, ILAR packs all groups
     together.
     """
-    items = _items(price, tile)
+    one = _filter_round(price, tile)
+    classes = [(w + o, v) for w, o, v in zip(one.weights, one.ofmap, one.macs)]
+    capacity = hw.usable_buffer - one.ifmap
+    if capacity <= 0:  # the tile alone fills the buffer: no knapsack to solve
+        raise InfeasibleTileError(f"tile {tile} leaves {capacity} buffer elements for filters")
+    out_ch = price.layer.out_channels
     n_groups = len(price.groups)
-    capacity = _round_capacity(price, tile, hw)
     if mode is ScheduleMode.CONV_R:
-        pools = [[it for it in items if it.group == g] for g in range(n_groups)]
+        pools = [[out_ch if k == g else 0 for k in range(n_groups)] for g in range(n_groups)]
     else:
-        pools = [items]
+        pools = [[out_ch] * n_groups]
     parts: list[tuple[int, ...]] = []
-    for pool in pools:
-        remaining = {(it.group, it.filter_index): it for it in pool}
-        while remaining:
-            selected = pack_round(list(remaining.values()), capacity)
-            counts = [0] * n_groups
-            for it in selected:
-                counts[it.group] += 1
-                del remaining[it.group, it.filter_index]
-            parts.append(tuple(counts))
+    for remaining in pools:
+        while any(remaining):
+            part = pack_round(classes, remaining, capacity)
+            remaining = [r - p for r, p in zip(remaining, part)]
+            parts.append(part)
     return parts
 
 
@@ -341,7 +298,7 @@ def solve(
 ) -> TileSchedule:
     """Greedy schedule: best tile from the candidate grid, packed round by round.
 
-    For each candidate tile the packer consumes all items, the resulting
+    For each candidate tile the packer consumes every filter, the resulting
     round structure is applied at every tile origin, and beta is chosen
     as the per-layer argmin. Candidates are visited in lower-bound order
     so provably worse tiles are pruned. Deterministic for fixed inputs.
@@ -352,8 +309,6 @@ def solve(
     for bound, tile in _scored_tiles(price, hw, mode):
         if best is not None and bound >= best[0]:
             break
-        if _round_capacity(price, tile, hw) <= 0:
-            continue
         try:
             parts = _pack_tile(price, tile, hw, mode)
         except InfeasibleTileError:

@@ -95,6 +95,28 @@ class TestIngest:
         hw = load_hardware(path)
         assert hw.bandwidth == float("inf")
 
+    def test_hardware_single_buffered(self, tmp_path):
+        path = write_json(tmp_path / "hw.json", dict(HARDWARE, double_buffered=False))
+        assert load_hardware(path, strict=True).double_buffered is False
+
+    @pytest.mark.parametrize("field, value", [
+        ("double_buffered", "false"),
+        ("double_buffered", 0),
+        ("buffer_capacity", 1.5),
+        ("buffer_capacity", "8192"),
+        ("buffer_capacity", True),
+        ("pe_array", [8.5, 8]),
+        ("pe_array", [8, "8"]),
+        ("pe_array", [8]),
+    ])
+    def test_hardware_field_of_wrong_json_type_rejected(self, tmp_path, net_path, field, value):
+        path = write_json(tmp_path / "hw.json", dict(HARDWARE, **{field: value}))
+        for strict in (False, True):
+            with pytest.raises(SpecValidationError, match=f"field '{field}'"):
+                load_hardware(path, strict)
+        assert main(["model", "--network", net_path, "--hardware", path,
+                     "--mode", "ilar", "--out-dir", str(tmp_path / "o")]) == 2
+
     def test_ingest_pairs_network_and_hardware(self, net_path, hw_path):
         layers, hw = ingest(net_path, hw_path)
         assert [l.name for l in layers] == ["conv1", "up1"]

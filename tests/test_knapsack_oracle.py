@@ -1,11 +1,13 @@
-"""The scheduler's class-level knapsack against the capacity-wide DP in knapsack_oracle.
+"""The scheduler's knapsack and round packer against the references in knapsack_oracle.
 
 Every comparison is exact: the same count taken from every class. The
 random instances are built the way pack_round builds them, in its
 priority order (value, then weight, descending), and include duplicate
 (weight, value) classes, zero values, counts up to 512 and capacities
 from below the lightest item to above the total weight. The layer
-instances are the ones `solve` itself hands to the packer.
+instances are the ones `solve` itself hands to the packer. The packer
+test requires the per-group count packer to build the same rounds as the
+item-level packer on every candidate tile of random layers.
 """
 
 import random
@@ -15,8 +17,14 @@ import pytest
 import knapsack_oracle as oracle
 from svopt import scheduler
 from svopt.deconv import decompose_nd
-from svopt.perfmodel import HardwareConfig, InfeasibleScheduleError, LayerKind, LayerSpec
-from svopt.scheduler import ScheduleMode, solve
+from svopt.perfmodel import (
+    HardwareConfig,
+    InfeasibleScheduleError,
+    LayerKind,
+    LayerSpec,
+    RoundPricer,
+)
+from svopt.scheduler import InfeasibleTileError, ScheduleMode, solve
 from svopt.tensor import Tensor
 
 
@@ -97,3 +105,48 @@ def test_layer_instances(monkeypatch, rank, mode):
         assert any(len(classes) > 2 for classes, _, _ in calls)
     for classes, capacity, taken in calls:
         assert taken == oracle._pack_counts(classes, capacity), (classes, capacity)
+
+
+def packed(pack_tile, price, tile, hw, mode):
+    try:
+        return pack_tile(price, tile, hw, mode)
+    except InfeasibleTileError:
+        return None
+
+
+@pytest.mark.parametrize("iaware", [False, True])
+@pytest.mark.parametrize("kind, mode", [
+    (LayerKind.CONV, ScheduleMode.CONV_R),
+    (LayerKind.DECONV, ScheduleMode.CONV_R),
+    (LayerKind.DECONV, ScheduleMode.ILAR),
+])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_pack_tile_matches_item_level_packer(rank, kind, mode, iaware):
+    rng = random.Random(f"{rank}-{kind.value}-{mode.value}-{iaware}")
+    rounds = infeasible = 0
+    for _ in range(10):
+        layer = random_layer(rng, rank)
+        if kind is LayerKind.CONV:
+            kernel = tuple(min(k, n) for k, n in zip(layer.kernel, layer.ifmap))
+            layer = LayerSpec("c", kind, kernel, layer.in_channels, layer.out_channels,
+                              layer.ifmap, rng.choice([1, 2]))
+        price = RoundPricer(layer, iaware)
+        try:
+            tiles = scheduler._tile_candidates(layer, price.groups)
+        except InfeasibleScheduleError:
+            continue
+        one = scheduler._filter_round(price, rng.choice(tiles))
+        whole = price(layer.ifmap, (layer.out_channels,) * len(price.groups)).occupancy
+        # tight: one tile's ifmap plus at most one filter of each group, so
+        # larger tiles fit no filter and smaller ones take several rounds; loose
+        for buffer in (one.ifmap + rng.randint(0, one.occupancy - one.ifmap), 2 * whole):
+            hw = HardwareConfig(4, 4, buffer, 8.0, double_buffered=False)
+            for tile in tiles:
+                want = packed(oracle._pack_tile, price, tile, hw, mode)
+                assert packed(scheduler._pack_tile, price, tile, hw, mode) == want, (
+                    layer, hw, tile)
+                if want is None:
+                    infeasible += 1
+                else:
+                    rounds += len(want)
+    assert infeasible and rounds > 100

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -13,16 +14,17 @@ from svopt.perfmodel import (
     LayerKind,
     LayerSpec,
     RoundPlan,
+    RoundPricer,
     TileSchedule,
     total_latency,
     validate_schedule,
 )
 from svopt.scheduler import (
     InfeasibleTileError,
-    KnapsackItem,
     ScheduleMode,
     SearchSpaceExceeded,
-    build_items,
+    _filter_round,
+    _pack_tile,
     compare_modes,
     exhaustive,
     pack_round,
@@ -59,103 +61,81 @@ def random_instance(rng):
     return layer, kset(kernel), hw
 
 
-class TestBuildItems:
-    def test_deconv_item_count(self):
-        layer = deconv_layer(out_ch=4)
-        items = build_items(layer, kset((3, 3)), (4, 4))
-        assert len(items) == 16  # 4 sub-kernels x 4 filters
+class TestFilterClasses:
+    big_hw = HardwareConfig(4, 4, 10**6, 8.0)
 
-    def test_conv_item_count(self):
-        layer = LayerSpec("c", LayerKind.CONV, (3, 3), 2, 4, (8, 8), 1)
-        assert len(build_items(layer, None, (4, 4))) == 4
+    def test_deconv_group_count(self):
+        price = RoundPricer(deconv_layer(out_ch=4))
+        assert len(_filter_round(price, (4, 4)).macs) == 4  # one class per sub-kernel
+        assert _pack_tile(price, (4, 4), self.big_hw, ScheduleMode.ILAR) == [(4, 4, 4, 4)]
+
+    def test_conv_group_count(self):
+        price = RoundPricer(LayerSpec("c", LayerKind.CONV, (3, 3), 2, 4, (8, 8), 1))
+        assert len(_filter_round(price, (4, 4)).macs) == 1
+        assert _pack_tile(price, (4, 4), self.big_hw, ScheduleMode.CONV_R) == [(4,)]
 
     def test_larger_subkernel_larger_value(self):
-        layer = deconv_layer()
-        items = build_items(layer, kset((3, 3)), (4, 4))
-        by_group = {it.group: it.value for it in items}
-        assert by_group[0] > by_group[3]  # 2x2 slice vs 1x1 slice
+        one = _filter_round(RoundPricer(deconv_layer()), (4, 4))
+        assert one.macs[0] > one.macs[3]  # 2x2 slice vs 1x1 slice
 
 
 class TestPackRound:
     def test_everything_fits_in_one_round(self):
-        layer = deconv_layer(out_ch=2)
-        items = build_items(layer, kset((3, 3)), (4, 4))
-        selected = pack_round(items, 10**6)
-        assert sorted((it.group, it.filter_index) for it in selected) == sorted(
-            (it.group, it.filter_index) for it in items
-        )
+        one = _filter_round(RoundPricer(deconv_layer(out_ch=2)), (4, 4))
+        classes = [(w + o, v) for w, o, v in zip(one.weights, one.ofmap, one.macs)]
+        assert pack_round(classes, [2, 2, 2, 2], 10**6) == (2, 2, 2, 2)
 
     def test_tie_breaks_toward_larger_subkernel(self):
         # one big filter or two small ones, equal total value and weight
-        big = KnapsackItem(group=0, filter_index=0, weight=8, value=8)
-        small = [KnapsackItem(group=3, filter_index=f, weight=4, value=4) for f in range(2)]
-        selected = pack_round([big] + small, 8)
-        assert selected == [big]
+        assert pack_round([(8, 8), (4, 4)], [1, 2], 8) == (1, 0)
 
     @staticmethod
-    def bruteforce_selection(items, capacity):
-        """Max value, then lexicographic-max class counts, then lowest filters.
+    def bruteforce_selection(classes, counts, capacity):
+        """Max value, then lexicographic-max per-group counts.
 
-        Classes are the (group, weight, value) sets of items, taken in the
-        order (-value, -weight, group, first filter).
+        Groups are taken in the order (-value, -weight, group), so groups
+        that share a (weight, value) are filled lowest group first.
         """
-        classes = sorted(
-            {(it.group, it.weight, it.value) for it in items},
-            key=lambda c: (-c[2], -c[1], c[0],
-                           min(it.filter_index for it in items
-                               if (it.group, it.weight, it.value) == c)),
-        )
+        order = sorted(range(len(classes)), key=lambda g: (-classes[g][1], -classes[g][0], g))
         best = None
-        for mask in range(1 << len(items)):
-            chosen = [it for i, it in enumerate(items) if mask >> i & 1]
-            if sum(it.weight for it in chosen) > capacity:
+        for chosen in itertools.product(*(range(c + 1) for c in counts)):
+            if sum(w * c for (w, _), c in zip(classes, chosen)) > capacity:
                 continue
-            counts = [sum((it.group, it.weight, it.value) == c for it in chosen) for c in classes]
-            lowest = [(-it.group, -it.filter_index) for it in sorted(
-                chosen, key=lambda it: (it.group, it.filter_index))]
-            key = (sum(it.value for it in chosen), counts, lowest)
+            key = (sum(v * c for (_, v), c in zip(classes, chosen)), [chosen[g] for g in order])
             if best is None or key > best[0]:
                 best = (key, chosen)
-        return sorted(best[1], key=lambda it: (it.group, it.filter_index))
+        return best[1]
 
     def test_matches_bruteforce_subset_oracle(self):
         rng = random.Random(13)
         for _ in range(30):
-            items = [
-                KnapsackItem(g, f, rng.randint(1, 12), rng.randint(0, 20))
-                for g in range(rng.randint(1, 4))
-                for f in range(rng.randint(1, 4))
-            ][:14]
-            capacity = rng.randint(min(i.weight for i in items), 60)
-            best = 0
-            for mask in range(1 << len(items)):
-                w = v = 0
-                for i, it in enumerate(items):
-                    if mask >> i & 1:
-                        w += it.weight
-                        v += it.value
-                if w <= capacity and v > best:
-                    best = v
-            got = pack_round(items, capacity)
-            assert sum(it.value for it in got) == best
-            assert sum(it.weight for it in got) <= capacity
-            assert got == self.bruteforce_selection(items, capacity)
-        # tie-heavy: a group's filters share (weight, value), groups repeat them
+            n_groups = rng.randint(1, 4)
+            classes = [(rng.randint(1, 12), rng.randint(0, 20)) for _ in range(n_groups)]
+            counts = [rng.randint(1, 4) for _ in range(n_groups)]
+            capacity = rng.randint(min(w for w, _ in classes), 60)
+            best = max(
+                sum(v * c for (_, v), c in zip(classes, chosen))
+                for chosen in itertools.product(*(range(c + 1) for c in counts))
+                if sum(w * c for (w, _), c in zip(classes, chosen)) <= capacity
+            )
+            got = pack_round(classes, counts, capacity)
+            assert sum(v * c for (_, v), c in zip(classes, got)) == best
+            assert sum(w * c for (w, _), c in zip(classes, got)) <= capacity
+            assert got == self.bruteforce_selection(classes, counts, capacity)
+        # tie-heavy: groups repeat a few (weight, value) classes
         for _ in range(60):
             shapes = [(rng.randint(1, 4), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
-            groups = [rng.choice(shapes) for _ in range(rng.randint(1, 4))]
-            items = [
-                KnapsackItem(g, f, *shape)
-                for g, shape in enumerate(groups)
-                for f in range(rng.randint(1, 4))
-            ][:12]
-            capacity = rng.randint(min(i.weight for i in items), sum(i.weight for i in items))
-            assert pack_round(items, capacity) == self.bruteforce_selection(items, capacity)
+            classes = [rng.choice(shapes) for _ in range(rng.randint(1, 4))]
+            counts = [rng.randint(1, 4) for _ in classes]
+            capacity = rng.randint(
+                min(w for w, _ in classes), sum(w * c for (w, _), c in zip(classes, counts))
+            )
+            assert pack_round(classes, counts, capacity) == self.bruteforce_selection(
+                classes, counts, capacity)
 
     def test_nothing_fits_raises(self):
-        items = [KnapsackItem(0, 0, weight=50, value=1)]
         with pytest.raises(InfeasibleTileError):
-            pack_round(items, 10)
+            pack_round([(50, 1)], [1], 10)
 
 
 class TestSolve:
@@ -204,8 +184,7 @@ class TestSolve:
 
     def test_pruning_preserves_the_tile_grid_minimum(self):
         # re-derive the best candidate without pruning via module internals
-        from svopt.perfmodel import RoundPricer
-        from svopt.scheduler import _grid_cycles, _pack_tile, _tile_candidates
+        from svopt.scheduler import _grid_cycles, _tile_candidates
 
         rng = random.Random(99)
         for _ in range(10):
