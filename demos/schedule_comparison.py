@@ -1,8 +1,8 @@
 """Compare modeled latency of schedule variants on one deconvolution layer.
 
-Four ways to run the same layer on the modeled accelerator:
+Three ways to run the same layer on the modeled accelerator:
   baseline  dense convolution over the zero-upsampled input
-  dct       transformed, each sub-kernel's filters packed separately
+  convr     transformed, each sub-kernel's filters packed separately
   ilar      transformed, rounds mix sub-kernels so they share the ifmap tile
 Cycle counts come from a round-based model: each round the buffer holds
 one ifmap tile plus some filters, and latency is the max of compute time
@@ -46,7 +46,7 @@ baseline = total_latency(solve(dense, None, hw, ScheduleMode.CONV_R), dense, Non
 
 rows = [("baseline", baseline)]
 comparison = compare_modes(layer, kernel_set, hw)
-rows.append(("dct", comparison.convr_report))
+rows.append(("convr", comparison.convr_report))
 rows.append(("ilar", comparison.ilar_report))
 
 print(f"{'variant':<10} {'cycles':>10} {'speedup':>8} {'util':>6} "
@@ -61,11 +61,11 @@ for name, report in rows:
 
 print("\ncompute-bound limit (infinite DRAM bandwidth):")
 hw_inf = HardwareConfig(16, 16, 10**9, math.inf)
-dct_inf = total_latency(
+ilar_inf = total_latency(
     solve(layer, kernel_set, hw_inf, ScheduleMode.ILAR), layer, kernel_set, hw_inf
 )
 base_inf = total_latency(
     solve(dense, None, hw_inf, ScheduleMode.CONV_R), dense, None, hw_inf
 )
-print(f"  dense {base_inf.total_cycles} cycles vs transformed {dct_inf.total_cycles} "
-      f"cycles -> {base_inf.total_cycles / dct_inf.total_cycles:.2f}x from skipping zeros")
+print(f"  dense {base_inf.total_cycles} cycles vs transformed {ilar_inf.total_cycles} "
+      f"cycles -> {base_inf.total_cycles / ilar_inf.total_cycles:.2f}x from skipping zeros")

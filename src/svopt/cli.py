@@ -38,11 +38,11 @@ from .pgm import frame_from_pgm, read_disparity, write_disparity
 from .scheduler import ScheduleMode, solve
 from .tensor import Tensor
 
-MODES = ("baseline", "dct", "convr", "ilar")
+MODES = ("baseline", "convr", "ilar")
 MODE_HELP = (
     "baseline: dense convolution over the zero-upsampled ifmap; convr: "
-    "transformed, each sub-kernel's filters packed separately (dct is another "
-    "name for convr); ilar: transformed, rounds mix sub-kernels"
+    "transformed, each sub-kernel's filters packed separately; ilar: "
+    "transformed, rounds mix sub-kernels"
 )
 
 REPORT_HEADER = [
@@ -57,6 +57,16 @@ REPORT_HEADER = [
     "macs",
     "utilization",
 ]
+# the LatencyReport counts behind REPORT_HEADER's count columns, in order
+REPORT_COUNTS = (
+    "total_cycles",
+    "compute_cycles",
+    "memory_cycles",
+    "dram_ifmap",
+    "dram_weights",
+    "dram_ofmap",
+    "macs",
+)
 
 
 def _effective_layer(
@@ -66,8 +76,8 @@ def _effective_layer(
 
     Convolutions are scheduled as-is in every mode. A deconvolution is
     modeled dense over its zero-upsampled ifmap in baseline mode, and is
-    decomposed otherwise; dct and convr both pack each sub-kernel's
-    filters separately, ilar lets rounds mix sub-kernels.
+    decomposed otherwise; convr packs each sub-kernel's filters
+    separately, ilar lets rounds mix sub-kernels.
     """
     if layer.kind is LayerKind.CONV:
         return layer, None, ScheduleMode.CONV_R
@@ -133,48 +143,20 @@ def cmd_model(args) -> int:
     hw = load_hardware(args.hardware, strict=args.strict)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    def row(name: str, counts: list[int]) -> list[str]:
+        total, macs = counts[0], counts[-1]
+        utilization = macs / (total * hw.pe_count) if total else 0.0
+        return [name, args.mode, *map(str, counts), f"{utilization:.6f}"]
+
     rows = []
-    totals = {"latency": 0, "compute": 0, "memory": 0, "dif": 0, "dw": 0, "dof": 0, "macs": 0}
+    totals = [0] * len(REPORT_COUNTS)
     for name, effective, kernel_set, schedule in _schedule_all(layers, hw, args.mode):
         report = total_latency(schedule, effective, kernel_set, hw)
-        rows.append(
-            [
-                name,
-                args.mode,
-                str(report.total_cycles),
-                str(report.compute_cycles),
-                str(report.memory_cycles),
-                str(report.dram_ifmap),
-                str(report.dram_weights),
-                str(report.dram_ofmap),
-                str(report.macs),
-                f"{report.utilization:.6f}",
-            ]
-        )
-        totals["latency"] += report.total_cycles
-        totals["compute"] += report.compute_cycles
-        totals["memory"] += report.memory_cycles
-        totals["dif"] += report.dram_ifmap
-        totals["dw"] += report.dram_weights
-        totals["dof"] += report.dram_ofmap
-        totals["macs"] += report.macs
-    overall_util = (
-        totals["macs"] / (totals["latency"] * hw.pe_count) if totals["latency"] else 0.0
-    )
-    rows.append(
-        [
-            "TOTAL",
-            args.mode,
-            str(totals["latency"]),
-            str(totals["compute"]),
-            str(totals["memory"]),
-            str(totals["dif"]),
-            str(totals["dw"]),
-            str(totals["dof"]),
-            str(totals["macs"]),
-            f"{overall_util:.6f}",
-        ]
-    )
+        counts = [getattr(report, field) for field in REPORT_COUNTS]
+        rows.append(row(name, counts))
+        totals = [t + c for t, c in zip(totals, counts)]
+    rows.append(row("TOTAL", totals))
     write_csv(out_dir / f"report_{args.mode}.csv", REPORT_HEADER, rows)
     return 0
 

@@ -26,6 +26,7 @@ __all__ = [
     "decompose_nd",
     "deconv_output_dims",
     "gather",
+    "parity_classes",
     "transform_multiply_count",
     "transformed_deconv",
 ]
@@ -81,9 +82,16 @@ class SubKernelSet:
         return tuple(sub for sub in self.kernels if not sub.is_empty)
 
 
-def _slice_dims(kernel_dims: tuple[int, ...], delta: tuple[int, ...]) -> tuple[int, ...]:
-    # number of indices i with 2*i + delta < extent, i.e. ceil((extent - delta) / 2)
-    return tuple((e - d + 1) // 2 for e, d in zip(kernel_dims, delta))
+def parity_classes(kernel_dims):
+    """Each parity slice of a kernel as (phase index, delta, extents), in phase order.
+
+    A slice's extent is the number of indices i with 2*i + delta < K,
+    ceil((K - delta) / 2); a zero extent marks an empty slice.
+    """
+    n = len(kernel_dims)
+    for k in range(2**n):
+        delta = tuple((k >> j) & 1 for j in range(n))
+        yield k, delta, tuple((e - d + 1) // 2 for e, d in zip(kernel_dims, delta))
 
 
 def decompose_nd(kernel: Tensor) -> SubKernelSet:
@@ -92,14 +100,9 @@ def decompose_nd(kernel: Tensor) -> SubKernelSet:
     if not 1 <= n <= MAX_RANK:
         raise ShapeError(f"decomposition supports rank 1..{MAX_RANK}, got rank {n}")
     subs = []
-    for k in range(2**n):
-        delta = tuple((k >> j) & 1 for j in range(n))
-        dims = _slice_dims(kernel.dims, delta)
-        if all(dims):
-            view = kernel.array[tuple(slice(d, None, 2) for d in delta)]
-            subs.append(SubKernel(k, delta, dims, Tensor(view.copy())))
-        else:
-            subs.append(SubKernel(k, delta, dims, None))
+    for k, delta, dims in parity_classes(kernel.dims):
+        view = kernel.array[tuple(slice(d, None, 2) for d in delta)]
+        subs.append(SubKernel(k, delta, dims, Tensor(view.copy()) if all(dims) else None))
     return SubKernelSet(kernel.dims, tuple(subs))
 
 
@@ -131,23 +134,23 @@ def upsampled_dims(ifmap_dims, factor: int, with_border: bool) -> tuple[int, ...
     return tuple(factor * (n - 1) + 1 + pad for n in ifmap_dims)
 
 
-def _phase_geometry(sub: SubKernel, out_dims: tuple[int, ...], with_border: bool):
-    """Placement of one sub-kernel's outputs inside the ofmap.
+def _phase_geometry(delta, dims, out_dims: tuple[int, ...], with_border: bool):
+    """Placement of one parity slice's outputs inside the ofmap.
 
-    Returns (parity, counts, ifmap_starts) or None when this sub-kernel
-    owns no ofmap position. Under the bordered convention the sub-kernel
-    with bits delta owns parity 1-delta and its valid convolution over
-    the whole ifmap tiles that class exactly; without the border it owns
-    parity delta and the first delta input rows/columns per dimension do
-    not participate.
+    Returns (parity, counts, ifmap_starts) or None when the slice, with
+    bits delta and extents dims, is empty or owns no ofmap position.
+    Under the bordered convention it owns parity 1-delta and its valid
+    convolution over the whole ifmap tiles that class exactly; without
+    the border it owns parity delta and the first delta input
+    rows/columns per dimension do not participate.
     """
-    if sub.is_empty:
+    if not all(dims):
         return None
-    parity = tuple((1 - d if with_border else d) for d in sub.delta)
+    parity = tuple((1 - d if with_border else d) for d in delta)
     counts = tuple(max(0, -(-(o - p) // 2)) for o, p in zip(out_dims, parity))
     if any(c == 0 for c in counts):
         return None
-    starts = tuple(0 if with_border else d for d in sub.delta)
+    starts = tuple(0 if with_border else d for d in delta)
     return parity, counts, starts
 
 
@@ -171,7 +174,7 @@ def gather(
     covered = np.zeros(out_dims, dtype=bool)
     index = 0
     for sub in kernel_set.kernels:
-        geometry = _phase_geometry(sub, out_dims, with_border)
+        geometry = _phase_geometry(sub.delta, sub.dims, out_dims, with_border)
         if geometry is None:
             continue
         parity, counts, _ = geometry
@@ -221,7 +224,7 @@ def transformed_deconv(
     out_dims = deconv_output_dims(ifmap.dims, kernel.dims, with_border, factor)
     sub_ofmaps = []
     for sub in kernel_set.kernels:
-        geometry = _phase_geometry(sub, out_dims, with_border)
+        geometry = _phase_geometry(sub.delta, sub.dims, out_dims, with_border)
         if geometry is None:
             continue
         _, counts, starts = geometry
@@ -241,19 +244,10 @@ def transform_multiply_count(
     Computed from extents alone: each active sub-kernel contributes
     (owned ofmap positions) x (sub-kernel elements) multiplies.
     """
-    ifmap_dims = tuple(ifmap_dims)
-    kernel_dims = tuple(kernel_dims)
     out_dims = deconv_output_dims(ifmap_dims, kernel_dims, with_border)
-    n = len(kernel_dims)
     total = 0
-    for k in range(2**n):
-        delta = tuple((k >> j) & 1 for j in range(n))
-        dims = _slice_dims(kernel_dims, delta)
-        if not all(dims):
-            continue
-        parity = tuple((1 - d if with_border else d) for d in delta)
-        counts = tuple(max(0, -(-(o - p) // 2)) for o, p in zip(out_dims, parity))
-        if any(c == 0 for c in counts):
-            continue
-        total += math.prod(counts) * math.prod(dims)
+    for _, delta, dims in parity_classes(tuple(kernel_dims)):
+        geometry = _phase_geometry(delta, dims, out_dims, with_border)
+        if geometry is not None:
+            total += math.prod(geometry[1]) * math.prod(dims)
     return total

@@ -65,44 +65,78 @@ def _check_fields(context: str, record: dict, required: set, optional: set, stri
             raise SpecValidationError(f"{context}: unknown field(s) {sorted(unknown)}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, but JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field kind: (accepts a value, what a value must be, what list items must be)
+_KINDS = {
+    int: (_is_int, "a JSON integer", "JSON integers"),
+    float: (lambda v: v == "inf" or isinstance(v, float) or _is_int(v), 'a JSON number or "inf"',
+            None),
+    str: (lambda v: isinstance(v, str), "a string", None),
+    bool: (lambda v: isinstance(v, bool), "true or false", None),
+    dict: (lambda v: isinstance(v, dict), "an object", "objects"),
+}
+_REQUIRED = object()
+
+
+def _field(context: str, record: dict, name: str, kind, default=_REQUIRED, length=None):
+    """Read field `name` of a JSON object and check its JSON type.
+
+    `kind` is int, float (a number or "inf", read as a float), str, bool,
+    or [int] or [dict] for a list of those, read as a tuple of `length`
+    items if a length is given. An optional field that is missing reads
+    as `default`, and so does a null when the default is None; a required
+    field must already be known to be present (_check_fields). Raises
+    SpecValidationError naming the record and the field on a wrong type.
+    """
+    value = record.get(name, default)
+    if value is default:
+        return value
+    if isinstance(kind, list):
+        accepts, _, items = _KINDS[kind[0]]
+        ok = (isinstance(value, list) and length in (None, len(value))
+              and all(map(accepts, value)))
+        want = f"a list of {'' if length is None else f'{length} '}{items}"
+    else:
+        accepts, want, _ = _KINDS[kind]
+        ok = accepts(value)
+    if not ok:
+        raise SpecValidationError(f"{context}: field {name!r} must be {want}, got {value!r}")
+    if kind is float:
+        return math.inf if value == "inf" else float(value)
+    return tuple(value) if isinstance(kind, list) else value
+
+
+_LAYER_FIELDS = {"name": str, "kind": str, "kernel": [int], "in_channels": int,
+                 "out_channels": int, "ifmap": [int], "stride": int}
+
+
 def load_network(path, strict: bool = False) -> list[LayerSpec]:
     """Parse and validate an ordered layer list.
 
-    Checks positive extents, the stride-2 restriction on deconvolutions,
-    unique names, and channel chaining between consecutive layers.
+    Checks field types, positive extents, the stride-2 restriction on
+    deconvolutions, unique names, and channel chaining between
+    consecutive layers.
     """
     data = _load_json(path)
     _check_fields(str(path), data, {"format_version", "layers"}, set(), strict)
     layers: list[LayerSpec] = []
     names = set()
-    for i, record in enumerate(data["layers"]):
+    for i, record in enumerate(_field(str(path), data, "layers", [dict])):
         context = f"{path}: layer {i}"
-        if not isinstance(record, dict):
-            raise SpecValidationError(f"{context}: must be an object")
-        _check_fields(
-            context,
-            record,
-            {"name", "kind", "kernel", "in_channels", "out_channels", "ifmap", "stride"},
-            set(),
-            strict,
-        )
-        context = f"{path}: layer {record['name']!r}"
-        kind_raw = record["kind"]
+        _check_fields(context, record, set(_LAYER_FIELDS), set(), strict)
+        context = f"{path}: layer {_field(context, record, 'name', str)!r}"
+        fields = {name: _field(context, record, name, kind) for name, kind in _LAYER_FIELDS.items()}
         try:
-            kind = LayerKind(kind_raw)
+            fields["kind"] = LayerKind(fields["kind"])
         except ValueError:
             raise SpecValidationError(f"{context}: field 'kind' must be conv or deconv")
         try:
-            layer = LayerSpec(
-                name=str(record["name"]),
-                kind=kind,
-                kernel=tuple(record["kernel"]),
-                in_channels=int(record["in_channels"]),
-                out_channels=int(record["out_channels"]),
-                ifmap=tuple(record["ifmap"]),
-                stride=int(record["stride"]),
-            )
-        except (TypeError, ValueError) as exc:
+            layer = LayerSpec(**fields)
+        except ValueError as exc:
             raise SpecValidationError(f"{context}: {exc}")
         if layer.name in names:
             raise SpecValidationError(f"{context}: field 'name' duplicates an earlier layer")
@@ -139,42 +173,23 @@ def save_network(path, layers: list[LayerSpec]) -> None:
     )
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: Python's bool is an int, but JSON's true is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_hardware(path, strict: bool = False) -> HardwareConfig:
     data = _load_json(path)
+    context = str(path)
     _check_fields(
-        str(path),
+        context,
         data,
         {"format_version", "pe_array", "buffer_capacity", "bandwidth"},
         {"double_buffered"},
         strict,
     )
-    pe_array, capacity = data["pe_array"], data["buffer_capacity"]
-    double_buffered = data.get("double_buffered", True)
-    for name, ok, want in (
-        ("pe_array", isinstance(pe_array, list) and len(pe_array) == 2
-         and all(map(_is_int, pe_array)), "two JSON integers"),
-        ("buffer_capacity", _is_int(capacity), "a JSON integer"),
-        ("double_buffered", isinstance(double_buffered, bool), "true or false"),
-    ):
-        if not ok:
-            raise SpecValidationError(f"{path}: field {name!r} must be {want}, got {data[name]!r}")
-    bandwidth = data["bandwidth"]
-    if bandwidth == "inf":
-        bandwidth = math.inf
+    pe_rows, pe_cols = _field(context, data, "pe_array", [int], length=2)
+    capacity = _field(context, data, "buffer_capacity", int)
+    bandwidth = _field(context, data, "bandwidth", float)
+    double_buffered = _field(context, data, "double_buffered", bool, True)
     try:
-        return HardwareConfig(
-            pe_rows=pe_array[0],
-            pe_cols=pe_array[1],
-            buffer_capacity=capacity,
-            bandwidth=float(bandwidth),
-            double_buffered=double_buffered,
-        )
-    except (TypeError, ValueError) as exc:
+        return HardwareConfig(pe_rows, pe_cols, capacity, bandwidth, double_buffered)
+    except ValueError as exc:
         raise SpecValidationError(f"{path}: {exc}")
 
 
@@ -205,16 +220,21 @@ def save_schedule(path, layer_name: str, mode: str, schedule: TileSchedule) -> N
 
 def load_schedule(path) -> tuple[str, str, TileSchedule]:
     data = _load_json(path)
-    _check_fields(str(path), data, {"format_version", "layer", "mode", "beta", "rounds"}, set(), False)
+    context = str(path)
+    _check_fields(context, data, {"format_version", "layer", "mode", "beta", "rounds"}, set(),
+                  False)
+    rounds = []
+    for i, record in enumerate(_field(context, data, "rounds", [dict])):
+        round_context = f"{path}: round {i}"
+        _check_fields(round_context, record, {"origin", "tile", "filters"}, set(), False)
+        rounds.append(RoundPlan(*(_field(round_context, record, name, [int])
+                                  for name in ("origin", "tile", "filters"))))
+    beta = _field(context, data, "beta", int)
     try:
-        rounds = tuple(
-            RoundPlan(tuple(r["origin"]), tuple(r["tile"]), tuple(r["filters"]))
-            for r in data["rounds"]
-        )
-        schedule = TileSchedule(int(data["beta"]), rounds)
-    except (TypeError, KeyError, ValueError) as exc:
+        schedule = TileSchedule(beta, tuple(rounds))
+    except ValueError as exc:
         raise SpecValidationError(f"{path}: {exc}")
-    return str(data["layer"]), str(data["mode"]), schedule
+    return _field(context, data, "layer", str), _field(context, data, "mode", str), schedule
 
 
 def load_transform_manifest(path) -> dict:
@@ -268,30 +288,26 @@ class SequenceSpec:
 def load_sequence(path, strict: bool = False) -> SequenceSpec:
     """Parse a stereo sequence manifest; file paths resolve relative to it."""
     data = _load_json(path)
-    _check_fields(str(path), data, {"format_version", "frames"}, {"pw"}, strict)
+    context = str(path)
+    _check_fields(context, data, {"format_version", "frames"}, {"pw"}, strict)
     base = Path(path).parent
     frames = []
-    for i, record in enumerate(data["frames"]):
-        context = f"{path}: frame {i}"
-        if not isinstance(record, dict):
-            raise SpecValidationError(f"{context}: must be an object")
-        _check_fields(context, record, {"left", "right"}, {"key_disparity", "gt_disparity"}, strict)
-
-        def _resolve(key):
-            value = record.get(key)
-            return base / value if value else None
-
+    for i, record in enumerate(_field(context, data, "frames", [dict])):
+        frame = f"{path}: frame {i}"
+        _check_fields(frame, record, {"left", "right"}, {"key_disparity", "gt_disparity"}, strict)
+        key, gt = (_field(frame, record, name, str, None)
+                   for name in ("key_disparity", "gt_disparity"))
         frames.append(
             SequenceEntry(
-                left=base / record["left"],
-                right=base / record["right"],
-                key_disparity=_resolve("key_disparity"),
-                gt_disparity=_resolve("gt_disparity"),
+                left=base / _field(frame, record, "left", str),
+                right=base / _field(frame, record, "right", str),
+                key_disparity=base / key if key else None,
+                gt_disparity=base / gt if gt else None,
             )
         )
     if not frames:
         raise SpecValidationError(f"{path}: sequence has no frames")
-    pw = int(data.get("pw", 2))
+    pw = _field(context, data, "pw", int, 2)
     if pw < 2:
         raise SpecValidationError(f"{path}: field 'pw' must be >= 2")
     return SequenceSpec(pw=pw, frames=frames)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deconv import SubKernelSet, _slice_dims, upsampled_dims
+from .deconv import SubKernelSet, parity_classes, upsampled_dims
 
 __all__ = [
     "HardwareConfig",
@@ -103,8 +103,6 @@ class LayerSpec:
     stride: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kernel", tuple(int(k) for k in self.kernel))
-        object.__setattr__(self, "ifmap", tuple(int(e) for e in self.ifmap))
         if len(self.kernel) != len(self.ifmap):
             raise ValueError(
                 f"layer {self.name}: kernel rank {len(self.kernel)} != ifmap rank {len(self.ifmap)}"
@@ -125,22 +123,15 @@ class LayerSpec:
         return len(self.kernel)
 
 
-@dataclass(frozen=True)
-class RoundPlan:
-    """One buffer round: an ifmap tile plus per-sub-kernel filter counts."""
+class RoundPlan(NamedTuple):
+    """One buffer round: an ifmap tile plus per-sub-kernel filter counts.
+
+    A plain record of int tuples; validate_schedule checks its values.
+    """
 
     origin: tuple[int, ...]
     tile: tuple[int, ...]
     filters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "origin", tuple(int(o) for o in self.origin))
-        object.__setattr__(self, "tile", tuple(int(t) for t in self.tile))
-        object.__setattr__(self, "filters", tuple(int(c) for c in self.filters))
-        if any(o < 0 for o in self.origin) or any(t < 1 for t in self.tile):
-            raise ValueError(f"bad round geometry: origin {self.origin}, tile {self.tile}")
-        if any(c < 0 for c in self.filters):
-            raise ValueError(f"negative filter count in {self.filters}")
 
 
 @dataclass(frozen=True)
@@ -193,13 +184,7 @@ def filter_group_dims(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     """
     if layer.kind is LayerKind.CONV:
         return (layer.kernel,)
-    groups = []
-    for k in range(2**layer.rank):
-        delta = tuple((k >> j) & 1 for j in range(layer.rank))
-        dims = _slice_dims(layer.kernel, delta)
-        if all(dims):
-            groups.append(dims)
-    return tuple(groups)
+    return tuple(dims for _, _, dims in parity_classes(layer.kernel) if all(dims))
 
 
 def _check_kernel_set(layer: LayerSpec, kernel_set: SubKernelSet | None) -> None:
@@ -306,39 +291,56 @@ def validate_schedule(
 ) -> None:
     """Raise InfeasibleScheduleError naming the violated constraint, if any.
 
-    Checks the buffer-capacity constraint for every round and, grouping
-    rounds by tile origin, that all rounds at an origin share one tile
-    shape, that each filter group is scheduled exactly out_channels times
-    per origin, and that the origins' tiles cover every ifmap element
-    exactly once.
+    Checks that every round has rank-many positive tile extents and a
+    non-negative count per filter group and fits the buffer, and that
+    every origin lies on the ifmap with its tile inside it. Grouping
+    rounds by origin, it checks that all rounds at an origin share one
+    tile shape, that each filter group is scheduled exactly out_channels
+    times per origin, and that the origins' tiles cover every ifmap
+    element exactly once.
     """
     price = RoundPricer(layer, include_input_channels)
-    n_groups = len(price.groups)
+    n_groups, rank = len(price.groups), layer.rank
+    fits: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     coverage: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
-    for i, round_ in enumerate(schedule.rounds):
-        if len(round_.filters) != n_groups:
+    for i, (origin, tile, filters) in enumerate(schedule.rounds):
+        if (tile, filters) not in fits:  # depends on the pair alone: check each once
+            if len(tile) != rank or any(t < 1 for t in tile):
+                raise InfeasibleScheduleError(
+                    f"layer {layer.name} round {i}: tile {tile} is not {rank} positive extents"
+                )
+            if len(filters) != n_groups or any(c < 0 for c in filters):
+                raise InfeasibleScheduleError(
+                    f"layer {layer.name} round {i}: filters {filters} are not {n_groups} "
+                    f"non-negative filter counts"
+                )
+            need = price(tile, filters).occupancy
+            if need > hw.usable_buffer:
+                raise InfeasibleScheduleError(
+                    f"layer {layer.name} round {i}: buffer capacity constraint violated "
+                    f"({need} elements, usable {hw.usable_buffer})"
+                )
+            fits.add((tile, filters))
+        entry = coverage.get(origin)
+        if entry is None:  # the origin's first round: later ones must share its tile
+            if len(origin) != rank or any(o < 0 for o in origin):
+                raise InfeasibleScheduleError(
+                    f"layer {layer.name} round {i}: origin {origin} is not {rank} "
+                    f"non-negative coordinates"
+                )
+            if any(o + t > e for o, t, e in zip(origin, tile, layer.ifmap)):
+                raise InfeasibleScheduleError(
+                    f"layer {layer.name} round {i}: tile {tile} at origin {origin} "
+                    f"exceeds ifmap {layer.ifmap}"
+                )
+            entry = coverage[origin] = (tile, [0] * n_groups)
+        elif tile != entry[0]:
             raise InfeasibleScheduleError(
-                f"layer {layer.name} round {i}: {len(round_.filters)} filter counts "
-                f"for {n_groups} filter groups"
+                f"layer {layer.name} round {i}: tile {tile} at origin {origin} differs "
+                f"from tile {entry[0]} of an earlier round there"
             )
-        if any(o + t > e for o, t, e in zip(round_.origin, round_.tile, layer.ifmap)):
-            raise InfeasibleScheduleError(
-                f"layer {layer.name} round {i}: tile {round_.tile} at origin "
-                f"{round_.origin} exceeds ifmap {layer.ifmap}"
-            )
-        need = price(round_.tile, round_.filters).occupancy
-        if need > hw.usable_buffer:
-            raise InfeasibleScheduleError(
-                f"layer {layer.name} round {i}: buffer capacity constraint violated "
-                f"({need} elements, usable {hw.usable_buffer})"
-            )
-        tile, tally = coverage.setdefault(round_.origin, (round_.tile, [0] * n_groups))
-        if round_.tile != tile:
-            raise InfeasibleScheduleError(
-                f"layer {layer.name} round {i}: tile {round_.tile} at origin "
-                f"{round_.origin} differs from tile {tile} of an earlier round there"
-            )
-        for k, c in enumerate(round_.filters):
+        tally = entry[1]
+        for k, c in enumerate(filters):
             tally[k] += c
     covered = np.zeros(layer.ifmap, np.int32)
     for origin, (tile, tally) in coverage.items():

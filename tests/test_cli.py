@@ -37,6 +37,15 @@ NETWORK = {
 
 HARDWARE = {"format_version": 1, "pe_array": [8, 8], "buffer_capacity": 8192, "bandwidth": 8}
 
+# one well-formed file of each kind that names its records
+VALID = {
+    "network": NETWORK,
+    "schedule": {"format_version": 1, "layer": "up1", "mode": "ilar", "beta": 1, "rounds": [
+        {"origin": [0, 0], "tile": [12, 12], "filters": [4, 4, 4, 4]}]},
+    "sequence": {"format_version": 1, "pw": 2, "frames": [
+        {"left": "l0.pgm", "right": "r0.pgm", "key_disparity": "k0.pgm"}]},
+}
+
 
 @pytest.fixture
 def net_path(tmp_path):
@@ -108,6 +117,8 @@ class TestIngest:
         ("pe_array", [8.5, 8]),
         ("pe_array", [8, "8"]),
         ("pe_array", [8]),
+        ("bandwidth", True),
+        ("bandwidth", "8"),
     ])
     def test_hardware_field_of_wrong_json_type_rejected(self, tmp_path, net_path, field, value):
         path = write_json(tmp_path / "hw.json", dict(HARDWARE, **{field: value}))
@@ -116,6 +127,51 @@ class TestIngest:
                 load_hardware(path, strict)
         assert main(["model", "--network", net_path, "--hardware", path,
                      "--mode", "ilar", "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("kind, at, field, value", [
+        ("network", 1, "stride", 2.9),
+        ("network", 1, "stride", True),
+        ("network", 0, "in_channels", 4.7),
+        ("network", 0, "out_channels", "8"),
+        ("network", 0, "out_channels", None),
+        ("network", 1, "kernel", [4.9, 4]),
+        ("network", 0, "ifmap", 24),
+        ("network", 0, "name", ["conv1"]),
+        ("network", None, "layers", 5),
+        ("network", None, "layers", [5]),
+        ("schedule", None, "beta", 0.7),
+        ("schedule", None, "layer", 5),
+        ("schedule", 0, "origin", [0.5, 0]),
+        ("schedule", 0, "filters", [True, 1, 1, 1]),
+        ("schedule", None, "rounds", {}),
+        ("sequence", None, "pw", 2.9),
+        ("sequence", None, "pw", "3"),
+        ("sequence", None, "frames", 5),
+        ("sequence", 0, "left", 5),
+        ("sequence", 0, "key_disparity", ["k0.pgm"]),
+    ])
+    def test_field_of_wrong_json_type_rejected(self, tmp_path, hw_path, kind, at, field, value):
+        doc = json.loads(json.dumps(VALID[kind]))
+        records = {"network": "layers", "schedule": "rounds", "sequence": "frames"}[kind]
+        (doc if at is None else doc[records][at])[field] = value
+        path = write_json(tmp_path / f"{kind}.json", doc)
+        loader, command = {
+            "network": (load_network, ["model", "--network", path, "--hardware", hw_path,
+                                       "--mode", "ilar"]),
+            "schedule": (lambda p, strict: load_schedule(p), None),
+            "sequence": (load_sequence, ["ism", "--sequence", path]),
+        }[kind]
+        for strict in (False, True):
+            with pytest.raises(SpecValidationError, match=f"field '{field}' must be"):
+                loader(path, strict)
+        if command is not None:  # no subcommand reads a schedule file
+            assert main(command + ["--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_optional_sequence_paths_may_be_null(self, tmp_path):
+        frame = dict(VALID["sequence"]["frames"][0], key_disparity=None, gt_disparity=None)
+        path = write_json(tmp_path / "seq.json", dict(VALID["sequence"], frames=[frame]))
+        entry, = load_sequence(path, strict=True).frames
+        assert entry.key_disparity is None and entry.gt_disparity is None
 
     def test_ingest_pairs_network_and_hardware(self, net_path, hw_path):
         layers, hw = ingest(net_path, hw_path)
@@ -126,7 +182,7 @@ class TestIngest:
 class TestScheduleAndModel:
     def test_model_emits_one_row_per_layer_per_mode(self, tmp_path, net_path, hw_path):
         rows_by_mode = {}
-        for mode in ("baseline", "dct", "ilar"):
+        for mode in ("baseline", "convr", "ilar"):
             out = tmp_path / mode
             assert main(["model", "--network", net_path, "--hardware", hw_path,
                          "--mode", mode, "--out-dir", str(out)]) == 0
@@ -135,10 +191,10 @@ class TestScheduleAndModel:
             assert [r["layer"] for r in rows] == ["conv1", "up1", "TOTAL"]
             rows_by_mode[mode] = {r["layer"]: r for r in rows}
         base = int(rows_by_mode["baseline"]["up1"]["latency_cycles"])
-        dct = int(rows_by_mode["dct"]["up1"]["latency_cycles"])
+        convr = int(rows_by_mode["convr"]["up1"]["latency_cycles"])
         ilar = int(rows_by_mode["ilar"]["up1"]["latency_cycles"])
-        assert dct < base  # the transformation removes zero-operand work
-        assert ilar <= dct
+        assert convr < base  # the transformation removes zero-operand work
+        assert ilar <= convr
         # conv layers are untouched by deconvolution modes
         assert (rows_by_mode["baseline"]["conv1"]["latency_cycles"]
                 == rows_by_mode["ilar"]["conv1"]["latency_cycles"])
@@ -146,8 +202,8 @@ class TestScheduleAndModel:
     def test_total_row_is_column_sum(self, tmp_path, net_path, hw_path):
         out = tmp_path / "out"
         main(["model", "--network", net_path, "--hardware", hw_path,
-              "--mode", "dct", "--out-dir", str(out)])
-        _, rows = load_report(out / "report_dct.csv")
+              "--mode", "convr", "--out-dir", str(out)])
+        _, rows = load_report(out / "report_convr.csv")
         total = rows[-1]
         for column in ("latency_cycles", "macs", "dram_ofmap_elems"):
             assert int(total[column]) == sum(int(r[column]) for r in rows[:-1])
@@ -256,9 +312,9 @@ class TestReport:
         return paths
 
     def test_identical_runs_speedup_one(self, tmp_path, net_path, hw_path):
-        paths = self.run_models(tmp_path, net_path, hw_path, ["dct"])
+        paths = self.run_models(tmp_path, net_path, hw_path, ["convr"])
         out = tmp_path / "cmp"
-        assert main(["report", "--run", f"a={paths['dct']}", "--run", f"b={paths['dct']}",
+        assert main(["report", "--run", f"a={paths['convr']}", "--run", f"b={paths['convr']}",
                      "--baseline", "a", "--out-dir", str(out)]) == 0
         _, rows = load_report(out / "comparison.csv")
         assert all(row["speedup_b"] == "1.000000" for row in rows)
@@ -275,6 +331,6 @@ class TestReport:
         assert not (plain / "comparison.svg").exists()
 
     def test_unknown_baseline_rejected(self, tmp_path, net_path, hw_path):
-        paths = self.run_models(tmp_path, net_path, hw_path, ["dct"])
-        assert main(["report", "--run", f"a={paths['dct']}", "--baseline", "zzz",
+        paths = self.run_models(tmp_path, net_path, hw_path, ["convr"])
+        assert main(["report", "--run", f"a={paths['convr']}", "--baseline", "zzz",
                      "--out-dir", str(tmp_path / "o")]) == 2

@@ -8,6 +8,7 @@ import pytest
 
 from svopt import scheduler
 from svopt.deconv import decompose_nd
+from svopt.formats import load_schedule, save_schedule
 from svopt.perfmodel import (
     HardwareConfig,
     InfeasibleScheduleError,
@@ -295,6 +296,33 @@ class TestValidateCoverage:
             validate_schedule(TileSchedule(sched.beta, (*rest, odd)), self.layer, self.hw)
 
 
+class TestValidateRoundValues:
+    """Origins, tiles and filter counts that no coverage tally would catch."""
+
+    layer = deconv_layer(out_ch=4, in_ch=2, ifmap=(8, 8))
+    hw = HardwareConfig(4, 4, 10**6, 4.0)
+    whole = ((0, 0), (8, 8), (4, 4, 4, 4))
+
+    def test_one_round_over_the_whole_ifmap_is_valid(self):
+        validate_schedule(TileSchedule(1, (RoundPlan(*self.whole),)), self.layer, self.hw)
+
+    @pytest.mark.parametrize("rounds, match", [
+        # a tile of zero rows beyond the ifmap's edge covers nothing
+        ([whole, ((0, 8), (8, 0), (4, 4, 4, 4))], r"round 1: tile \(8, 0\) is not 2 positive"),
+        # a negative origin's slice is empty, so it covers nothing either
+        ([whole, ((-1, 0), (1, 8), (4, 4, 4, 4))], r"round 1: origin \(-1, 0\) is not 2 non-neg"),
+        # counts O+1 and -1 at one origin tally to O
+        ([((0, 0), (8, 8), (5, 4, 4, 4)), ((0, 0), (8, 8), (-1, 0, 0, 0))],
+         r"round 1: filters \(-1, 0, 0, 0\) are not 4 non-negative"),
+        # a rank-1 round over a rank-2 layer covers whole rows
+        ([((0,), (8,), (4, 4, 4, 4))], r"round 0: tile \(8,\) is not 2 positive"),
+    ])
+    def test_rejected_naming_the_round(self, rounds, match):
+        schedule = TileSchedule(1, tuple(RoundPlan(*r) for r in rounds))
+        with pytest.raises(InfeasibleScheduleError, match=match):
+            validate_schedule(schedule, self.layer, self.hw)
+
+
 class TestCompareModes:
     def test_modes_tie_with_a_buffer_holding_everything(self):
         layer = deconv_layer(out_ch=2, in_ch=1, ifmap=(6, 6))
@@ -349,6 +377,30 @@ def guard_case(rng, small):
     mode = ScheduleMode.ILAR if ilar else ScheduleMode.CONV_R
     ks_ = kset(kernel) if kind is LayerKind.DECONV else None
     return layer, ks_, hw, mode, rng.random() < 0.5
+
+
+@pytest.mark.parametrize("search", ["solve", "exhaustive"])
+def test_rounds_hold_python_ints_and_round_trip(tmp_path, search):
+    # RoundPlan converts nothing, so a numpy integer here would change the
+    # schedule file and every digest taken over the rounds
+    rng = random.Random(search)
+    bound = {"max_candidates": 3000} if search == "exhaustive" else {}
+    checked = 0
+    for _ in range(60):
+        layer, ks_, hw, mode, iaware = guard_case(rng, small=True)
+        try:
+            sched = getattr(scheduler, search)(
+                layer, ks_, hw, mode, include_input_channels=iaware, **bound
+            )
+        except (InfeasibleScheduleError, SearchSpaceExceeded):
+            continue
+        values = [v for r in sched.rounds for v in (*r.origin, *r.tile, *r.filters)]
+        assert {type(v) for v in values} == {int} and type(sched.beta) is int
+        path = tmp_path / "schedule.json"
+        save_schedule(path, layer.name, mode.value, sched)
+        assert load_schedule(path) == (layer.name, mode.value, sched)
+        checked += 1
+    assert checked >= 30
 
 
 class TestSearchCostMatchesReport:
