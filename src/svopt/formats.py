@@ -43,7 +43,12 @@ def dump_json(path, obj) -> None:
     )
 
 
-def _load_json(path) -> dict:
+def _load_json(path, required: set, optional: set = frozenset(), strict: bool = False) -> dict:
+    """Read a JSON object file in format version 1 with the given top-level fields.
+
+    `format_version` is required besides `required`; with `strict`, a
+    field in neither set is an error.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -52,6 +57,10 @@ def _load_json(path) -> dict:
         raise SpecValidationError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise SpecValidationError(f"{path}: top level must be a JSON object")
+    _check_fields(str(path), data, {"format_version", *required}, optional, strict)
+    version = data["format_version"]
+    if not (_is_int(version) and version == 1):
+        raise SpecValidationError(f"{path}: field 'format_version' must be 1, got {version!r}")
     return data
 
 
@@ -121,8 +130,7 @@ def load_network(path, strict: bool = False) -> list[LayerSpec]:
     deconvolutions, unique names, and channel chaining between
     consecutive layers.
     """
-    data = _load_json(path)
-    _check_fields(str(path), data, {"format_version", "layers"}, set(), strict)
+    data = _load_json(path, {"layers"}, strict=strict)
     layers: list[LayerSpec] = []
     names = set()
     for i, record in enumerate(_field(str(path), data, "layers", [dict])):
@@ -174,15 +182,9 @@ def save_network(path, layers: list[LayerSpec]) -> None:
 
 
 def load_hardware(path, strict: bool = False) -> HardwareConfig:
-    data = _load_json(path)
+    data = _load_json(path, {"pe_array", "buffer_capacity", "bandwidth"}, {"double_buffered"},
+                      strict)
     context = str(path)
-    _check_fields(
-        context,
-        data,
-        {"format_version", "pe_array", "buffer_capacity", "bandwidth"},
-        {"double_buffered"},
-        strict,
-    )
     pe_rows, pe_cols = _field(context, data, "pe_array", [int], length=2)
     capacity = _field(context, data, "buffer_capacity", int)
     bandwidth = _field(context, data, "bandwidth", float)
@@ -219,10 +221,8 @@ def save_schedule(path, layer_name: str, mode: str, schedule: TileSchedule) -> N
 
 
 def load_schedule(path) -> tuple[str, str, TileSchedule]:
-    data = _load_json(path)
+    data = _load_json(path, {"layer", "mode", "beta", "rounds"})
     context = str(path)
-    _check_fields(context, data, {"format_version", "layer", "mode", "beta", "rounds"}, set(),
-                  False)
     rounds = []
     for i, record in enumerate(_field(context, data, "rounds", [dict])):
         round_context = f"{path}: round {i}"
@@ -238,9 +238,7 @@ def load_schedule(path) -> tuple[str, str, TileSchedule]:
 
 
 def load_transform_manifest(path) -> dict:
-    data = _load_json(path)
-    _check_fields(str(path), data, {"format_version", "with_border", "layers"}, set(), False)
-    return data
+    return _load_json(path, {"with_border", "layers"})
 
 
 def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
@@ -287,9 +285,8 @@ class SequenceSpec:
 
 def load_sequence(path, strict: bool = False) -> SequenceSpec:
     """Parse a stereo sequence manifest; file paths resolve relative to it."""
-    data = _load_json(path)
+    data = _load_json(path, {"frames"}, {"pw"}, strict)
     context = str(path)
-    _check_fields(context, data, {"format_version", "frames"}, {"pw"}, strict)
     base = Path(path).parent
     frames = []
     for i, record in enumerate(_field(context, data, "frames", [dict])):

@@ -19,9 +19,12 @@ all derive from it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +41,7 @@ __all__ = [
     "RoundPlan",
     "RoundPricer",
     "RoundTerms",
+    "TileGrid",
     "TileSchedule",
     "dense_equivalent",
     "filter_group_dims",
@@ -134,21 +138,100 @@ class RoundPlan(NamedTuple):
     filters: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+class TileGrid(NamedTuple):
+    """One round structure repeated over an ifmap's tile grid.
+
+    Tile origins step by `tile` from 0 along each axis of `ifmap`, in
+    itertools.product order; a tile at the far edge is clipped to the
+    ifmap. Every origin runs `parts`, one round per filter-count vector,
+    in order.
+    """
+
+    ifmap: tuple[int, ...]
+    tile: tuple[int, ...]
+    parts: tuple[tuple[int, ...], ...]
+
+    def shapes(self) -> list[tuple[tuple[int, ...], int]]:
+        """Distinct clipped tile shapes over the origin grid, with multiplicities."""
+        per_axis = []
+        for extent, t in zip(self.ifmap, self.tile):
+            options = []
+            if extent // t:
+                options.append((t, extent // t))
+            if extent % t:
+                options.append((extent % t, 1))
+            per_axis.append(options)
+        return [
+            (tuple(c[0] for c in combo), math.prod(c[1] for c in combo))
+            for combo in itertools.product(*per_axis)
+        ]
+
+    def round_counts(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """How many rounds run each distinct (clipped tile shape, part)."""
+        repeats = Counter(self.parts)
+        return {(shape, part): mult * n
+                for shape, mult in self.shapes() for part, n in repeats.items()}
+
+    def rounds(self) -> tuple[RoundPlan, ...]:
+        """Every round: origins in itertools.product order, then parts in order."""
+        rounds = []
+        axes = [range(0, extent, t) for extent, t in zip(self.ifmap, self.tile)]
+        for origin in itertools.product(*axes):
+            shape = tuple(min(t, e - o) for o, t, e in zip(origin, self.tile, self.ifmap))
+            rounds.extend(RoundPlan(origin, shape, part) for part in self.parts)
+        return tuple(rounds)
+
+
 class TileSchedule:
-    """Ordered rounds covering a layer, plus the per-layer reuse order beta."""
+    """Ordered rounds covering a layer, plus the per-layer reuse order beta.
 
-    beta: int
-    rounds: tuple[RoundPlan, ...]
+    Given as explicit `rounds`, or as a `grid` (what the scheduler
+    builds): then `grid` is kept, validation and pricing work once per
+    distinct (clipped tile shape, part), and `rounds` is expanded on
+    first read. Schedules with equal beta and rounds are equal.
+    """
 
-    def __post_init__(self) -> None:
-        if self.beta not in (0, 1):
-            raise ValueError(f"beta must be 0 or 1, got {self.beta}")
-        object.__setattr__(self, "rounds", tuple(self.rounds))
+    def __init__(
+        self,
+        beta: int,
+        rounds: Iterable[RoundPlan] | None = None,
+        *,
+        grid: TileGrid | None = None,
+    ) -> None:
+        if beta not in (0, 1):
+            raise ValueError(f"beta must be 0 or 1, got {beta}")
+        if (rounds is None) == (grid is None):
+            raise ValueError("a schedule takes either rounds or a grid")
+        self.beta = beta
+        self.grid = grid
+        if rounds is not None:
+            self.rounds = tuple(rounds)
+
+    @cached_property
+    def rounds(self) -> tuple[RoundPlan, ...]:
+        return self.grid.rounds()
 
     @property
     def n_rounds(self) -> int:
-        return len(self.rounds)
+        return sum(self.round_counts().values())
+
+    def round_counts(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """How many rounds run each distinct (tile, filters) pair."""
+        if self.grid is not None:
+            return self.grid.round_counts()
+        return Counter((r.tile, r.filters) for r in self.rounds)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TileSchedule):
+            return NotImplemented
+        return self.beta == other.beta and self.rounds == other.rounds
+
+    def __hash__(self) -> int:
+        return hash((self.beta, self.rounds))
+
+    def __repr__(self) -> str:
+        body = f"grid={self.grid!r}" if self.grid is not None else f"rounds={self.rounds!r}"
+        return f"TileSchedule(beta={self.beta}, {body})"
 
 
 @dataclass(frozen=True)
@@ -161,9 +244,14 @@ class RoundCost:
         return max(self.compute_cycles, self.memory_cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatencyReport:
-    """Per-layer cost summary under one schedule."""
+    """Per-layer cost summary under one schedule.
+
+    `rounds`, each round's cost in schedule order, is expanded on first
+    read from the schedule and the cost of each of its distinct
+    (tile, filters) pairs. Reports with equal fields and rounds are equal.
+    """
 
     total_cycles: int
     compute_cycles: int
@@ -173,7 +261,25 @@ class LatencyReport:
     dram_ofmap: int
     macs: int
     utilization: float
-    rounds: tuple[RoundCost, ...]
+    _schedule: TileSchedule = field(repr=False)
+    _costs: dict[tuple[tuple[int, ...], tuple[int, ...]], RoundCost] = field(repr=False)
+
+    @cached_property
+    def rounds(self) -> tuple[RoundCost, ...]:
+        costs = self._costs
+        return tuple(costs[r.tile, r.filters] for r in self._schedule.rounds)
+
+    def _totals(self) -> tuple:
+        return (self.total_cycles, self.compute_cycles, self.memory_cycles, self.dram_ifmap,
+                self.dram_weights, self.dram_ofmap, self.macs, self.utilization)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LatencyReport):
+            return NotImplemented
+        return self._totals() == other._totals() and self.rounds == other.rounds
+
+    def __hash__(self) -> int:
+        return hash(self._totals())
 
 
 def filter_group_dims(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
@@ -282,6 +388,26 @@ class RoundPricer:
         return terms
 
 
+def _grid_holds(grid: TileGrid, layer: LayerSpec, hw: HardwareConfig, price: RoundPricer) -> bool:
+    """Whether every round of `grid` passes validate_schedule on `layer`.
+
+    Its tiles are positive and inside the ifmap, every part is a
+    non-negative count per filter group, each group's parts sum to
+    out_channels, and every (clipped tile shape, part) fits the buffer.
+    """
+    n_groups = len(price.groups)
+    parts = set(grid.parts)
+    if (grid.ifmap != layer.ifmap or len(grid.tile) != layer.rank
+            or any(t < 1 for t in grid.tile)
+            or any(len(p) != n_groups or any(c < 0 for c in p) for p in parts)
+            or any(sum(p[k] for p in grid.parts) != layer.out_channels
+                   for k in range(n_groups))):
+        return False
+    usable = hw.usable_buffer
+    return all(price(shape, part).occupancy <= usable
+               for shape, _ in grid.shapes() for part in parts)
+
+
 def validate_schedule(
     schedule: TileSchedule,
     layer: LayerSpec,
@@ -298,8 +424,16 @@ def validate_schedule(
     tile shape, that each filter group is scheduled exactly out_channels
     times per origin, and that the origins' tiles cover every ifmap
     element exactly once.
+
+    The rounds of a grid schedule over the layer's own ifmap share one
+    tile per origin and cover every element once by construction, so the
+    grid is checked once per distinct (clipped tile shape, part); a grid
+    that fails is checked round by round, which names the first failing
+    round.
     """
     price = RoundPricer(layer, include_input_channels)
+    if schedule.grid is not None and _grid_holds(schedule.grid, layer, hw, price):
+        return
     n_groups, rank = len(price.groups), layer.rank
     fits: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     coverage: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
@@ -373,7 +507,9 @@ def total_latency(
 
     Total latency is the sum over rounds of max(compute, memory) cycles.
     DRAM traffic follows beta: ifmap tiles count when beta=1, weights when
-    beta=0, fresh ofmap elements always.
+    beta=0, fresh ofmap elements always. Each distinct (tile, filters) is
+    priced once and counted as often as it runs; a grid schedule's counts
+    come from its grid, without expanding its rounds.
     """
     validate_schedule(schedule, layer, hw, include_input_channels=include_input_channels)
     _check_kernel_set(layer, kernel_set)
@@ -382,7 +518,7 @@ def total_latency(
     costs: dict[tuple[tuple[int, ...], tuple[int, ...]], RoundCost] = {}
     total = compute_total = memory_total = 0
     dram_if = dram_w = dram_of = macs = 0
-    for key, n in Counter((r.tile, r.filters) for r in schedule.rounds).items():
+    for key, n in schedule.round_counts().items():
         terms = price(*key)
         cost = costs[key] = RoundCost(terms.compute_cycles(hw), terms.memory_cycles(beta, hw))
         total += n * cost.cycles
@@ -404,7 +540,8 @@ def total_latency(
         dram_ofmap=dram_of,
         macs=macs,
         utilization=utilization,
-        rounds=tuple(costs[r.tile, r.filters] for r in schedule.rounds),
+        _schedule=schedule,
+        _costs=costs,
     )
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .formats import SpecValidationError, _field, _load_json
 from .ism import INVALID_DISPARITY, DisparityMap, Frame
 
 __all__ = [
@@ -139,19 +140,25 @@ def write_disparity(
 
 
 def read_disparity(path) -> DisparityMap:
-    """Load a disparity raster, applying its sidecar's scale and sentinel."""
+    """Load a disparity raster, applying its sidecar's scale and sentinel.
+
+    The sidecar, if present, is a format-version-1 JSON object whose
+    optional `scale` is an integer >= 1 and `invalid` an integer; anything
+    else raises SpecValidationError naming the file and the field.
+    """
     raster, _ = read_pgm(path)
     side = sidecar_path(path)
+    scale, invalid_raw = 1, None
     if side.exists():
-        meta = json.loads(side.read_text(encoding="utf-8"))
-        scale = int(meta.get("scale", 1))
-        invalid_raw = meta.get("invalid")
-    else:
-        scale, invalid_raw = 1, None
+        meta = _load_json(side, set(), {"scale", "invalid"})
+        scale = _field(str(side), meta, "scale", int, 1)
+        invalid_raw = _field(str(side), meta, "invalid", int, None)
+        if scale < 1:
+            raise SpecValidationError(f"{side}: field 'scale' must be >= 1, got {scale}")
     d = raster.copy()
     invalid = np.zeros(d.shape, dtype=bool)
     if invalid_raw is not None:
-        invalid = d == int(invalid_raw)
+        invalid = d == invalid_raw
     if scale != 1:
         remainder = d[~invalid] % scale
         if remainder.any():

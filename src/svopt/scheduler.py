@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +30,9 @@ from .perfmodel import (
     LatencyReport,
     LayerKind,
     LayerSpec,
-    RoundPlan,
     RoundPricer,
     RoundTerms,
+    TileGrid,
     TileSchedule,
     _ceil_div,
     _check_kernel_set,
@@ -177,50 +176,18 @@ def _tile_candidates(layer: LayerSpec, groups) -> list[tuple[int, ...]]:
     return [tuple(tile) for tile in itertools.product(*per_axis)]
 
 
-def _tile_shapes(layer: LayerSpec, tile) -> list[tuple[tuple[int, ...], int]]:
-    """Distinct clipped tile shapes over the origin grid, with multiplicities."""
-    per_axis = []
-    for extent, t in zip(layer.ifmap, tile):
-        options = []
-        if extent // t:
-            options.append((t, extent // t))
-        if extent % t:
-            options.append((extent % t, 1))
-        per_axis.append(options)
-    shapes = []
-    for combo in itertools.product(*per_axis):
-        shape = tuple(c[0] for c in combo)
-        mult = math.prod(c[1] for c in combo)
-        shapes.append((shape, mult))
-    return shapes
-
-
 def _grid_cycles(price: RoundPricer, tile, parts, hw: HardwareConfig) -> tuple[int, int]:
-    """Total cycles at beta=1 and at beta=0 when `parts` runs at every tile origin."""
+    """Total cycles at beta=1 and at beta=0 when `parts` runs at every tile origin.
+
+    Summed over the grid's (clipped tile shape, part) counts, as total_latency sums them.
+    """
     beta1 = beta0 = 0
-    repeats = Counter(parts)
-    for shape, mult in _tile_shapes(price.layer, tile):
-        for part, n in repeats.items():
-            terms = price(shape, part)
-            l_c = terms.compute_cycles(hw)
-            beta1 += mult * n * max(l_c, terms.memory_cycles(1, hw))
-            beta0 += mult * n * max(l_c, terms.memory_cycles(0, hw))
+    for key, n in TileGrid(price.layer.ifmap, tile, tuple(parts)).round_counts().items():
+        terms = price(*key)
+        l_c = terms.compute_cycles(hw)
+        beta1 += n * max(l_c, terms.memory_cycles(1, hw))
+        beta0 += n * max(l_c, terms.memory_cycles(0, hw))
     return beta1, beta0
-
-
-def _origins(layer: LayerSpec, tile):
-    return itertools.product(*(range(0, extent, t) for extent, t in zip(layer.ifmap, tile)))
-
-
-def _materialize(layer: LayerSpec, tile, parts, beta: int) -> TileSchedule:
-    rounds = []
-    for origin in _origins(layer, tile):
-        shape = tuple(
-            min(t, extent - o) for o, t, extent in zip(origin, tile, layer.ifmap)
-        )
-        for part in parts:
-            rounds.append(RoundPlan(origin, shape, part))
-    return TileSchedule(beta, tuple(rounds))
 
 
 def _pack_tile(
@@ -322,7 +289,7 @@ def solve(
             f"capacity constraint (usable {hw.usable_buffer} elements)"
         )
     _, tile, parts, beta = best
-    schedule = _materialize(layer, tile, parts, beta)
+    schedule = TileSchedule(beta, grid=TileGrid(layer.ifmap, tile, tuple(parts)))
     validate_schedule(schedule, layer, hw, include_input_channels=include_input_channels)
     return schedule
 
@@ -408,7 +375,7 @@ def exhaustive(
             f"layer {layer.name}: no feasible schedule in the bounded space"
         )
     _, tile, parts, beta = best
-    schedule = _materialize(layer, tile, parts, beta)
+    schedule = TileSchedule(beta, grid=TileGrid(layer.ifmap, tile, tuple(parts)))
     validate_schedule(schedule, layer, hw, include_input_channels=include_input_channels)
     return schedule
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from svopt.formats import (
     load_transform_manifest,
     save_network,
 )
+from svopt.perfmodel import RoundPlan
 from svopt.pgm import frame_to_pgm, read_disparity, write_disparity
 from conftest import make_sequence
 
@@ -119,6 +121,8 @@ class TestIngest:
         ("pe_array", [8]),
         ("bandwidth", True),
         ("bandwidth", "8"),
+        ("format_version", "two"),
+        ("format_version", 2),
     ])
     def test_hardware_field_of_wrong_json_type_rejected(self, tmp_path, net_path, field, value):
         path = write_json(tmp_path / "hw.json", dict(HARDWARE, **{field: value}))
@@ -139,6 +143,10 @@ class TestIngest:
         ("network", 0, "name", ["conv1"]),
         ("network", None, "layers", 5),
         ("network", None, "layers", [5]),
+        ("network", None, "format_version", 99),
+        ("network", None, "format_version", True),
+        ("schedule", None, "format_version", 1.0),
+        ("sequence", None, "format_version", "1"),
         ("schedule", None, "beta", 0.7),
         ("schedule", None, "layer", 5),
         ("schedule", 0, "origin", [0.5, 0]),
@@ -294,6 +302,12 @@ class TestIsmCommand:
         assert main(["ism", "--sequence", str(manifest), "--out-dir",
                      str(tmp_path / "o"), "--pw", "3"]) == 2  # frame 3 lacks a key map
 
+    @pytest.mark.parametrize("meta", [{"format_version": 1, "scale": 0}, [1]])
+    def test_bad_disparity_sidecar_is_input_error(self, tmp_path, panorama, meta):
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        write_json(tmp_path / "k0.pgm.json", meta)
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+
     def test_sequence_paths_resolve_relative_to_manifest(self, tmp_path, panorama):
         manifest, _ = self.build_sequence(tmp_path, panorama)
         spec = load_sequence(manifest)
@@ -334,3 +348,82 @@ class TestReport:
         paths = self.run_models(tmp_path, net_path, hw_path, ["convr"])
         assert main(["report", "--run", f"a={paths['convr']}", "--baseline", "zzz",
                      "--out-dir", str(tmp_path / "o")]) == 2
+
+
+class TestPinnedOutputs:
+    """`svopt model` and `svopt schedule` write the same bytes as before grid schedules.
+
+    A 2-D conv, a 2-D deconv and a 3-D deconv on hardware tight enough for
+    clipped edge tiles, several parts per tile, both reuse orders and
+    memory-bound rounds.
+    """
+
+    network = {"format_version": 1, "layers": [
+        {"name": "conv1", "kind": "conv", "kernel": [3, 3], "in_channels": 3,
+         "out_channels": 4, "ifmap": [10, 10], "stride": 1},
+        {"name": "up2d", "kind": "deconv", "kernel": [4, 3], "in_channels": 4,
+         "out_channels": 6, "ifmap": [9, 7], "stride": 2},
+        {"name": "up3d", "kind": "deconv", "kernel": [3, 3, 3], "in_channels": 6,
+         "out_channels": 3, "ifmap": [5, 4, 6], "stride": 2},
+    ]}
+    hardware = {"format_version": 1, "pe_array": [4, 4], "buffer_capacity": 900,
+                "bandwidth": 0.5}
+    sha256 = {
+        "baseline": {
+            "report_baseline.csv":
+                "c43cda173248274018ef38a28e247250038d7b0daf4d1275a8bd634442fd1c11",
+            "schedule_conv1_baseline.json":
+                "d1190286875ca7781825151e93e4cd847a8243abd92cc0d0fc5e63ae6fbbbc76",
+            "schedule_up2d_baseline.json":
+                "8eff1a331119a2f0952a060c84678d68fb52e72fc149201c2c9bd44873a8ef84",
+            "schedule_up3d_baseline.json":
+                "b7bbecb94d01c2ebc6999f939b0a8591851d37519a2e87e903ac6e5c136f3481",
+        },
+        "convr": {
+            "report_convr.csv": "0147700856638ea758deedcf9bed2358eb9abe949b9e33e7ae7f00ed9bb61279",
+            "schedule_conv1_convr.json":
+                "096889161c6a7d9a94f370b974c26691d6b1c8e3904ca93b184caf335ed807e6",
+            "schedule_up2d_convr.json":
+                "3dd32b23c7ad05c1ff47a440443ff910cb42e2a37ce64e6c7e01aae195d46125",
+            "schedule_up3d_convr.json":
+                "0e9a9d4a0f7e461327b168268a8430df969be26477c3b2461ed615a6b06be169",
+        },
+        "ilar": {
+            "report_ilar.csv": "5346778bdf9b2c33dbb9a72da4fdac801c32418cfa2be0331e540fecebeaba6c",
+            "schedule_conv1_ilar.json":
+                "73e500e2a4e329e77abae33ec516af6d17f025f2a676416fe1617598d0313859",
+            "schedule_up2d_ilar.json":
+                "b89080e7605f388326a7e49e80db0d98e60f0c4c16ee56d0250e99e72a38d4cc",
+            "schedule_up3d_ilar.json":
+                "cdc397ca7b9656c3194251eedae96e13e3f410a13c4828502f581114a9af7720",
+        },
+    }
+
+    def run(self, tmp_path, command, mode):
+        net = write_json(tmp_path / "net.json", self.network)
+        hw = write_json(tmp_path / "hw.json", self.hardware)
+        out = tmp_path / command
+        code = main([command, "--network", net, "--hardware", hw, "--mode", mode,
+                     "--out-dir", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("mode", ["baseline", "convr", "ilar"])
+    def test_model_and_schedule_bytes_are_pinned(self, tmp_path, mode):
+        files = {}
+        for command in ("model", "schedule"):
+            code, out = self.run(tmp_path, command, mode)
+            assert code == 0
+            files.update((p.name, p.read_bytes()) for p in out.iterdir())
+        got = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+        assert got == self.sha256[mode]
+
+    @pytest.mark.parametrize("mode", ["baseline", "convr", "ilar"])
+    def test_model_never_builds_a_round(self, tmp_path, monkeypatch, capsys, mode):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("built a RoundPlan")
+
+        monkeypatch.setattr(RoundPlan, "__new__", refuse)
+        assert self.run(tmp_path, "model", mode)[0] == 0
+        # writing a schedule file does expand the rounds, so the patch is in force
+        assert self.run(tmp_path, "schedule", mode)[0] == 4
+        assert "built a RoundPlan" in capsys.readouterr().err

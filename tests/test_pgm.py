@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from svopt.formats import SpecValidationError
 from svopt.ism import INVALID_DISPARITY, DisparityMap, Frame
 from svopt.pgm import (
     frame_from_pgm,
@@ -72,3 +75,20 @@ def test_non_pgm_rejected(tmp_path):
     path.write_bytes(b"hello")
     with pytest.raises(ValueError, match="not a PGM"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("meta, match", [
+    ({"format_version": 1, "scale": 0}, r"field 'scale' must be >= 1, got 0"),
+    ({"format_version": 1, "scale": [1]}, r"field 'scale' must be a JSON integer"),
+    ({"format_version": 1, "scale": 2.9}, r"field 'scale' must be a JSON integer"),
+    ({"format_version": 1, "invalid": 65535.7}, r"field 'invalid' must be a JSON integer"),
+    ({"format_version": 2, "scale": 1}, r"field 'format_version' must be 1, got 2"),
+    ({"scale": 1}, r"missing field\(s\) \['format_version'\]"),
+    ([1, 65535], r"top level must be a JSON object"),
+])
+def test_bad_sidecar_rejected_naming_the_field(tmp_path, meta, match):
+    path = tmp_path / "d.pgm"
+    write_disparity(path, DisparityMap(np.array([[0, 1], [2, INVALID_DISPARITY]], np.int32)))
+    sidecar_path(path).write_text(json.dumps(meta))
+    with pytest.raises(SpecValidationError, match=match):
+        read_disparity(path)

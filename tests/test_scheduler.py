@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -406,22 +407,23 @@ def test_rounds_hold_python_ints_and_round_trip(tmp_path, search):
 class TestSearchCostMatchesReport:
     """The cycles solve and exhaustive minimize equal total_latency's total.
 
-    Each search ends by materializing its incumbent `best`, a tuple
-    (cycles, tile, parts, beta); the spy reads it from the caller's frame.
+    Each search ends by building a grid schedule from its incumbent
+    `best`, a tuple (cycles, tile, parts, beta); the spy reads it from the
+    caller's frame.
     """
 
     @pytest.fixture
     def chosen(self, monkeypatch):
         seen = []
-        materialize = scheduler._materialize
+        build = scheduler.TileSchedule
 
-        def spy(layer, tile, parts, beta):
+        def spy(beta, *, grid):
             best = sys._getframe(1).f_locals["best"]
-            assert best[1:] == (tile, parts, beta)
+            assert (best[1], tuple(best[2]), best[3]) == (grid.tile, grid.parts, beta)
             seen.append(best[0])
-            return materialize(layer, tile, parts, beta)
+            return build(beta, grid=grid)
 
-        monkeypatch.setattr(scheduler, "_materialize", spy)
+        monkeypatch.setattr(scheduler, "TileSchedule", spy)
         return seen
 
     @pytest.mark.parametrize("search", ["solve", "exhaustive"])
@@ -456,3 +458,68 @@ class TestSearchCostMatchesReport:
             ("iaware", False), ("iaware", True), ("double", False), ("double", True),
             ("inf", False), ("inf", True),
         }
+
+
+def _verdict(schedule, layer, hw, iaware):
+    try:
+        validate_schedule(schedule, layer, hw, include_input_channels=iaware)
+    except InfeasibleScheduleError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("search", ["solve", "exhaustive"])
+def test_grid_schedules_agree_with_their_explicit_rounds(tmp_path, search):
+    """A grid schedule validates, prices, compares and saves as its expanded rounds do.
+
+    The explicit TileSchedule(beta, rounds) is checked round by round and
+    is the reference; corrupted grids must fail with the same message.
+    """
+    rng = random.Random(f"grid-{search}")
+    bound = {"max_candidates": 3000} if search == "exhaustive" else {}
+    regimes = set()
+    checked = 0
+    for _ in range(200 if search == "solve" else 150):
+        layer, ks_, hw, mode, iaware = guard_case(rng, small=search == "exhaustive")
+        try:
+            sched = getattr(scheduler, search)(
+                layer, ks_, hw, mode, include_input_channels=iaware, **bound
+            )
+        except (InfeasibleScheduleError, SearchSpaceExceeded):
+            continue
+        grid = sched.grid
+        price = RoundPricer(layer, iaware)
+        need = max(price(*pair).occupancy for pair in grid.round_counts())
+        # one element short for the largest round: a part overflows the buffer
+        tight = dataclasses.replace(hw, buffer_capacity=(need - 1) * (1 + hw.double_buffered))
+        g = max(k for k, c in enumerate(grid.parts[-1]) if c)
+        short = tuple(c - (k == g) for k, c in enumerate(grid.parts[-1]))
+        cases = [
+            (sched, hw),
+            (sched, tight),
+            # one filter of group g missing
+            (TileSchedule(sched.beta, grid=grid._replace(parts=(*grid.parts[:-1], short))), hw),
+            # a grid over a larger ifmap than the layer's
+            (TileSchedule(sched.beta, grid=grid._replace(ifmap=(layer.ifmap[0] + 1,
+                                                                 *layer.ifmap[1:]))), hw),
+        ]
+        for i, (candidate, on) in enumerate(cases):
+            twin = TileSchedule(candidate.beta, tuple(candidate.rounds))
+            assert candidate == twin and twin.grid is None
+            assert candidate.n_rounds == twin.n_rounds
+            found = _verdict(candidate, layer, on, iaware)
+            assert found == _verdict(twin, layer, on, iaware), (layer, on, mode, iaware)
+            assert (found is None) == (i == 0)
+        twin = TileSchedule(sched.beta, tuple(sched.rounds))
+        report = total_latency(sched, layer, ks_, hw, include_input_channels=iaware)
+        assert report == total_latency(twin, layer, ks_, hw, include_input_channels=iaware)
+        assert len(report.rounds) == sched.n_rounds
+        paths = tmp_path / "grid.json", tmp_path / "twin.json"
+        for path, schedule in zip(paths, (sched, twin)):
+            save_schedule(path, layer.name, mode.value, schedule)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert load_schedule(paths[0]) == (layer.name, mode.value, sched)
+        regimes |= {("kind", layer.kind), ("rank", layer.rank), ("iaware", iaware)}
+        checked += 1
+    assert checked >= 60
+    assert len(regimes) == 6
