@@ -41,7 +41,7 @@ print(f"layer: {layer.ifmap} ifmap, {layer.kernel} kernel, "
 print(f"hardware: {hw.pe_count} MACs/cycle, {hw.buffer_capacity} buffer elements "
       f"(double-buffered), {hw.bandwidth} elements/cycle\n")
 
-dense = dense_equivalent(layer, with_border=True)
+dense = dense_equivalent(layer)
 baseline = total_latency(solve(dense, None, hw, ScheduleMode.CONV_R), dense, None, hw)
 
 rows = [("baseline", baseline)]

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .deconv import SubKernelSet, decompose_nd
+from .deconv import SubKernelSet, decompose_nd, parity_classes
 from .formats import (
     SpecValidationError,
     dump_json,
@@ -103,20 +103,16 @@ def cmd_transform(args) -> int:
     records = []
     for layer in layers:
         record = {"name": layer.name, "kind": layer.kind.value, "kernel": list(layer.kernel)}
-        subs = []
-        if layer.kind is LayerKind.DECONV:
-            kernel_set = decompose_nd(Tensor.zeros(layer.kernel))
-            for sub in kernel_set.kernels:
-                subs.append(
-                    {
-                        "phase": sub.phase_index,
-                        "delta": list(sub.delta),
-                        "dims": list(sub.dims),
-                        "ofmap_parity": [1 - d for d in sub.delta],
-                        "empty": sub.is_empty,
-                    }
-                )
-        record["sub_kernels"] = subs
+        record["sub_kernels"] = [
+            {
+                "phase": phase,
+                "delta": list(delta),
+                "dims": list(dims),
+                "ofmap_parity": [1 - d for d in delta],
+                "empty": not all(dims),
+            }
+            for phase, delta, dims in parity_classes(layer.kernel)
+        ] if layer.kind is LayerKind.DECONV else []
         records.append(record)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

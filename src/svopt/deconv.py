@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DTYPE, ConvMode, ShapeError, Tensor, conv_valid
+from .tensor import DTYPE, ConvMode, ShapeError, Tensor, conv_valid, upsampled_dims, valid_dims
 
 __all__ = [
     "SubKernel",
@@ -31,7 +31,6 @@ __all__ = [
     "transformed_deconv",
 ]
 
-SUPPORTED_FACTOR = 2
 MAX_RANK = 4
 
 
@@ -74,10 +73,6 @@ class SubKernelSet:
                 f"got {len(self.kernels)}"
             )
 
-    @property
-    def rank(self) -> int:
-        return len(self.source_dims)
-
     def non_empty(self) -> tuple[SubKernel, ...]:
         return tuple(sub for sub in self.kernels if not sub.is_empty)
 
@@ -117,21 +112,10 @@ def decompose_2d(kernel: Tensor) -> SubKernelSet:
     return decompose_nd(kernel)
 
 
-def deconv_output_dims(
-    ifmap_dims, kernel_dims, with_border: bool = True, factor: int = SUPPORTED_FACTOR
-) -> tuple[int, ...]:
-    """Ofmap extents of the reference deconvolution for the given convention."""
-    up = upsampled_dims(ifmap_dims, factor, with_border)
-    if any(k > u for k, u in zip(kernel_dims, up)):
-        raise ShapeError(
-            f"kernel {tuple(kernel_dims)} does not fit inside upsampled ifmap {up}"
-        )
-    return tuple(u - k + 1 for u, k in zip(up, kernel_dims))
-
-
-def upsampled_dims(ifmap_dims, factor: int, with_border: bool) -> tuple[int, ...]:
-    pad = 2 * (factor - 1) if with_border else 0
-    return tuple(factor * (n - 1) + 1 + pad for n in ifmap_dims)
+def deconv_output_dims(ifmap_dims, kernel_dims, with_border: bool = True) -> tuple[int, ...]:
+    """Ofmap extents of the stride-2 reference deconvolution for the given convention:
+    the valid convolution extents over the zero-upsampled ifmap."""
+    return valid_dims(upsampled_dims(ifmap_dims, 2, with_border), kernel_dims)
 
 
 def _phase_geometry(delta, dims, out_dims: tuple[int, ...], with_border: bool):
@@ -199,12 +183,7 @@ def gather(
     return Tensor(out)
 
 
-def transformed_deconv(
-    ifmap: Tensor,
-    kernel: Tensor,
-    with_border: bool = True,
-    factor: int = SUPPORTED_FACTOR,
-) -> Tensor:
+def transformed_deconv(ifmap: Tensor, kernel: Tensor, with_border: bool = True) -> Tensor:
     """Deconvolution via decomposition: dense sub-convolutions plus a gather.
 
     Numerically equal to deconv_reference(ifmap, kernel, 2, with_border);
@@ -212,16 +191,8 @@ def transformed_deconv(
     because each sub-convolution runs only over the ifmap slice that
     feeds its parity class.
     """
-    if factor != SUPPORTED_FACTOR:
-        raise ShapeError(
-            f"the transformation supports upsampling factor {SUPPORTED_FACTOR} only, got {factor}"
-        )
-    if kernel.rank != ifmap.rank:
-        raise ShapeError(
-            f"rank mismatch: ifmap rank {ifmap.rank} vs kernel rank {kernel.rank}"
-        )
+    out_dims = deconv_output_dims(ifmap.dims, kernel.dims, with_border)
     kernel_set = decompose_nd(kernel)
-    out_dims = deconv_output_dims(ifmap.dims, kernel.dims, with_border, factor)
     sub_ofmaps = []
     for sub in kernel_set.kernels:
         geometry = _phase_geometry(sub.delta, sub.dims, out_dims, with_border)

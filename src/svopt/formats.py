@@ -144,8 +144,8 @@ def load_network(path, strict: bool = False) -> list[LayerSpec]:
             raise SpecValidationError(f"{context}: field 'kind' must be conv or deconv")
         try:
             layer = LayerSpec(**fields)
-        except ValueError as exc:
-            raise SpecValidationError(f"{context}: {exc}")
+        except ValueError as exc:  # names the layer itself
+            raise SpecValidationError(f"{path}: {exc}")
         if layer.name in names:
             raise SpecValidationError(f"{context}: field 'name' duplicates an earlier layer")
         names.add(layer.name)

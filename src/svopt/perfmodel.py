@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deconv import SubKernelSet, parity_classes, upsampled_dims
+from .deconv import SubKernelSet, deconv_output_dims, parity_classes
+from .tensor import ShapeError, upsampled_dims, valid_dims
 
 __all__ = [
     "HardwareConfig",
@@ -96,7 +97,11 @@ class HardwareConfig:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One convolution or stride-2 deconvolution layer."""
+    """One convolution or stride-2 deconvolution layer.
+
+    Its kernel must fit its ifmap (output_dims): a deconvolution's must fit
+    the bordered zero-upsampled ifmap.
+    """
 
     name: str
     kind: LayerKind
@@ -121,6 +126,12 @@ class LayerSpec:
             raise ValueError(f"layer {self.name}: stride must be positive")
         if self.kind is LayerKind.DECONV and self.stride != 2:
             raise ValueError(f"layer {self.name}: deconvolution layers require stride 2")
+        try:
+            output_dims(self)
+        except ShapeError as exc:
+            deconv = self.kind is LayerKind.DECONV
+            why = f", which is ifmap {self.ifmap} zero-upsampled" if deconv else ""
+            raise ValueError(f"layer {self.name}: {exc}{why}") from None
 
     @property
     def rank(self) -> int:
@@ -545,11 +556,12 @@ def total_latency(
     )
 
 
-def dense_equivalent(layer: LayerSpec, with_border: bool = True) -> LayerSpec:
+def dense_equivalent(layer: LayerSpec) -> LayerSpec:
     """The unit-stride convolution a naive deconvolution actually executes.
 
-    The ifmap extents become the zero-upsampled extents, so modeling this
-    layer prices in every inserted-zero MAC the transformation removes.
+    The ifmap extents become the bordered zero-upsampled extents, so
+    modeling this layer prices in every inserted-zero MAC the
+    transformation removes.
     """
     if layer.kind is not LayerKind.DECONV:
         raise ValueError(f"layer {layer.name} is not a deconvolution")
@@ -559,18 +571,14 @@ def dense_equivalent(layer: LayerSpec, with_border: bool = True) -> LayerSpec:
         kernel=layer.kernel,
         in_channels=layer.in_channels,
         out_channels=layer.out_channels,
-        ifmap=upsampled_dims(layer.ifmap, layer.stride, with_border),
+        ifmap=upsampled_dims(layer.ifmap, layer.stride, with_border=True),
         stride=1,
     )
 
 
-def output_dims(layer: LayerSpec, with_border: bool = True) -> tuple[int, ...]:
-    """Spatial ofmap extents of the layer (per-filter)."""
-    if layer.kind is LayerKind.CONV:
-        if any(k > n for k, n in zip(layer.kernel, layer.ifmap)):
-            raise ValueError(f"layer {layer.name}: kernel exceeds ifmap")
-        return tuple((n - k) // layer.stride + 1 for n, k in zip(layer.ifmap, layer.kernel))
-    up = upsampled_dims(layer.ifmap, layer.stride, with_border)
-    if any(k > u for k, u in zip(layer.kernel, up)):
-        raise ValueError(f"layer {layer.name}: kernel exceeds upsampled ifmap")
-    return tuple(u - k + 1 for u, k in zip(up, layer.kernel))
+def output_dims(layer: LayerSpec) -> tuple[int, ...]:
+    """Spatial ofmap extents of the layer (per filter), a deconvolution's in the
+    bordered convention; ShapeError when the kernel does not fit."""
+    if layer.kind is LayerKind.DECONV:
+        return deconv_output_dims(layer.ifmap, layer.kernel)
+    return tuple((v - 1) // layer.stride + 1 for v in valid_dims(layer.ifmap, layer.kernel))

@@ -23,6 +23,8 @@ __all__ = [
     "deconv_reference",
     "redundant_mac_fraction",
     "upsample_zero",
+    "upsampled_dims",
+    "valid_dims",
 ]
 
 DTYPE = np.float32
@@ -99,20 +101,37 @@ class Tensor:
         )
 
 
+def valid_dims(ifmap_dims, kernel_dims) -> tuple[int, ...]:
+    """Output extents of a valid (no padding, stride 1) convolution: n - k + 1 per axis.
+
+    Raises ShapeError when the ranks differ or the kernel does not fit.
+    """
+    ifmap_dims, kernel_dims = tuple(ifmap_dims), tuple(kernel_dims)
+    if len(kernel_dims) != len(ifmap_dims):
+        raise ShapeError(
+            f"rank mismatch: ifmap rank {len(ifmap_dims)} vs kernel rank {len(kernel_dims)}"
+        )
+    if any(k > n for k, n in zip(kernel_dims, ifmap_dims)):
+        raise ShapeError(f"kernel {kernel_dims} does not fit inside ifmap {ifmap_dims}")
+    return tuple(n - k + 1 for n, k in zip(ifmap_dims, kernel_dims))
+
+
+def upsampled_dims(ifmap_dims, factor: int, with_border: bool) -> tuple[int, ...]:
+    """Extents of a zero-upsampled ifmap: factor * (n - 1) + 1 per axis, plus
+    2 * (factor - 1) with the border; factor 2 gives 2n + 1 with it, 2n - 1 without."""
+    if factor < 1:
+        raise ShapeError("upsampling factor must be >= 1")
+    pad = 2 * (factor - 1) if with_border else 0
+    return tuple(factor * (n - 1) + 1 + pad for n in ifmap_dims)
+
+
 def conv_valid(ifmap: Tensor, kernel: Tensor, mode: ConvMode = ConvMode.DOT) -> Tensor:
     """Valid (no padding, stride 1) sliding-window reduction of kernel over ifmap.
 
     DOT accumulates products, SAD accumulates absolute differences.
-    The output extent in each dimension is ifmap - kernel + 1.
+    The output extents are valid_dims(ifmap.dims, kernel.dims).
     """
-    if kernel.rank != ifmap.rank:
-        raise ShapeError(
-            f"rank mismatch: ifmap rank {ifmap.rank} vs kernel rank {kernel.rank}"
-        )
-    if any(k > n for k, n in zip(kernel.dims, ifmap.dims)):
-        raise ShapeError(
-            f"kernel {kernel.dims} does not fit inside ifmap {ifmap.dims}"
-        )
+    valid_dims(ifmap.dims, kernel.dims)
     windows = np.lib.stride_tricks.sliding_window_view(ifmap.array, kernel.dims)
     if mode is ConvMode.DOT:
         out = np.tensordot(windows, kernel.array, axes=kernel.rank)
@@ -125,19 +144,16 @@ def conv_valid(ifmap: Tensor, kernel: Tensor, mode: ConvMode = ConvMode.DOT) -> 
 
 
 def upsample_zero(ifmap: Tensor, factor: int, with_border: bool = True) -> Tensor:
-    """Insert factor-1 zeros between neighbouring elements.
+    """Insert factor-1 zeros between neighbouring elements, into upsampled_dims extents.
 
     With the bordered convention a ring of factor-1 zeros is added on
-    every side as well, so factor 2 maps extent n to 2n+1 with the
-    original elements at odd indices. Without the border, extent n maps
-    to factor*(n-1)+1 (2n-1 for factor 2) with originals at even indices.
+    every side as well, so for factor 2 the original elements sit at odd
+    indices; without the border they sit at even indices.
     """
-    if factor < 1:
-        raise ShapeError("upsampling factor must be >= 1")
-    inner = tuple(factor * (n - 1) + 1 for n in ifmap.dims)
+    up = upsampled_dims(ifmap.dims, factor, with_border)
     pad = factor - 1 if with_border else 0
-    out = np.zeros(tuple(e + 2 * pad for e in inner), dtype=DTYPE)
-    out[tuple(slice(pad, pad + e, factor) for e in inner)] = ifmap.array
+    out = np.zeros(up, dtype=DTYPE)
+    out[tuple(slice(pad, u - pad, factor) for u in up)] = ifmap.array
     return Tensor(out)
 
 
@@ -157,20 +173,11 @@ def redundant_mac_fraction(
     window by window, so the result is (zero-operand MACs) / (total MACs)
     of the dense convolution over the upsampled input.
     """
-    ifmap_dims = tuple(ifmap_dims)
     kernel_dims = tuple(kernel_dims)
-    occupancy = upsample_zero(Tensor(np.ones(ifmap_dims, dtype=DTYPE)), factor, with_border)
-    if len(kernel_dims) != occupancy.rank:
-        raise ShapeError(
-            f"rank mismatch: ifmap rank {len(ifmap_dims)} vs kernel rank {len(kernel_dims)}"
-        )
-    if any(k > u for k, u in zip(kernel_dims, occupancy.dims)):
-        raise ShapeError(
-            f"kernel {kernel_dims} does not fit inside upsampled ifmap {occupancy.dims}"
-        )
+    occupancy = upsample_zero(Tensor(np.ones(tuple(ifmap_dims), dtype=DTYPE)), factor, with_border)
+    out_dims = valid_dims(occupancy.dims, kernel_dims)
     zero_map = (occupancy.array == 0.0).astype(np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(zero_map, kernel_dims)
     zero_macs = int(windows.sum())
-    out_dims = tuple(u - k + 1 for u, k in zip(occupancy.dims, kernel_dims))
     total_macs = math.prod(out_dims) * math.prod(kernel_dims)
     return zero_macs / total_macs

@@ -146,7 +146,7 @@ def test_criterion_05_compute_bound_speedup():
     dct = total_latency(
         solve(layer, kset, hw, ScheduleMode.ILAR), layer, kset, hw
     ).total_cycles
-    dense = dense_equivalent(layer, with_border=True)
+    dense = dense_equivalent(layer)
     naive = total_latency(
         solve(dense, None, hw, ScheduleMode.CONV_R), dense, None, hw
     ).total_cycles

@@ -351,7 +351,7 @@ class TestReport:
 
 
 class TestPinnedOutputs:
-    """`svopt model` and `svopt schedule` write the same bytes as before grid schedules.
+    """`svopt model`, `svopt schedule` and `svopt transform` write pinned bytes.
 
     A 2-D conv, a 2-D deconv and a 3-D deconv on hardware tight enough for
     clipped edge tiles, several parts per tile, both reuse orders and
@@ -416,6 +416,16 @@ class TestPinnedOutputs:
             files.update((p.name, p.read_bytes()) for p in out.iterdir())
         got = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
         assert got == self.sha256[mode]
+
+    def test_transform_manifest_bytes_are_pinned(self, tmp_path):
+        # one more deconv whose kernel extent 1 leaves two parity slices empty
+        layers = self.network["layers"] + [
+            {"name": "up1x3", "kind": "deconv", "kernel": [1, 3], "in_channels": 3,
+             "out_channels": 3, "ifmap": [4, 4], "stride": 2}]
+        net = write_json(tmp_path / "net.json", dict(self.network, layers=layers))
+        assert main(["transform", "--network", net, "--out-dir", str(tmp_path)]) == 0
+        got = hashlib.sha256((tmp_path / "transform.json").read_bytes()).hexdigest()
+        assert got == "9ac0b5bd7fa54dcce3d8421f95cc2543efb4ec76f842765c23d1820c484b42da"
 
     @pytest.mark.parametrize("mode", ["baseline", "convr", "ilar"])
     def test_model_never_builds_a_round(self, tmp_path, monkeypatch, capsys, mode):

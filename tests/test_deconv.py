@@ -225,7 +225,3 @@ class TestTransformedDeconv:
             nonzero = round((1.0 - frac) * total)
             assert transform_multiply_count(idims, kdims, wb) == nonzero
             done += 1
-
-    def test_factor_other_than_two_rejected(self):
-        with pytest.raises(ShapeError):
-            transformed_deconv(Tensor.zeros((3, 3)), Tensor.zeros((3, 3)), True, factor=3)

@@ -294,14 +294,13 @@ class TestTotalLatency:
 class TestDenseEquivalent:
     def test_upsampled_extents(self):
         layer = deconv_layer((5, 5), ifmap=(16, 12))
-        dense = dense_equivalent(layer, with_border=True)
+        dense = dense_equivalent(layer)
         assert dense.kind is LayerKind.CONV
         assert dense.ifmap == (33, 25)
         assert dense.stride == 1
-        assert dense_equivalent(layer, with_border=False).ifmap == (31, 23)
 
     def test_output_dims_match_reference_convention(self):
         layer = deconv_layer((3, 3), ifmap=(3, 3))
-        assert output_dims(layer, with_border=True) == (5, 5)
-        dense = dense_equivalent(layer, with_border=True)
+        assert output_dims(layer) == (5, 5)
+        dense = dense_equivalent(layer)
         assert output_dims(dense) == (5, 5)
