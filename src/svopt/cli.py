@@ -16,6 +16,7 @@ from pathlib import Path
 from .deconv import SubKernelSet, decompose_nd, parity_classes
 from .formats import (
     SpecValidationError,
+    check_name,
     dump_json,
     load_hardware,
     load_network,
@@ -187,44 +188,62 @@ def cmd_ism(args) -> int:
     return 0
 
 
+def _latency_column(path) -> dict[str, str]:
+    """Each layer's latency_cycles cell in a `svopt model` CSV, in row order."""
+    header, rows = load_report(path)
+    missing = sorted({"layer", "latency_cycles"} - set(header))
+    if missing:
+        raise SpecValidationError(f"{path}: missing column(s) {missing}")
+    column = {}
+    for row in rows:
+        layer, cycles = row["layer"], row["latency_cycles"]
+        if layer in column:
+            raise SpecValidationError(f"{path}: layer {layer!r} is listed twice")
+        if not (cycles.isascii() and cycles.isdigit()):
+            raise SpecValidationError(
+                f"{path}: layer {layer!r}: column 'latency_cycles' must be a "
+                f"non-negative integer, got {cycles!r}"
+            )
+        column[layer] = cycles
+    return column
+
+
 def cmd_report(args) -> int:
-    runs = []
+    runs = {}
     for spec in args.run:
         name, _, path = spec.partition("=")
         if not name or not path:
             raise SpecValidationError(f"--run expects NAME=CSV, got {spec!r}")
-        runs.append((name, path))
+        check_name(f"--run {spec!r}", "NAME", name)
+        if name in runs:
+            raise SpecValidationError(f"--run {spec!r}: run {name!r} is already named")
+        runs[name] = path
     if not runs:
         raise SpecValidationError("report needs at least one --run NAME=CSV")
-    baseline = args.baseline or runs[0][0]
-    if baseline not in {name for name, _ in runs}:
+    baseline = args.baseline or next(iter(runs))
+    if baseline not in runs:
         raise SpecValidationError(f"baseline {baseline!r} is not among the named runs")
-    tables = {}
-    order = None
-    for name, path in runs:
-        _, rows = load_report(path)
-        table = {row["layer"]: row for row in rows}
-        if order is None:
-            order = [row["layer"] for row in rows]
-        elif set(table) != set(tables[runs[0][0]]):
+    tables = {name: _latency_column(path) for name, path in runs.items()}
+    order = list(tables[next(iter(runs))])
+    for name, table in tables.items():
+        if set(table) != set(order):
             raise SpecValidationError(f"run {name!r} covers a different layer set")
-        tables[name] = table
     header = ["layer"]
-    for name, _ in runs:
+    for name in runs:
         header.append(f"{name}_latency_cycles")
-    for name, _ in runs:
+    for name in runs:
         if name != baseline:
             header.append(f"speedup_{name}")
     out_rows = []
     for layer in order:
         row = [layer]
-        for name, _ in runs:
-            row.append(tables[name][layer]["latency_cycles"])
-        base_cycles = int(tables[baseline][layer]["latency_cycles"])
-        for name, _ in runs:
+        for name in runs:
+            row.append(tables[name][layer])
+        base_cycles = int(tables[baseline][layer])
+        for name in runs:
             if name == baseline:
                 continue
-            cycles = int(tables[name][layer]["latency_cycles"])
+            cycles = int(tables[name][layer])
             row.append(f"{base_cycles / cycles:.6f}" if cycles else "")
         out_rows.append(row)
     out_dir = Path(args.out_dir)
@@ -232,10 +251,8 @@ def cmd_report(args) -> int:
     write_csv(out_dir / "comparison.csv", header, out_rows)
     if args.svg:
         labels = [layer for layer in order if layer != "TOTAL"]
-        series = [
-            (name, [float(tables[name][layer]["latency_cycles"]) for layer in labels])
-            for name, _ in runs
-        ]
+        series = [(name, [float(table[layer]) for layer in labels])
+                  for name, table in tables.items()]
         write_bar_chart_svg(
             out_dir / "comparison.svg", "modeled latency (cycles)", labels, series
         )

@@ -18,6 +18,7 @@ __all__ = [
     "SpecValidationError",
     "SequenceEntry",
     "SequenceSpec",
+    "check_name",
     "dump_json",
     "ingest",
     "load_hardware",
@@ -119,6 +120,20 @@ def _field(context: str, record: dict, name: str, kind, default=_REQUIRED, lengt
     return tuple(value) if isinstance(kind, list) else value
 
 
+def check_name(context: str, field: str, name: str) -> None:
+    """Reject a layer or run name that the emitted files cannot carry.
+
+    A name becomes a CSV cell, part of a file name and an SVG label, and a
+    report's totals row is named TOTAL: so a name may not be TOTAL or hold
+    a comma, a slash, a backslash or a control character such as CR or LF.
+    """
+    if name == "TOTAL" or any(c in ",/\\" or c < " " or c == "\x7f" for c in name):
+        raise SpecValidationError(
+            f"{context}: field {field!r} must not be TOTAL or hold a comma, slash, "
+            f"backslash or control character, got {name!r}"
+        )
+
+
 _LAYER_FIELDS = {"name": str, "kind": str, "kernel": [int], "in_channels": int,
                  "out_channels": int, "ifmap": [int], "stride": int}
 
@@ -126,9 +141,9 @@ _LAYER_FIELDS = {"name": str, "kind": str, "kernel": [int], "in_channels": int,
 def load_network(path, strict: bool = False) -> list[LayerSpec]:
     """Parse and validate an ordered layer list.
 
-    Checks field types, positive extents, the stride-2 restriction on
-    deconvolutions, unique names, and channel chaining between
-    consecutive layers.
+    Checks field types, names (check_name), positive extents, kernel fit,
+    the stride-2 restriction on deconvolutions, unique names, and channel
+    chaining between consecutive layers.
     """
     data = _load_json(path, {"layers"}, strict=strict)
     layers: list[LayerSpec] = []
@@ -136,7 +151,9 @@ def load_network(path, strict: bool = False) -> list[LayerSpec]:
     for i, record in enumerate(_field(str(path), data, "layers", [dict])):
         context = f"{path}: layer {i}"
         _check_fields(context, record, set(_LAYER_FIELDS), set(), strict)
-        context = f"{path}: layer {_field(context, record, 'name', str)!r}"
+        layer_name = _field(context, record, "name", str)
+        check_name(context, "name", layer_name)
+        context = f"{path}: layer {layer_name!r}"
         fields = {name: _field(context, record, name, kind) for name, kind in _LAYER_FIELDS.items()}
         try:
             fields["kind"] = LayerKind(fields["kind"])
@@ -310,6 +327,11 @@ def load_sequence(path, strict: bool = False) -> SequenceSpec:
     return SequenceSpec(pw=pw, frames=frames)
 
 
+def _escape(text: str) -> str:
+    """Text as SVG character data (xml.sax.saxutils would import urllib and http)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 _PALETTE = ["#4878a8", "#e8803c", "#589858", "#b05454", "#8868a8", "#a89048"]
 
 
@@ -317,8 +339,8 @@ def write_bar_chart_svg(path, title: str, group_labels: list[str],
                         series: list[tuple[str, list[float]]]) -> None:
     """Grouped bar chart, one group per label, one bar per series entry.
 
-    Pure string assembly with fixed number formatting, so identical
-    inputs produce identical bytes.
+    Pure string assembly with fixed number formatting and XML-escaped
+    text, so identical inputs produce identical bytes.
     """
     width, height = 960, 420
     left, right, top, bottom = 70, 20, 40, 70
@@ -333,7 +355,7 @@ def write_bar_chart_svg(path, title: str, group_labels: list[str],
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{width / 2:.1f}" y="24" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
         f'y2="{top + plot_h}" stroke="#000000"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="#000000"/>',
@@ -352,15 +374,14 @@ def write_bar_chart_svg(path, title: str, group_labels: list[str],
             )
         parts.append(
             f'<text x="{gx + group_w / 2:.2f}" y="{top + plot_h + 18}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_escape(label)}</text>'
         )
     for si, (name, _) in enumerate(series):
         color = _PALETTE[si % len(_PALETTE)]
         x = left + si * 150
         y = height - 24
         parts.append(f'<rect x="{x}" y="{y - 10}" width="12" height="12" fill="{color}"/>')
-        parts.append(
-            f'<text x="{x + 18}" y="{y}" font-size="12" font-family="sans-serif">{name}</text>'
-        )
+        parts.append(f'<text x="{x + 18}" y="{y}" font-size="12" '
+                     f'font-family="sans-serif">{_escape(name)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -350,6 +350,102 @@ class TestReport:
                      "--out-dir", str(tmp_path / "o")]) == 2
 
 
+def run_cli(command, *args):
+    return main([command, *map(str, args)])
+
+
+def network_with(tmp_path, **changes):
+    """NETWORK's deconv layer alone, with `changes` applied."""
+    layer = dict(NETWORK["layers"][1], **changes)
+    return write_json(tmp_path / "net.json", {"format_version": 1, "layers": [layer]})
+
+
+class TestMalformedInputs:
+    """Inputs the emitted files or the model cannot carry fail with exit 2 and name the
+    file plus the field, column, layer or run, instead of exiting 0, 3 or 4."""
+
+    @pytest.mark.parametrize("changes, named", [
+        ({"kind": "conv", "stride": 1, "kernel": [5, 5], "ifmap": [3, 3]},
+         "layer up1: kernel (5, 5) does not fit inside ifmap (3, 3)"),
+        ({"kernel": [9, 4], "ifmap": [3, 3]},
+         "layer up1: kernel (9, 4) does not fit inside ifmap (7, 7), which is ifmap (3, 3)"),
+    ])
+    @pytest.mark.parametrize("command", ["transform", "model"])
+    def test_kernel_that_does_not_fit_is_rejected_at_load(
+            self, tmp_path, hw_path, capsys, command, changes, named):
+        net = network_with(tmp_path, **changes)
+        hw = ["--hardware", hw_path, "--mode", "convr"] if command == "model" else []
+        assert run_cli(command, "--network", net, *hw, "--out-dir", tmp_path / "o",
+                       "--strict") == 2
+        err = capsys.readouterr().err
+        assert f"{net}: {named}" in err
+        assert "layer 'up1'" not in err  # the layer is named once
+
+    @pytest.mark.parametrize("name", ["TOTAL", "a,b", "a\nb", "a\rb", "up/5", "up\\5", "a\tb"])
+    @pytest.mark.parametrize("existing_dir", [False, True])
+    def test_name_the_outputs_cannot_carry_is_rejected(
+            self, tmp_path, hw_path, capsys, name, existing_dir):
+        net = network_with(tmp_path, name=name)
+        if existing_dir:  # where schedule_up/5_convr.json would land
+            (tmp_path / "o" / "schedule_up").mkdir(parents=True)
+        for command in ("schedule", "model"):
+            assert run_cli(command, "--network", net, "--hardware", hw_path, "--mode", "convr",
+                           "--out-dir", tmp_path / "o") == 2
+            assert f"{net}: layer 0: field 'name' must not be TOTAL" in capsys.readouterr().err
+        assert not [p for p in tmp_path.joinpath("o").rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("name", ["a&b", "<up>", "x]]>y"])
+    def test_svg_escapes_layer_and_run_names(self, tmp_path, hw_path, name):
+        from xml.dom import minidom
+
+        net = network_with(tmp_path, name=name)
+        out = tmp_path / "o"
+        assert run_cli("model", "--network", net, "--hardware", hw_path, "--mode", "convr",
+                       "--out-dir", out) == 0
+        assert run_cli("report", "--run", f"{name}={out / 'report_convr.csv'}",
+                       "--out-dir", out, "--svg") == 0
+        svg = minidom.parse(str(out / "comparison.svg"))
+        texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+        assert texts.count(name) == 2  # the bar label and the legend entry
+
+    def report_csv(self, tmp_path, hw_path, edit):
+        """A `svopt model` CSV of NETWORK, its lines (cells split) passed through `edit`."""
+        out = tmp_path / "model"
+        assert run_cli("model", "--network", write_json(tmp_path / "net.json", NETWORK),
+                       "--hardware", hw_path, "--mode", "convr", "--out-dir", out) == 0
+        path = out / "report_convr.csv"
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(cells) + "\n" for cells in edit(lines)))
+        return path
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda lines: [cells[1:] for cells in lines], "missing column(s) ['layer']"),
+        (lambda lines: [cells[:2] + cells[3:] for cells in lines],
+         "missing column(s) ['latency_cycles']"),
+        (lambda lines: lines + lines[1:2], "layer 'conv1' is listed twice"),
+        (lambda lines: [lines[0], lines[1][:2] + ["12.5"] + lines[1][3:], *lines[2:]],
+         "layer 'conv1': column 'latency_cycles' must be a non-negative integer, got '12.5'"),
+        (lambda lines: [lines[0], lines[1][:2] + ["-3"] + lines[1][3:], *lines[2:]],
+         "layer 'conv1': column 'latency_cycles' must be a non-negative integer, got '-3'"),
+    ])
+    def test_malformed_run_csv_is_rejected(self, tmp_path, hw_path, capsys, edit, named):
+        path = self.report_csv(tmp_path, hw_path, edit)
+        assert run_cli("report", "--run", f"a={path}", "--out-dir", tmp_path / "o") == 2
+        assert f"{path}: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs, named", [
+        (["a", "a"], "--run 'a={csv}': run 'a' is already named"),
+        (["a", "b,c"], "--run 'b,c={csv}': field 'NAME' must not be TOTAL"),
+        (["a\nb"], "--run 'a\\nb={csv}': field 'NAME' must not be TOTAL"),
+    ])
+    def test_bad_run_names_are_rejected(self, tmp_path, hw_path, capsys, runs, named):
+        path = self.report_csv(tmp_path, hw_path, lambda lines: lines)
+        args = [arg for name in runs for arg in ("--run", f"{name}={path}")]
+        assert run_cli("report", *args, "--out-dir", tmp_path / "o") == 2
+        assert named.format(csv=path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestPinnedOutputs:
     """`svopt model`, `svopt schedule` and `svopt transform` write pinned bytes.
 

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from svopt.deconv import decompose_nd
+from svopt.deconv import decompose_nd, deconv_output_dims
 from svopt.perfmodel import (
     HardwareConfig,
     InfeasibleScheduleError,
@@ -17,7 +18,15 @@ from svopt.perfmodel import (
     total_latency,
     validate_schedule,
 )
-from svopt.tensor import Tensor
+from svopt.tensor import (
+    ShapeError,
+    Tensor,
+    conv_valid,
+    deconv_reference,
+    redundant_mac_fraction,
+    upsample_zero,
+    upsampled_dims,
+)
 
 
 def deconv_layer(kernel=(3, 3), in_ch=3, out_ch=4, ifmap=(8, 8)):
@@ -304,3 +313,61 @@ class TestDenseEquivalent:
         assert output_dims(layer) == (5, 5)
         dense = dense_equivalent(layer)
         assert output_dims(dense) == (5, 5)
+
+
+def dims_or_none(op, *args):
+    """op(*args), or None where it raises ShapeError."""
+    try:
+        return op(*args)
+    except ShapeError:
+        return None
+
+
+def test_geometry_agrees_across_modules():
+    """The extents functions, the reference operators and the layer model agree.
+
+    Seeded draws of ranks 1-3 for the operators and rank-2/3 conv (stride 1-2)
+    and deconv layers, with kernels both fitting and too large; a LayerSpec
+    is rejected exactly when its reference operator raises.
+    """
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(200):
+        rank = int(rng.integers(1, 4))
+        idims = tuple(int(n) for n in rng.integers(1, 5, rank))
+        kdims = tuple(int(k) for k in rng.integers(1, 11, rank))
+        ifmap, kernel = Tensor.zeros(idims), Tensor.zeros(kdims)
+        factor = int(rng.integers(1, 4))
+        for wb in (True, False):
+            assert upsample_zero(ifmap, factor, wb).dims == upsampled_dims(idims, factor, wb)
+            want = dims_or_none(lambda: deconv_reference(ifmap, kernel, 2, wb).dims)
+            assert dims_or_none(deconv_output_dims, idims, kdims, wb) == want
+            fraction = dims_or_none(redundant_mac_fraction, idims, kdims, 2, wb)
+            assert (fraction is None) == (want is None)
+            seen.add(("reference fits", want is not None))
+
+        rank = int(rng.integers(2, 4))
+        idims = tuple(int(n) for n in rng.integers(1, 7, rank))
+        kdims = tuple(int(k) for k in rng.integers(1, 9, rank))
+        ifmap, kernel = Tensor.zeros(idims), Tensor.zeros(kdims)
+        kind = LayerKind.DECONV if rng.integers(2) else LayerKind.CONV
+        if kind is LayerKind.DECONV:
+            stride = 2
+            want = dims_or_none(lambda: deconv_reference(ifmap, kernel).dims)
+        else:
+            stride = int(rng.integers(1, 3))
+            strided = (slice(None, None, stride),) * rank
+            want = dims_or_none(lambda: conv_valid(ifmap, kernel).array[strided].shape)
+        seen.add((kind, want is not None))
+        if want is None:
+            with pytest.raises(ValueError, match="does not fit"):
+                LayerSpec("g", kind, kdims, 1, 1, idims, stride)
+            continue
+        layer = LayerSpec("g", kind, kdims, 1, 1, idims, stride)
+        assert output_dims(layer) == want
+        if kind is LayerKind.DECONV:
+            dense = dense_equivalent(layer)
+            assert dense.ifmap == upsample_zero(ifmap, 2).dims
+            assert output_dims(dense) == want
+    assert seen == {(what, fits) for what in ("reference fits", *LayerKind)
+                    for fits in (True, False)}
