@@ -194,6 +194,9 @@ def _latency_column(path) -> dict[str, str]:
     missing = sorted({"layer", "latency_cycles"} - set(header))
     if missing:
         raise SpecValidationError(f"{path}: missing column(s) {missing}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise SpecValidationError(f"{path}: repeated column(s) {repeated}")
     column = {}
     for row in rows:
         layer, cycles = row["layer"], row["latency_cycles"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -396,8 +397,6 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("name", ["a&b", "<up>", "x]]>y"])
     def test_svg_escapes_layer_and_run_names(self, tmp_path, hw_path, name):
-        from xml.dom import minidom
-
         net = network_with(tmp_path, name=name)
         out = tmp_path / "o"
         assert run_cli("model", "--network", net, "--hardware", hw_path, "--mode", "convr",
@@ -422,6 +421,8 @@ class TestMalformedInputs:
         (lambda lines: [cells[1:] for cells in lines], "missing column(s) ['layer']"),
         (lambda lines: [cells[:2] + cells[3:] for cells in lines],
          "missing column(s) ['latency_cycles']"),
+        (lambda lines: [cells + cells[2:3] for cells in lines],
+         "repeated column(s) ['latency_cycles']"),
         (lambda lines: lines + lines[1:2], "layer 'conv1' is listed twice"),
         (lambda lines: [lines[0], lines[1][:2] + ["12.5"] + lines[1][3:], *lines[2:]],
          "layer 'conv1': column 'latency_cycles' must be a non-negative integer, got '12.5'"),
