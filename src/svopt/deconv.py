@@ -7,7 +7,9 @@ outermost dimension. Convolving the original (never upsampled) ifmap
 with each sub-kernel produces exactly the ofmap elements of one parity
 class, and a gather interleaves those classes back into the full ofmap.
 Every multiply performed by the transformed path corresponds to a
-nonzero-operand MAC of the naive upsampled convolution.
+nonzero-operand MAC of the naive upsampled convolution. `phases` decides
+which sub-kernels own ofmap positions; the gather, the transformed path,
+multiply counting and the model's filter groups all read it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "deconv_output_dims",
     "gather",
     "parity_classes",
+    "phases",
     "transform_multiply_count",
     "transformed_deconv",
 ]
@@ -73,9 +76,6 @@ class SubKernelSet:
                 f"got {len(self.kernels)}"
             )
 
-    def non_empty(self) -> tuple[SubKernel, ...]:
-        return tuple(sub for sub in self.kernels if not sub.is_empty)
-
 
 def parity_classes(kernel_dims):
     """Each parity slice of a kernel as (phase index, delta, extents), in phase order.
@@ -118,24 +118,26 @@ def deconv_output_dims(ifmap_dims, kernel_dims, with_border: bool = True) -> tup
     return valid_dims(upsampled_dims(ifmap_dims, 2, with_border), kernel_dims)
 
 
-def _phase_geometry(delta, dims, out_dims: tuple[int, ...], with_border: bool):
-    """Placement of one parity slice's outputs inside the ofmap.
+def phases(out_dims, kernel_dims, with_border: bool = True):
+    """The parity slices that own ofmap positions, in phase order.
 
-    Returns (parity, counts, ifmap_starts) or None when the slice, with
-    bits delta and extents dims, is empty or owns no ofmap position.
-    Under the bordered convention it owns parity 1-delta and its valid
-    convolution over the whole ifmap tiles that class exactly; without
-    the border it owns parity delta and the first delta input
-    rows/columns per dimension do not participate.
+    Each entry is (phase index, sub-kernel extents, owned parity, owned
+    counts, first ifmap index). This is the one rule for which
+    sub-convolutions a deconvolution runs. Under the bordered convention
+    slice delta owns parity 1-delta and its valid convolution over the
+    whole ifmap tiles that class exactly; without the border it owns
+    parity delta and the first delta input rows/columns per dimension do
+    not participate. A slice owns nothing when it is empty (K = 1 on some
+    axis) or its parity class is (K = 2n+1 leaves one ofmap position on
+    that axis, at parity 0).
     """
-    if not all(dims):
-        return None
-    parity = tuple((1 - d if with_border else d) for d in delta)
-    counts = tuple(max(0, -(-(o - p) // 2)) for o, p in zip(out_dims, parity))
-    if any(c == 0 for c in counts):
-        return None
-    starts = tuple(0 if with_border else d for d in delta)
-    return parity, counts, starts
+    owned = []
+    for k, delta, dims in parity_classes(tuple(kernel_dims)):
+        parity = tuple((1 - d if with_border else d) for d in delta)
+        counts = tuple((o - p + 1) // 2 for o, p in zip(out_dims, parity))
+        if all(dims) and all(counts):
+            owned.append((k, dims, parity, counts, tuple(0 if with_border else d for d in delta)))
+    return tuple(owned)
 
 
 def gather(
@@ -146,40 +148,28 @@ def gather(
 ) -> Tensor:
     """Interleave per-parity sub-ofmaps into the final ofmap.
 
-    Expects one sub-ofmap, of exactly the owned parity-class extents, per
-    sub-kernel that owns at least one ofmap position, in phase order.
+    Expects one sub-ofmap, of exactly the owned counts, per entry of
+    phases(out_dims, kernel_set.source_dims, with_border), in phase order.
     Under the bordered convention these extents coincide with the plain
-    valid convolution of each sub-kernel over the full ifmap. Parity
-    classes owned by an empty sub-kernel are structurally zero and stay
-    zero-filled.
+    valid convolution of each sub-kernel over the full ifmap. Distinct
+    phases own disjoint parity classes; a class no phase owns is
+    structurally zero and stays zero-filled.
     """
     out_dims = tuple(out_dims)
+    owned = phases(out_dims, kernel_set.source_dims, with_border)
+    if len(sub_ofmaps) != len(owned):
+        raise ShapeError(
+            f"{len(sub_ofmaps)} sub-ofmaps supplied for {len(owned)} phases that own "
+            f"ofmap positions"
+        )
     out = np.zeros(out_dims, dtype=DTYPE)
-    covered = np.zeros(out_dims, dtype=bool)
-    index = 0
-    for sub in kernel_set.kernels:
-        geometry = _phase_geometry(sub.delta, sub.dims, out_dims, with_border)
-        if geometry is None:
-            continue
-        parity, counts, _ = geometry
-        if index >= len(sub_ofmaps):
-            raise ShapeError(
-                f"missing sub-ofmap for sub-kernel phase {sub.phase_index}"
-            )
-        sof = sub_ofmaps[index]
-        index += 1
+    for sof, (k, _, parity, counts, _) in zip(sub_ofmaps, owned):
         if sof.dims != counts:
             raise ShapeError(
-                f"sub-ofmap for phase {sub.phase_index} has dims {sof.dims}, "
+                f"sub-ofmap for phase {k} has dims {sof.dims}, "
                 f"expected {counts} for out_dims {out_dims}"
             )
-        target = tuple(slice(p, p + 2 * c, 2) for p, c in zip(parity, counts))
-        if covered[target].any():
-            raise ShapeError(f"phase {sub.phase_index} overlaps already-written ofmap positions")
-        out[target] = sof.array
-        covered[target] = True
-    if index != len(sub_ofmaps):
-        raise ShapeError(f"{len(sub_ofmaps) - index} extra sub-ofmaps supplied")
+        out[tuple(slice(p, p + 2 * c, 2) for p, c in zip(parity, counts))] = sof.array
     return Tensor(out)
 
 
@@ -194,16 +184,11 @@ def transformed_deconv(ifmap: Tensor, kernel: Tensor, with_border: bool = True) 
     out_dims = deconv_output_dims(ifmap.dims, kernel.dims, with_border)
     kernel_set = decompose_nd(kernel)
     sub_ofmaps = []
-    for sub in kernel_set.kernels:
-        geometry = _phase_geometry(sub.delta, sub.dims, out_dims, with_border)
-        if geometry is None:
-            continue
-        _, counts, starts = geometry
-        window = tuple(
-            slice(s, s + c + d - 1)
-            for s, c, d in zip(starts, counts, sub.dims)
+    for k, dims, _, counts, starts in phases(out_dims, kernel.dims, with_border):
+        window = tuple(slice(s, s + c + d - 1) for s, c, d in zip(starts, counts, dims))
+        sub_ofmaps.append(
+            conv_valid(Tensor(ifmap.array[window]), kernel_set.kernels[k].tensor, ConvMode.DOT)
         )
-        sub_ofmaps.append(conv_valid(Tensor(ifmap.array[window]), sub.tensor, ConvMode.DOT))
     return gather(sub_ofmaps, kernel_set, out_dims, with_border)
 
 
@@ -212,13 +197,11 @@ def transform_multiply_count(
 ) -> int:
     """Multiplies the transformed path performs for this configuration.
 
-    Computed from extents alone: each active sub-kernel contributes
+    Computed from extents alone: each phase contributes
     (owned ofmap positions) x (sub-kernel elements) multiplies.
     """
     out_dims = deconv_output_dims(ifmap_dims, kernel_dims, with_border)
-    total = 0
-    for _, delta, dims in parity_classes(tuple(kernel_dims)):
-        geometry = _phase_geometry(delta, dims, out_dims, with_border)
-        if geometry is not None:
-            total += math.prod(geometry[1]) * math.prod(dims)
-    return total
+    return sum(
+        math.prod(counts) * math.prod(dims)
+        for _, dims, _, counts, _ in phases(out_dims, kernel_dims, with_border)
+    )

@@ -471,7 +471,7 @@ def refine(
     half = block // 2
     xs = np.arange(w)[None, :]
     max_d = w - 1 - xs
-    usable = (init.d >= 0) & (init.d <= max_d)
+    usable = init.valid_mask()
     guess = np.where(usable, init.d, 0).astype(np.int32)
     reach = np.where(usable, radius, 2 * radius).astype(np.int32)
     lo = np.maximum(guess - reach, 0)

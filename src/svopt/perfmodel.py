@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deconv import SubKernelSet, deconv_output_dims, parity_classes
+from .deconv import SubKernelSet, deconv_output_dims, phases
 from .tensor import ShapeError, upsampled_dims, valid_dims
 
 __all__ = [
@@ -297,25 +297,24 @@ def filter_group_dims(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     """Kernel extents of each filter group the model schedules.
 
     A convolution has a single group, its own kernel. A deconvolution has
-    one group per non-empty sub-kernel, in phase order.
+    one group per sub-kernel that owns ofmap positions (deconv.phases), in
+    phase order: exactly the sub-convolutions transformed_deconv runs.
     """
     if layer.kind is LayerKind.CONV:
         return (layer.kernel,)
-    return tuple(dims for _, _, dims in parity_classes(layer.kernel) if all(dims))
+    return tuple(dims for _, dims, _, _, _ in phases(output_dims(layer), layer.kernel))
 
 
 def _check_kernel_set(layer: LayerSpec, kernel_set: SubKernelSet | None) -> None:
-    """Reject a deconvolution whose SubKernelSet is missing or does not match it."""
+    """Reject a deconvolution whose SubKernelSet is missing or decomposes another kernel."""
     if layer.kind is not LayerKind.DECONV:
         return
     if kernel_set is None:
         raise ValueError(f"layer {layer.name}: deconvolution rounds need a SubKernelSet")
-    expected = filter_group_dims(layer)
-    actual = tuple(sub.dims for sub in kernel_set.non_empty())
-    if actual != expected:
+    if kernel_set.source_dims != layer.kernel:
         raise ValueError(
-            f"layer {layer.name}: sub-kernel dims {actual} do not match kernel "
-            f"{layer.kernel} (expected {expected})"
+            f"layer {layer.name}: sub-kernels of kernel {kernel_set.source_dims} do not "
+            f"match kernel {layer.kernel}"
         )
 
 

@@ -62,6 +62,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         values = np.array(raw[pos:].split()[:count], dtype=np.int64)
         if values.size != count:
             raise ValueError(f"{path}: expected {count} samples, got {values.size}")
+        if values.min() < 0:
+            raise ValueError(f"{path}: negative sample {values.min()}")
     else:
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")

@@ -164,15 +164,10 @@ def _axis_candidates(extent: int, min_extent: int) -> list[int]:
 
 def _tile_candidates(layer: LayerSpec, groups) -> list[tuple[int, ...]]:
     """Divisors of each ifmap extent plus powers of two clipped to it."""
-    per_axis = []
-    for axis, extent in enumerate(layer.ifmap):
-        min_extent = max(dims[axis] for dims in groups)
-        if min_extent > extent:
-            raise InfeasibleScheduleError(
-                f"layer {layer.name}: filter-group extent {min_extent} exceeds "
-                f"ifmap extent {extent} on axis {axis}"
-            )
-        per_axis.append(_axis_candidates(extent, min_extent))
+    per_axis = [
+        _axis_candidates(extent, max(dims[axis] for dims in groups))
+        for axis, extent in enumerate(layer.ifmap)
+    ]
     return [tuple(tile) for tile in itertools.product(*per_axis)]
 
 

@@ -243,6 +243,16 @@ class TestScheduleAndModel:
         assert main(["model", "--network", net_path, "--hardware", hw,
                      "--mode", "ilar", "--out-dir", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("mode", ["baseline", "convr", "ilar"])
+    def test_kernel_of_extent_2n_plus_1_models_in_every_mode(self, tmp_path, hw_path, mode):
+        # a 7-row kernel over 3 ifmap rows leaves one ofmap row, which only the
+        # odd-row sub-kernels own; the even-row ones (4 rows) are not scheduled
+        net = network_with(tmp_path, kernel=[7, 3], ifmap=[3, 3])
+        assert run_cli("model", "--network", net, "--hardware", hw_path, "--mode", mode,
+                       "--out-dir", tmp_path / "o", "--strict") == 0
+        _, rows = load_report(tmp_path / "o" / f"report_{mode}.csv")
+        assert [r["layer"] for r in rows] == ["up1", "TOTAL"]
+
     def test_bad_input_exit_code(self, tmp_path, hw_path):
         missing = str(tmp_path / "nope.json")
         assert main(["model", "--network", missing, "--hardware", hw_path,
@@ -308,6 +318,13 @@ class TestIsmCommand:
         manifest, _ = self.build_sequence(tmp_path, panorama)
         write_json(tmp_path / "k0.pgm.json", meta)
         assert main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_negative_pgm_sample_is_input_error(self, tmp_path, panorama, capsys):
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        key = tmp_path / "k0.pgm"
+        key.write_text("P2\n64 48\n65535\n" + " ".join(["-3"] * 64 * 48) + "\n")
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{key}: negative sample -3" in capsys.readouterr().err
 
     def test_sequence_paths_resolve_relative_to_manifest(self, tmp_path, panorama):
         manifest, _ = self.build_sequence(tmp_path, panorama)

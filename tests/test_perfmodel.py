@@ -71,6 +71,9 @@ class TestLayerSpec:
         )
         # a 1-wide kernel axis leaves only the even-offset groups
         assert filter_group_dims(deconv_layer((1, 3))) == ((1, 2), (1, 1))
+        # K = 2n+1 leaves one ofmap row, at parity 0: the even-row slices (phases 0
+        # and 2, extent 4 > n) own no output and are not scheduled
+        assert filter_group_dims(deconv_layer((7, 3), ifmap=(3, 3))) == ((3, 2), (3, 1))
 
 
 class TestComputeTime:
@@ -100,6 +103,9 @@ class TestComputeTime:
         hw = HardwareConfig(8, 8, 10**6, 1.0)
         with pytest.raises(ValueError, match="SubKernelSet"):
             total_latency(full_cover_schedule(layer), layer, None, hw)
+        other = decompose_nd(Tensor.zeros((5, 5)))
+        with pytest.raises(ValueError, match=r"kernel \(5, 5\) do not match kernel \(3, 3\)"):
+            total_latency(full_cover_schedule(layer), layer, other, hw)
 
 
 class TestDramDeltas:

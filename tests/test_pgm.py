@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ def test_truncated_body_rejected(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(ValueError, match="truncated"):
         read_pgm(path)
+
+
+def test_negative_plain_sample_rejected(tmp_path):
+    # read as-is, -3 would be a disparity of -3 rather than the invalid sentinel
+    path = tmp_path / "neg.pgm"
+    path.write_text("P2\n2 1\n255\n4 -3\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: negative sample -3")):
+        read_pgm(path)
+    with pytest.raises(ValueError, match="negative sample"):
+        read_disparity(path)
 
 
 def test_non_pgm_rejected(tmp_path):

@@ -5,10 +5,11 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 
-from svopt import scheduler
-from svopt.deconv import decompose_nd
+from svopt import deconv, scheduler
+from svopt.deconv import decompose_nd, transformed_deconv
 from svopt.formats import load_schedule, save_schedule
 from svopt.perfmodel import (
     HardwareConfig,
@@ -18,6 +19,7 @@ from svopt.perfmodel import (
     RoundPlan,
     RoundPricer,
     TileSchedule,
+    filter_group_dims,
     total_latency,
     validate_schedule,
 )
@@ -32,7 +34,7 @@ from svopt.scheduler import (
     pack_round,
     solve,
 )
-from svopt.tensor import Tensor
+from svopt.tensor import Tensor, deconv_reference
 
 
 def deconv_layer(name="d", kernel=(3, 3), in_ch=2, out_ch=4, ifmap=(8, 8)):
@@ -523,3 +525,35 @@ def test_grid_schedules_agree_with_their_explicit_rounds(tmp_path, search):
         checked += 1
     assert checked >= 60
     assert len(regimes) == 6
+
+
+def test_model_schedules_exactly_the_sub_convolutions_the_transform_runs(monkeypatch):
+    """Every small deconvolution LayerSpec accepts (ifmap 1..5 per axis, every kernel
+    up to 2n+1): its filter groups are the sub-kernels transformed_deconv convolves, and
+    it solves in both modes. K = 2n+1 leaves the even-offset slices owning no output."""
+    rng = np.random.default_rng(9)
+    convolved = []
+    real_conv_valid = deconv.conv_valid
+
+    def recording_conv_valid(ifmap, kernel, mode):
+        convolved.append(kernel.dims)
+        return real_conv_valid(ifmap, kernel, mode)
+
+    monkeypatch.setattr(deconv, "conv_valid", recording_conv_valid)
+    hw = HardwareConfig(4, 4, 10**6, 8.0)
+    axis = [(n, k) for n in range(1, 6) for k in range(1, 2 * n + 2)]
+    solved = 0
+    for (n0, k0), (n1, k1) in itertools.product(axis, repeat=2):
+        in_ch, out_ch = (int(c) for c in rng.integers(1, 4, 2))
+        layer = LayerSpec("s", LayerKind.DECONV, (k0, k1), in_ch, out_ch, (n0, n1), 2)
+        ifmap = Tensor(rng.uniform(-1, 1, layer.ifmap))
+        kernel = Tensor(rng.uniform(-1, 1, layer.kernel))
+        convolved.clear()
+        got = transformed_deconv(ifmap, kernel)
+        assert abs(got.array - deconv_reference(ifmap, kernel).array).max() <= 1e-4
+        assert tuple(convolved) == filter_group_dims(layer), layer
+        for mode in ScheduleMode:
+            schedule = solve(layer, kset(layer.kernel), hw, mode)
+            validate_schedule(schedule, layer, hw)
+        solved += 1
+    assert solved == 1225
