@@ -13,11 +13,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .deconv import SubKernelSet, decompose_nd, parity_classes
+from .deconv import SubKernelSet, decompose_nd, parity_classes, phases
 from .formats import (
+    _MANIFEST_FIELDS,
     SpecValidationError,
+    _save_json,
     check_name,
-    dump_json,
     load_hardware,
     load_network,
     load_report,
@@ -33,6 +34,7 @@ from .perfmodel import (
     LayerKind,
     LayerSpec,
     dense_equivalent,
+    output_dims,
     total_latency,
 )
 from .pgm import frame_from_pgm, read_disparity, write_disparity
@@ -104,24 +106,21 @@ def cmd_transform(args) -> int:
     records = []
     for layer in layers:
         record = {"name": layer.name, "kind": layer.kind.value, "kernel": list(layer.kernel)}
+        owners = {k for k, *_ in phases(output_dims(layer), layer.kernel)}
         record["sub_kernels"] = [
             {
                 "phase": phase,
                 "delta": list(delta),
                 "dims": list(dims),
                 "ofmap_parity": [1 - d for d in delta],
-                "empty": not all(dims),
+                "empty": phase not in owners,
             }
             for phase, delta, dims in parity_classes(layer.kernel)
         ] if layer.kind is LayerKind.DECONV else []
         records.append(record)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_json(out_dir / "transform.json", {
-        "format_version": 1,
-        "with_border": True,
-        "layers": records,
-    })
+    _save_json(out_dir / "transform.json", _MANIFEST_FIELDS, True, records)
     return 0
 
 
@@ -314,9 +313,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleScheduleError as exc:
         print(f"infeasible schedule: {exc}", file=sys.stderr)
         return 3

@@ -44,12 +44,12 @@ def dump_json(path, obj) -> None:
     )
 
 
-def _load_json(path, required: set, optional: set = frozenset(), strict: bool = False) -> dict:
-    """Read a JSON object file in format version 1 with the given top-level fields.
+# every file's own field: read with kind 1 (the integer 1), written as it stands
+_HEADER = {"format_version": 1}
 
-    `format_version` is required besides `required`; with `strict`, a
-    field in neither set is an error.
-    """
+
+def _load_json(path, table: dict, strict: bool = False) -> dict:
+    """Read a format-version-1 JSON object file whose fields `table` declares (_record)."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -58,21 +58,12 @@ def _load_json(path, required: set, optional: set = frozenset(), strict: bool = 
         raise SpecValidationError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise SpecValidationError(f"{path}: top level must be a JSON object")
-    _check_fields(str(path), data, {"format_version", *required}, optional, strict)
-    version = data["format_version"]
-    if not (_is_int(version) and version == 1):
-        raise SpecValidationError(f"{path}: field 'format_version' must be 1, got {version!r}")
-    return data
+    return _record(str(path), data, {**_HEADER, **table}, strict)
 
 
-def _check_fields(context: str, record: dict, required: set, optional: set, strict: bool):
-    missing = required - record.keys()
-    if missing:
-        raise SpecValidationError(f"{context}: missing field(s) {sorted(missing)}")
-    if strict:
-        unknown = record.keys() - required - optional
-        if unknown:
-            raise SpecValidationError(f"{context}: unknown field(s) {sorted(unknown)}")
+def _save_json(path, table: dict, *values) -> None:
+    """Write a format-version-1 JSON object file: `values` in `table`'s field order."""
+    dump_json(path, {**_HEADER, **dict(zip(table, values, strict=True))})
 
 
 def _is_int(value) -> bool:
@@ -88,18 +79,19 @@ _KINDS = {
     str: (lambda v: isinstance(v, str), "a string", None),
     bool: (lambda v: isinstance(v, bool), "true or false", None),
     dict: (lambda v: isinstance(v, dict), "an object", "objects"),
+    1: (lambda v: _is_int(v) and v == 1, "1", None),
 }
 _REQUIRED = object()
 
 
-def _field(context: str, record: dict, name: str, kind, default=_REQUIRED, length=None):
+def _field(context: str, record: dict, name: str, kind, default=_REQUIRED):
     """Read field `name` of a JSON object and check its JSON type.
 
     `kind` is int, float (a number or "inf", read as a float), str, bool,
-    or [int] or [dict] for a list of those, read as a tuple of `length`
-    items if a length is given. An optional field that is missing reads
-    as `default`, and so does a null when the default is None; a required
-    field must already be known to be present (_check_fields). Raises
+    1 (the integer 1), or [int] or [dict] for a list of those read as a
+    tuple ([int, int]: of two integers). An optional field that is missing
+    reads as `default`, and so does a null when the default is None; a
+    required field must already be known to be present (_record). Raises
     SpecValidationError naming the record and the field on a wrong type.
     """
     value = record.get(name, default)
@@ -107,6 +99,7 @@ def _field(context: str, record: dict, name: str, kind, default=_REQUIRED, lengt
         return value
     if isinstance(kind, list):
         accepts, _, items = _KINDS[kind[0]]
+        length = len(kind) if len(kind) > 1 else None
         ok = (isinstance(value, list) and length in (None, len(value))
               and all(map(accepts, value)))
         want = f"a list of {'' if length is None else f'{length} '}{items}"
@@ -118,6 +111,23 @@ def _field(context: str, record: dict, name: str, kind, default=_REQUIRED, lengt
     if kind is float:
         return math.inf if value == "inf" else float(value)
     return tuple(value) if isinstance(kind, list) else value
+
+
+def _record(context: str, record: dict, table: dict, strict: bool = False) -> dict:
+    """The fields of a JSON object that `table` declares, by name.
+
+    `table` maps each name to a kind (a required field) or to a (kind,
+    default) pair (an optional one), as _field reads them. Reports missing
+    fields, then with `strict` undeclared ones, then wrong JSON types.
+    """
+    specs = {name: spec if isinstance(spec, tuple) else (spec,) for name, spec in table.items()}
+    missing = {name for name, spec in specs.items() if len(spec) == 1} - record.keys()
+    if missing:
+        raise SpecValidationError(f"{context}: missing field(s) {sorted(missing)}")
+    unknown = record.keys() - table.keys()
+    if strict and unknown:
+        raise SpecValidationError(f"{context}: unknown field(s) {sorted(unknown)}")
+    return {name: _field(context, record, name, *spec) for name, spec in specs.items()}
 
 
 def check_name(context: str, field: str, name: str) -> None:
@@ -134,8 +144,18 @@ def check_name(context: str, field: str, name: str) -> None:
         )
 
 
+# each record's fields (_record); a file's top-level record also holds _HEADER
 _LAYER_FIELDS = {"name": str, "kind": str, "kernel": [int], "in_channels": int,
                  "out_channels": int, "ifmap": [int], "stride": int}
+_NETWORK_FIELDS = {"layers": [dict]}
+_HARDWARE_FIELDS = {"pe_array": [int, int], "buffer_capacity": int, "bandwidth": float,
+                    "double_buffered": (bool, True)}
+_SCHEDULE_FIELDS = {"layer": str, "mode": str, "beta": int, "rounds": [dict]}
+_ROUND_FIELDS = dict.fromkeys(RoundPlan._fields, [int])
+_MANIFEST_FIELDS = {"with_border": bool, "layers": [dict]}
+_SEQUENCE_FIELDS = {"frames": [dict], "pw": (int, 2)}
+_FRAME_FIELDS = {"left": str, "right": str, "key_disparity": (str, None),
+                 "gt_disparity": (str, None)}
 
 
 def load_network(path, strict: bool = False) -> list[LayerSpec]:
@@ -145,16 +165,12 @@ def load_network(path, strict: bool = False) -> list[LayerSpec]:
     the stride-2 restriction on deconvolutions, unique names, and channel
     chaining between consecutive layers.
     """
-    data = _load_json(path, {"layers"}, strict=strict)
     layers: list[LayerSpec] = []
     names = set()
-    for i, record in enumerate(_field(str(path), data, "layers", [dict])):
-        context = f"{path}: layer {i}"
-        _check_fields(context, record, set(_LAYER_FIELDS), set(), strict)
-        layer_name = _field(context, record, "name", str)
-        check_name(context, "name", layer_name)
-        context = f"{path}: layer {layer_name!r}"
-        fields = {name: _field(context, record, name, kind) for name, kind in _LAYER_FIELDS.items()}
+    for i, record in enumerate(_load_json(path, _NETWORK_FIELDS, strict)["layers"]):
+        fields = _record(f"{path}: layer {i}", record, _LAYER_FIELDS, strict)
+        check_name(f"{path}: layer {i}", "name", fields["name"])
+        context = f"{path}: layer {fields['name']!r}"
         try:
             fields["kind"] = LayerKind(fields["kind"])
         except ValueError:
@@ -178,36 +194,17 @@ def load_network(path, strict: bool = False) -> list[LayerSpec]:
 
 
 def save_network(path, layers: list[LayerSpec]) -> None:
-    dump_json(
-        path,
-        {
-            "format_version": 1,
-            "layers": [
-                {
-                    "name": layer.name,
-                    "kind": layer.kind.value,
-                    "kernel": list(layer.kernel),
-                    "in_channels": layer.in_channels,
-                    "out_channels": layer.out_channels,
-                    "ifmap": list(layer.ifmap),
-                    "stride": layer.stride,
-                }
-                for layer in layers
-            ],
-        },
-    )
+    records = [{name: getattr(layer, name) for name in _LAYER_FIELDS} for layer in layers]
+    for record in records:
+        record["kind"] = record["kind"].value
+    _save_json(path, _NETWORK_FIELDS, records)
 
 
 def load_hardware(path, strict: bool = False) -> HardwareConfig:
-    data = _load_json(path, {"pe_array", "buffer_capacity", "bandwidth"}, {"double_buffered"},
-                      strict)
-    context = str(path)
-    pe_rows, pe_cols = _field(context, data, "pe_array", [int], length=2)
-    capacity = _field(context, data, "buffer_capacity", int)
-    bandwidth = _field(context, data, "bandwidth", float)
-    double_buffered = _field(context, data, "double_buffered", bool, True)
+    data = _load_json(path, _HARDWARE_FIELDS, strict)
     try:
-        return HardwareConfig(pe_rows, pe_cols, capacity, bandwidth, double_buffered)
+        return HardwareConfig(*data["pe_array"], data["buffer_capacity"], data["bandwidth"],
+                              data["double_buffered"])
     except ValueError as exc:
         raise SpecValidationError(f"{path}: {exc}")
 
@@ -218,44 +215,23 @@ def ingest(network_path, hardware_path, strict: bool = False):
 
 
 def save_schedule(path, layer_name: str, mode: str, schedule: TileSchedule) -> None:
-    dump_json(
-        path,
-        {
-            "format_version": 1,
-            "layer": layer_name,
-            "mode": mode,
-            "beta": schedule.beta,
-            "rounds": [
-                {
-                    "origin": list(r.origin),
-                    "tile": list(r.tile),
-                    "filters": list(r.filters),
-                }
-                for r in schedule.rounds
-            ],
-        },
-    )
+    _save_json(path, _SCHEDULE_FIELDS, layer_name, mode, schedule.beta,
+               [r._asdict() for r in schedule.rounds])
 
 
 def load_schedule(path) -> tuple[str, str, TileSchedule]:
-    data = _load_json(path, {"layer", "mode", "beta", "rounds"})
-    context = str(path)
-    rounds = []
-    for i, record in enumerate(_field(context, data, "rounds", [dict])):
-        round_context = f"{path}: round {i}"
-        _check_fields(round_context, record, {"origin", "tile", "filters"}, set(), False)
-        rounds.append(RoundPlan(*(_field(round_context, record, name, [int])
-                                  for name in ("origin", "tile", "filters"))))
-    beta = _field(context, data, "beta", int)
+    data = _load_json(path, _SCHEDULE_FIELDS)
+    rounds = tuple(RoundPlan(**_record(f"{path}: round {i}", record, _ROUND_FIELDS))
+                   for i, record in enumerate(data["rounds"]))
     try:
-        schedule = TileSchedule(beta, tuple(rounds))
+        schedule = TileSchedule(data["beta"], rounds)
     except ValueError as exc:
         raise SpecValidationError(f"{path}: {exc}")
-    return _field(context, data, "layer", str), _field(context, data, "mode", str), schedule
+    return data["layer"], data["mode"], schedule
 
 
 def load_transform_manifest(path) -> dict:
-    return _load_json(path, {"with_border", "layers"})
+    return _load_json(path, _MANIFEST_FIELDS)
 
 
 def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
@@ -302,29 +278,25 @@ class SequenceSpec:
 
 def load_sequence(path, strict: bool = False) -> SequenceSpec:
     """Parse a stereo sequence manifest; file paths resolve relative to it."""
-    data = _load_json(path, {"frames"}, {"pw"}, strict)
-    context = str(path)
+    data = _load_json(path, _SEQUENCE_FIELDS, strict)
     base = Path(path).parent
     frames = []
-    for i, record in enumerate(_field(context, data, "frames", [dict])):
-        frame = f"{path}: frame {i}"
-        _check_fields(frame, record, {"left", "right"}, {"key_disparity", "gt_disparity"}, strict)
-        key, gt = (_field(frame, record, name, str, None)
-                   for name in ("key_disparity", "gt_disparity"))
+    for i, record in enumerate(data["frames"]):
+        fields = _record(f"{path}: frame {i}", record, _FRAME_FIELDS, strict)
+        key, gt = fields["key_disparity"], fields["gt_disparity"]
         frames.append(
             SequenceEntry(
-                left=base / _field(frame, record, "left", str),
-                right=base / _field(frame, record, "right", str),
+                left=base / fields["left"],
+                right=base / fields["right"],
                 key_disparity=base / key if key else None,
                 gt_disparity=base / gt if gt else None,
             )
         )
     if not frames:
         raise SpecValidationError(f"{path}: sequence has no frames")
-    pw = _field(context, data, "pw", int, 2)
-    if pw < 2:
+    if data["pw"] < 2:
         raise SpecValidationError(f"{path}: field 'pw' must be >= 2")
-    return SequenceSpec(pw=pw, frames=frames)
+    return SequenceSpec(pw=data["pw"], frames=frames)
 
 
 def _escape(text: str) -> str:

@@ -391,25 +391,16 @@ def estimate_motion(
     """
     if prev.luma.shape != cur.luma.shape:
         raise ValueError("frames must share their extents")
-    min_extent = 2 * params.block
-    pyramid = [
-        (
-            gaussian_blur(prev, params.sigma, params.blur_radius).luma,
-            gaussian_blur(cur, params.sigma, params.blur_radius).luma,
-        )
-    ]
-    for _ in range(params.levels - 1):
-        p, c = pyramid[-1]
-        if min(p.shape) // 2 < min_extent:
-            break
-        down_p = Frame(p[::2, ::2])
-        down_c = Frame(c[::2, ::2])
-        pyramid.append(
-            (
-                gaussian_blur(down_p, params.sigma, params.blur_radius).luma,
-                gaussian_blur(down_c, params.sigma, params.blur_radius).luma,
-            )
-        )
+
+    def levels(frame: Frame) -> list[np.ndarray]:
+        """Blurred luma, then each half-size level while it stays 2 blocks wide."""
+        out = [gaussian_blur(frame, params.sigma, params.blur_radius).luma]
+        while len(out) < params.levels and min(out[-1].shape) // 2 >= 2 * params.block:
+            out.append(gaussian_blur(Frame(out[-1][::2, ::2]), params.sigma,
+                                     params.blur_radius).luma)
+        return out
+
+    pyramid = list(zip(levels(prev), levels(cur)))
     h0, w0 = pyramid[-1][0].shape
     fx = np.zeros((h0, w0), np.int32)
     fy = np.zeros((h0, w0), np.int32)
@@ -423,7 +414,7 @@ def estimate_motion(
         xs = np.arange(w)[None, :]
         fx = np.clip(fx, -xs, w - 1 - xs)
         fy = np.clip(fy, -ys, h - 1 - ys)
-        warped = c[np.clip(ys + fy, 0, h - 1), np.clip(xs + fx, 0, w - 1)]
+        warped = c[ys + fy, xs + fx]
         dy, dx = _search_offsets(p, warped, params)
         fx = np.clip(fx + dx, -xs, w - 1 - xs)
         fy = np.clip(fy + dy, -ys, h - 1 - ys)

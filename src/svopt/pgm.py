@@ -7,12 +7,11 @@ value that marks invalid pixels. 16-bit binary samples are big-endian.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .formats import SpecValidationError, _field, _load_json
+from .formats import SpecValidationError, _load_json, _record, _save_json
 from .ism import INVALID_DISPARITY, DisparityMap, Frame
 
 __all__ = [
@@ -26,16 +25,25 @@ __all__ = [
 ]
 
 
-def _read_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
-    """First `count` whitespace-separated numeric tokens, skipping # comments."""
-    tokens: list[int] = []
+def _integers(path, tokens: list[bytes]) -> np.ndarray:
+    """PGM tokens as int64 values; a ValueError names the file and the bad token."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        bad = next(t for t in tokens if not t.removeprefix(b"-").isdigit() or abs(int(t)) >= 2**63)
+        raise ValueError(f"{path}: PGM token {bad.decode('latin-1')!r} is not a 64-bit integer")
+
+
+def _read_tokens(path, raw: bytes, count: int) -> tuple[list[int], int]:
+    """First `count` whitespace-separated integer tokens, skipping # comments."""
+    tokens: list[bytes] = []
     pos = 0
     length = len(raw)
     while len(tokens) < count:
         while pos < length and raw[pos : pos + 1].isspace():
             pos += 1
         if pos >= length:
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"{path}: truncated PGM header")
         if raw[pos : pos + 1] == b"#":
             while pos < length and raw[pos : pos + 1] != b"\n":
                 pos += 1
@@ -43,8 +51,8 @@ def _read_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
         start = pos
         while pos < length and not raw[pos : pos + 1].isspace():
             pos += 1
-        tokens.append(int(raw[start:pos]))
-    return tokens, pos
+        tokens.append(raw[start:pos])
+    return _integers(path, tokens).tolist(), pos
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
@@ -53,13 +61,13 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if raw[:2] not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a PGM file (magic {raw[:2]!r})")
     magic = raw[:2]
-    (width, height, maxval), pos = _read_tokens(raw[2:], 3)
+    (width, height, maxval), pos = _read_tokens(path, raw[2:], 3)
     pos += 2
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad PGM geometry {width}x{height} maxval {maxval}")
     count = width * height
     if magic == b"P2":
-        values = np.array(raw[pos:].split()[:count], dtype=np.int64)
+        values = _integers(path, raw[pos:].split()[:count])
         if values.size != count:
             raise ValueError(f"{path}: expected {count} samples, got {values.size}")
         if values.min() < 0:
@@ -111,6 +119,9 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
+_SIDECAR_FIELDS = {"scale": (int, 1), "invalid": (int, None)}
+
+
 def write_disparity(
     path,
     dmap: DisparityMap,
@@ -135,10 +146,7 @@ def write_disparity(
         raise ValueError("scaled disparity exceeds maxval")
     raw[invalid] = invalid_raw
     write_pgm(path, raw, maxval, binary)
-    meta = {"format_version": 1, "scale": scale, "invalid": invalid_raw}
-    sidecar_path(path).write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _save_json(sidecar_path(path), _SIDECAR_FIELDS, scale, invalid_raw)
 
 
 def read_disparity(path) -> DisparityMap:
@@ -150,13 +158,11 @@ def read_disparity(path) -> DisparityMap:
     """
     raster, _ = read_pgm(path)
     side = sidecar_path(path)
-    scale, invalid_raw = 1, None
-    if side.exists():
-        meta = _load_json(side, set(), {"scale", "invalid"})
-        scale = _field(str(side), meta, "scale", int, 1)
-        invalid_raw = _field(str(side), meta, "invalid", int, None)
-        if scale < 1:
-            raise SpecValidationError(f"{side}: field 'scale' must be >= 1, got {scale}")
+    # a raster without a sidecar reads as one whose sidecar leaves out every field
+    meta = _load_json(side, _SIDECAR_FIELDS) if side.exists() else _record("", {}, _SIDECAR_FIELDS)
+    scale, invalid_raw = meta["scale"], meta["invalid"]
+    if scale < 1:
+        raise SpecValidationError(f"{side}: field 'scale' must be >= 1, got {scale}")
     d = raster.copy()
     invalid = np.zeros(d.shape, dtype=bool)
     if invalid_raw is not None:

@@ -271,6 +271,24 @@ class TestTransform:
         assert [s["dims"] for s in subs] == [[3, 3], [2, 3], [3, 2], [2, 2]]
         assert [s["delta"] for s in subs] == [[0, 0], [1, 0], [0, 1], [1, 1]]
 
+    def test_empty_marks_exactly_the_slices_that_own_no_output(self, tmp_path):
+        # K = 7 = 2*3 + 1 over ifmap 3 leaves one ofmap row, at parity 0: the
+        # even-row slices (phases 0 and 2) are not empty, yet own no output
+        net = network_with(tmp_path, kernel=[7, 3], ifmap=[3, 3])
+        assert run_cli("transform", "--network", net, "--out-dir", tmp_path / "o") == 0
+        layer, = load_transform_manifest(tmp_path / "o" / "transform.json")["layers"]
+        subs = layer["sub_kernels"]
+        assert [s["dims"] for s in subs] == [[4, 2], [3, 2], [4, 1], [3, 1]]
+        assert [s["empty"] for s in subs] == [True, False, True, False]
+
+    @pytest.mark.parametrize("field, value", [("with_border", "yes"), ("layers", 5)])
+    def test_manifest_field_of_wrong_json_type_rejected(self, tmp_path, field, value):
+        doc = {"format_version": 1, "with_border": True, "layers": [], field: value}
+        path = write_json(tmp_path / "transform.json", doc)
+        with pytest.raises(SpecValidationError) as info:
+            load_transform_manifest(path)
+        assert str(info.value).startswith(f"{path}: field '{field}' must be ")
+
 
 class TestIsmCommand:
     def build_sequence(self, tmp_path, panorama, n_frames=4, motion=(0, 1)):
@@ -325,6 +343,13 @@ class TestIsmCommand:
         key.write_text("P2\n64 48\n65535\n" + " ".join(["-3"] * 64 * 48) + "\n")
         assert main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
         assert f"{key}: negative sample -3" in capsys.readouterr().err
+
+    def test_non_integer_pgm_token_is_input_error(self, tmp_path, panorama, capsys):
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        left = tmp_path / "l1.pgm"
+        left.write_text("P2\n64 48\n65535\n" + " ".join(["1.5"] * 64 * 48) + "\n")
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"{left}: PGM token '1.5' is not" in capsys.readouterr().err
 
     def test_sequence_paths_resolve_relative_to_manifest(self, tmp_path, panorama):
         manifest, _ = self.build_sequence(tmp_path, panorama)

@@ -81,6 +81,18 @@ def test_negative_plain_sample_rejected(tmp_path):
         read_disparity(path)
 
 
+@pytest.mark.parametrize("text, token", [
+    ("P2\nx 1\n255\n4\n", "x"),  # the width
+    ("P2\n# c\n2 1 255\n4 1.5\n", "1.5"),  # a sample
+    ("P2\n2 1\n255\n4 99999999999999999999\n", "99999999999999999999"),
+])
+def test_non_integer_token_rejected_naming_the_file(tmp_path, text, token):
+    path = tmp_path / "tok.pgm"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: PGM token {token!r} is not")):
+        read_pgm(path)
+
+
 def test_non_pgm_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"hello")
