@@ -25,7 +25,6 @@ from .ism import (
     DisparityMap,
     Frame,
     MotionField,
-    MotionParams,
     estimate_motion,
     gaussian_blur,
     ism_run,

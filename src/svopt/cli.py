@@ -16,6 +16,8 @@ from pathlib import Path
 from .deconv import SubKernelSet, decompose_nd, parity_classes, phases
 from .formats import (
     _MANIFEST_FIELDS,
+    _MANIFEST_LAYER_FIELDS,
+    _SUB_KERNEL_FIELDS,
     SpecValidationError,
     _save_json,
     check_name,
@@ -105,19 +107,15 @@ def cmd_transform(args) -> int:
     layers = load_network(args.network, strict=args.strict)
     records = []
     for layer in layers:
-        record = {"name": layer.name, "kind": layer.kind.value, "kernel": list(layer.kernel)}
         owners = {k for k, *_ in phases(output_dims(layer), layer.kernel)}
-        record["sub_kernels"] = [
-            {
-                "phase": phase,
-                "delta": list(delta),
-                "dims": list(dims),
-                "ofmap_parity": [1 - d for d in delta],
-                "empty": phase not in owners,
-            }
+        subs = [
+            dict(zip(_SUB_KERNEL_FIELDS, (
+                phase, list(delta), list(dims), [1 - d for d in delta], phase not in owners,
+            ), strict=True))
             for phase, delta, dims in parity_classes(layer.kernel)
         ] if layer.kind is LayerKind.DECONV else []
-        records.append(record)
+        values = (layer.name, layer.kind.value, list(layer.kernel), subs)
+        records.append(dict(zip(_MANIFEST_LAYER_FIELDS, values, strict=True)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_json(out_dir / "transform.json", _MANIFEST_FIELDS, True, records)

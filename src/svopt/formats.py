@@ -153,6 +153,9 @@ _HARDWARE_FIELDS = {"pe_array": [int, int], "buffer_capacity": int, "bandwidth":
 _SCHEDULE_FIELDS = {"layer": str, "mode": str, "beta": int, "rounds": [dict]}
 _ROUND_FIELDS = dict.fromkeys(RoundPlan._fields, [int])
 _MANIFEST_FIELDS = {"with_border": bool, "layers": [dict]}
+_MANIFEST_LAYER_FIELDS = {"name": str, "kind": str, "kernel": [int], "sub_kernels": [dict]}
+_SUB_KERNEL_FIELDS = {"phase": int, "delta": [int], "dims": [int], "ofmap_parity": [int],
+                      "empty": bool}
 _SEQUENCE_FIELDS = {"frames": [dict], "pw": (int, 2)}
 _FRAME_FIELDS = {"left": str, "right": str, "key_disparity": (str, None),
                  "gt_disparity": (str, None)}
@@ -231,7 +234,15 @@ def load_schedule(path) -> tuple[str, str, TileSchedule]:
 
 
 def load_transform_manifest(path) -> dict:
-    return _load_json(path, _MANIFEST_FIELDS)
+    data = _load_json(path, _MANIFEST_FIELDS)
+    layers = []
+    for i, record in enumerate(data["layers"]):
+        layer = _record(f"{path}: layer {i}", record, _MANIFEST_LAYER_FIELDS)
+        layer["sub_kernels"] = tuple(
+            _record(f"{path}: layer {i} sub-kernel {j}", sub, _SUB_KERNEL_FIELDS)
+            for j, sub in enumerate(layer["sub_kernels"]))
+        layers.append(layer)
+    return {**data, "layers": tuple(layers)}
 
 
 def write_csv(path, header: list[str], rows: list[list[str]]) -> None:

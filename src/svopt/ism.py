@@ -10,7 +10,7 @@ disparities are whole pixels; x_right = x_left + d with d >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "DisparityMap",
     "Frame",
     "MotionField",
-    "MotionParams",
     "estimate_motion",
     "gaussian_blur",
     "ism_run",
@@ -30,6 +29,7 @@ __all__ = [
     "propagate",
     "reconstruct",
     "refine",
+    "scatter_pairs",
     "three_pixel_error",
     "triangulate",
 ]
@@ -56,11 +56,6 @@ class Frame:
 
     luma: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Frame) and bool(np.array_equal(self.luma, other.luma))
-
-    __hash__ = None
-
     def __post_init__(self) -> None:
         arr = np.asarray(self.luma, dtype=np.float32)
         if arr.ndim != 2 or arr.size == 0:
@@ -81,11 +76,6 @@ class DisparityMap:
     """Per-pixel integer disparity; INVALID_DISPARITY marks holes."""
 
     d: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DisparityMap) and bool(np.array_equal(self.d, other.d))
-
-    __hash__ = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.d)
@@ -114,15 +104,6 @@ class MotionField:
     dx: np.ndarray
     dy: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MotionField)
-            and bool(np.array_equal(self.dx, other.dx))
-            and bool(np.array_equal(self.dy, other.dy))
-        )
-
-    __hash__ = None
-
     def __post_init__(self) -> None:
         dx = np.asarray(self.dx, dtype=np.float32)
         dy = np.asarray(self.dy, dtype=np.float32)
@@ -133,14 +114,10 @@ class MotionField:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
 
-    @classmethod
-    def zero(cls, height: int, width: int) -> "MotionField":
-        return cls(np.zeros((height, width), np.float32), np.zeros((height, width), np.float32))
-
 
 @dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
-    """Matched pixel pairs (left <x,y>, right <x,y>), with a staleness flag.
+    """Matched pixel pairs (left <x,y>, right <x,y>).
 
     Pairs reconstructed straight from a disparity map share their row
     (y_left == y_right); propagated pairs may not until refinement.
@@ -150,29 +127,13 @@ class CorrespondenceSet:
     yl: np.ndarray
     xr: np.ndarray
     yr: np.ndarray
-    stale: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CorrespondenceSet) and all(
-            bool(np.array_equal(getattr(self, name), getattr(other, name)))
-            for name in ("xl", "yl", "xr", "yr", "stale")
-        )
-
-    __hash__ = None
 
     def __post_init__(self) -> None:
         arrays = [np.asarray(a, dtype=np.int32) for a in (self.xl, self.yl, self.xr, self.yr)]
         if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
             raise ValueError("coordinate arrays must be equal-length 1-d")
-        stale = self.stale
-        if stale is None:
-            stale = np.zeros(arrays[0].shape, dtype=bool)
-        stale = np.asarray(stale, dtype=bool)
-        if stale.shape != arrays[0].shape:
-            raise ValueError("stale mask must match coordinate arrays")
         for name, arr in zip(("xl", "yl", "xr", "yr"), arrays):
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "stale", stale)
 
     def __len__(self) -> int:
         return self.xl.shape[0]
@@ -197,9 +158,8 @@ def propagate(
 ) -> CorrespondenceSet:
     """Displace each side of every pair by its own motion vector.
 
-    Displaced coordinates are rounded to the nearest pixel and clipped to
-    the frame; pairs that leave the frame on either side are kept but
-    marked stale.
+    Displaced coordinates are rounded to the nearest pixel; pairs that
+    leave the frame on either side are dropped.
     """
     h, w = mf_left.dx.shape
     if mf_right.dx.shape != (h, w):
@@ -208,12 +168,12 @@ def propagate(
     def _move(xs, ys, mf):
         nx = np.rint(xs + mf.dx[ys, xs]).astype(np.int32)
         ny = np.rint(ys + mf.dy[ys, xs]).astype(np.int32)
-        out = (nx < 0) | (nx >= w) | (ny < 0) | (ny >= h)
-        return np.clip(nx, 0, w - 1), np.clip(ny, 0, h - 1), out
+        return nx, ny, (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
 
-    xl, yl, out_l = _move(cs.xl, cs.yl, mf_left)
-    xr, yr, out_r = _move(cs.xr, cs.yr, mf_right)
-    return CorrespondenceSet(xl, yl, xr, yr, cs.stale | out_l | out_r)
+    xl, yl, in_l = _move(cs.xl, cs.yl, mf_left)
+    xr, yr, in_r = _move(cs.xr, cs.yr, mf_right)
+    keep = in_l & in_r
+    return CorrespondenceSet(xl[keep], yl[keep], xr[keep], yr[keep])
 
 
 def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
@@ -222,6 +182,8 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
     The 2*radius+1 taps are normalized to sum to one, so constant frames
     pass through unchanged.
     """
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if radius < 1:
         raise ValueError("radius must be >= 1")
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -239,21 +201,13 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
     return Frame(out)
 
 
-@dataclass(frozen=True)
-class MotionParams:
-    """Knobs of the pyramid block-matching motion estimator."""
-
-    levels: int = 3
-    block: int = 5
-    search_radius: int = 2
-    sigma: float = 1.0
-    blur_radius: int = 2
-
-    def __post_init__(self) -> None:
-        if self.levels < 1 or self.search_radius < 1 or self.blur_radius < 1:
-            raise ValueError("levels, search_radius, and blur_radius must be >= 1")
-        if self.block < 3 or self.block % 2 == 0:
-            raise ValueError("block must be odd and >= 3")
+# the pyramid block-matching motion estimator: pyramid levels, SAD block
+# side, residual search radius, and the Gaussian blur of every level
+MOTION_LEVELS = 3
+MOTION_BLOCK = 5
+MOTION_RADIUS = 2
+BLUR_SIGMA = 1.0
+BLUR_RADIUS = 2
 
 
 def _sum_terms(terms: list[np.ndarray]) -> np.ndarray:
@@ -333,9 +287,7 @@ def _offsets(radius: int) -> list[tuple[int, int]]:
 MOTION_BAND = 64
 
 
-def _search_offsets(
-    p: np.ndarray, warped: np.ndarray, params: MotionParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _search_offsets(p: np.ndarray, warped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel residual (dy, dx) whose block SAD between p and warped is least.
 
     Offsets are tried in `_offsets` order and only a strictly smaller SAD
@@ -343,7 +295,7 @@ def _search_offsets(
     is searched in bands of MOTION_BAND rows, whose buffers stay in cache.
     """
     h, w = p.shape
-    r, half = params.search_radius, params.block // 2
+    r, half = MOTION_RADIUS, MOTION_BLOCK // 2
     offsets = _offsets(r)
     # with `warped` edge-padded by the search radius every clamped shift is a slice
     src = np.pad(warped, r, mode="edge")
@@ -362,7 +314,7 @@ def _search_offsets(
             np.abs(inner, out=inner)
             diff[:, :half] = diff[:, half : half + 1]
             diff[:, -half:] = diff[:, -half - 1 : -half]
-            cost = _box_cost(diff, params.block)
+            cost = _box_cost(diff, MOTION_BLOCK)
             if k == 0:
                 # nothing is below a NaN, so such a pixel keeps the first offset:
                 # -inf stands in for it, which nothing is below either
@@ -379,9 +331,7 @@ def _search_offsets(
     return table[best, 0], table[best, 1]
 
 
-def estimate_motion(
-    prev: Frame, cur: Frame, params: MotionParams = MotionParams()
-) -> MotionField:
+def estimate_motion(prev: Frame, cur: Frame) -> MotionField:
     """Dense per-pixel motion from `prev` to `cur`.
 
     Coarse-to-fine image pyramid of Gaussian-blurred frames; at each
@@ -394,10 +344,9 @@ def estimate_motion(
 
     def levels(frame: Frame) -> list[np.ndarray]:
         """Blurred luma, then each half-size level while it stays 2 blocks wide."""
-        out = [gaussian_blur(frame, params.sigma, params.blur_radius).luma]
-        while len(out) < params.levels and min(out[-1].shape) // 2 >= 2 * params.block:
-            out.append(gaussian_blur(Frame(out[-1][::2, ::2]), params.sigma,
-                                     params.blur_radius).luma)
+        out = [gaussian_blur(frame, BLUR_SIGMA, BLUR_RADIUS).luma]
+        while len(out) < MOTION_LEVELS and min(out[-1].shape) // 2 >= 2 * MOTION_BLOCK:
+            out.append(gaussian_blur(Frame(out[-1][::2, ::2]), BLUR_SIGMA, BLUR_RADIUS).luma)
         return out
 
     pyramid = list(zip(levels(prev), levels(cur)))
@@ -415,7 +364,7 @@ def estimate_motion(
         fx = np.clip(fx, -xs, w - 1 - xs)
         fy = np.clip(fy, -ys, h - 1 - ys)
         warped = c[ys + fy, xs + fx]
-        dy, dx = _search_offsets(p, warped, params)
+        dy, dx = _search_offsets(p, warped)
         fx = np.clip(fx + dx, -xs, w - 1 - xs)
         fy = np.clip(fy + dy, -ys, h - 1 - ys)
     return MotionField(fx.astype(np.float32), fy.astype(np.float32))
@@ -507,15 +456,14 @@ def refine(
 def scatter_pairs(cs: CorrespondenceSet, height: int, width: int) -> DisparityMap:
     """Disparity guesses from propagated pairs; holes stay invalid.
 
-    Stale pairs are dropped. When several pairs land on one left pixel
-    the largest disparity (nearest surface) wins; negative horizontal
-    offsets are treated as holes.
+    When several pairs land on one left pixel the largest disparity
+    (nearest surface) wins; negative horizontal offsets are treated as
+    holes.
     """
-    live = ~cs.stale
     d = np.full((height, width), INVALID_DISPARITY, dtype=np.int32)
-    disp = cs.xr[live] - cs.xl[live]
+    disp = cs.xr - cs.xl
     keep = disp >= 0
-    np.maximum.at(d, (cs.yl[live][keep], cs.xl[live][keep]), disp[keep])
+    np.maximum.at(d, (cs.yl[keep], cs.xl[keep]), disp[keep])
     return DisparityMap(d)
 
 
@@ -571,13 +519,7 @@ def three_pixel_error(pred: DisparityMap, gt: DisparityMap) -> float:
     return 100.0 * int(good.sum()) / total
 
 
-def nonkey_operation_count(
-    width: int,
-    height: int,
-    params: MotionParams = MotionParams(),
-    block: int = 5,
-    radius: int = 2,
-) -> int:
+def nonkey_operation_count(width: int, height: int, block: int = 5, radius: int = 2) -> int:
     """Analytic arithmetic-operation count of one non-key frame.
 
     Counts the two dense motion estimations (pyramid blur, warp, and
@@ -595,11 +537,11 @@ def nonkey_operation_count(
     """
     level_px = []
     px = width * height
-    for _ in range(params.levels):
+    for _ in range(MOTION_LEVELS):
         level_px.append(px)
         px //= 4
-    blur_taps = 2 * params.blur_radius + 1
-    search = (2 * params.search_radius + 1) ** 2
+    blur_taps = 2 * BLUR_RADIUS + 1
+    search = (2 * MOTION_RADIUS + 1) ** 2
     per_field = 0
     for px in level_px:
         per_field += px * (2 * blur_taps * 2)  # two separable blur passes

@@ -26,12 +26,18 @@ __all__ = [
 
 
 def _integers(path, tokens: list[bytes]) -> np.ndarray:
-    """PGM tokens as int64 values; a ValueError names the file and the bad token."""
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        bad = next(t for t in tokens if not t.removeprefix(b"-").isdigit() or abs(int(t)) >= 2**63)
-        raise ValueError(f"{path}: PGM token {bad.decode('latin-1')!r} is not a 64-bit integer")
+    """PGM tokens as int64 values; a ValueError names the file and the bad token.
+
+    A token is ASCII digits with an optional leading '-': the '+' signs and
+    '_' separators that Python's int() also takes are rejected.
+    """
+    bad = next((t for t in tokens if not t.removeprefix(b"-").isdigit()), None)
+    if bad is None:
+        try:
+            return np.array(tokens, dtype=np.int64)
+        except OverflowError:
+            bad = next(t for t in tokens if abs(int(t)) >= 2**63)
+    raise ValueError(f"{path}: PGM token {bad.decode('latin-1')!r} is not a 64-bit integer")
 
 
 def _read_tokens(path, raw: bytes, count: int) -> tuple[list[int], int]:

@@ -12,7 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from svopt.ism import DisparityMap, Frame, MotionField, MotionParams, gaussian_blur
+from svopt.ism import (
+    BLUR_RADIUS,
+    BLUR_SIGMA,
+    MOTION_BLOCK,
+    MOTION_LEVELS,
+    MOTION_RADIUS,
+    DisparityMap,
+    Frame,
+    MotionField,
+    gaussian_blur,
+)
 
 
 def _box_cost(diff: np.ndarray, block: int) -> np.ndarray:
@@ -42,9 +52,7 @@ def _offsets(radius: int) -> list[tuple[int, int]]:
     return offs
 
 
-def estimate_motion(
-    prev: Frame, cur: Frame, params: MotionParams = MotionParams()
-) -> MotionField:
+def estimate_motion(prev: Frame, cur: Frame) -> MotionField:
     """Dense per-pixel motion from `prev` to `cur`.
 
     Coarse-to-fine image pyramid of Gaussian-blurred frames; at each
@@ -54,14 +62,14 @@ def estimate_motion(
     """
     if prev.luma.shape != cur.luma.shape:
         raise ValueError("frames must share their extents")
-    min_extent = 2 * params.block
+    min_extent = 2 * MOTION_BLOCK
     pyramid = [
         (
-            gaussian_blur(prev, params.sigma, params.blur_radius).luma,
-            gaussian_blur(cur, params.sigma, params.blur_radius).luma,
+            gaussian_blur(prev, BLUR_SIGMA, BLUR_RADIUS).luma,
+            gaussian_blur(cur, BLUR_SIGMA, BLUR_RADIUS).luma,
         )
     ]
-    for _ in range(params.levels - 1):
+    for _ in range(MOTION_LEVELS - 1):
         p, c = pyramid[-1]
         if min(p.shape) // 2 < min_extent:
             break
@@ -69,8 +77,8 @@ def estimate_motion(
         down_c = Frame(c[::2, ::2])
         pyramid.append(
             (
-                gaussian_blur(down_p, params.sigma, params.blur_radius).luma,
-                gaussian_blur(down_c, params.sigma, params.blur_radius).luma,
+                gaussian_blur(down_p, BLUR_SIGMA, BLUR_RADIUS).luma,
+                gaussian_blur(down_c, BLUR_SIGMA, BLUR_RADIUS).luma,
             )
         )
     h0, w0 = pyramid[-1][0].shape
@@ -90,8 +98,8 @@ def estimate_motion(
         best_cost = None
         best_dy = np.zeros((h, w), np.int32)
         best_dx = np.zeros((h, w), np.int32)
-        for dy, dx in _offsets(params.search_radius):
-            cost = _box_cost(np.abs(p - _shift_clamped(warped, dy, dx)), params.block)
+        for dy, dx in _offsets(MOTION_RADIUS):
+            cost = _box_cost(np.abs(p - _shift_clamped(warped, dy, dx)), MOTION_BLOCK)
             if best_cost is None:
                 best_cost = cost
                 best_dy.fill(dy)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 from xml.dom import minidom
 
@@ -265,11 +266,11 @@ class TestTransform:
         assert main(["transform", "--network", net_path, "--out-dir", str(out)]) == 0
         manifest = load_transform_manifest(out / "transform.json")
         by_name = {rec["name"]: rec for rec in manifest["layers"]}
-        assert by_name["conv1"]["sub_kernels"] == []
+        assert by_name["conv1"]["sub_kernels"] == ()
         subs = by_name["up1"]["sub_kernels"]
         assert len(subs) == 4
-        assert [s["dims"] for s in subs] == [[3, 3], [2, 3], [3, 2], [2, 2]]
-        assert [s["delta"] for s in subs] == [[0, 0], [1, 0], [0, 1], [1, 1]]
+        assert [s["dims"] for s in subs] == [(3, 3), (2, 3), (3, 2), (2, 2)]
+        assert [s["delta"] for s in subs] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_empty_marks_exactly_the_slices_that_own_no_output(self, tmp_path):
         # K = 7 = 2*3 + 1 over ifmap 3 leaves one ofmap row, at parity 0: the
@@ -278,8 +279,25 @@ class TestTransform:
         assert run_cli("transform", "--network", net, "--out-dir", tmp_path / "o") == 0
         layer, = load_transform_manifest(tmp_path / "o" / "transform.json")["layers"]
         subs = layer["sub_kernels"]
-        assert [s["dims"] for s in subs] == [[4, 2], [3, 2], [4, 1], [3, 1]]
+        assert [s["dims"] for s in subs] == [(4, 2), (3, 2), (4, 1), (3, 1)]
         assert [s["empty"] for s in subs] == [True, False, True, False]
+
+    @pytest.mark.parametrize("layer, match", [
+        ({}, "layer 0: missing field(s) ['kernel', 'kind', 'name', 'sub_kernels']"),
+        ({"name": "up1", "kind": "deconv", "kernel": [4, 4], "sub_kernels": [{"phase": "x"}]},
+         "layer 0 sub-kernel 0: missing field(s) ['delta', 'dims', 'empty', 'ofmap_parity']"),
+        ({"name": "up1", "kind": "deconv", "kernel": [4, 4], "sub_kernels": [
+            {"phase": "x", "delta": [0, 0], "dims": [2, 2], "ofmap_parity": [1, 1],
+             "empty": False}]},
+         "layer 0 sub-kernel 0: field 'phase' must be a JSON integer"),
+        ({"name": "up1", "kind": "deconv", "kernel": "4x4", "sub_kernels": []},
+         "layer 0: field 'kernel' must be a list of JSON integers"),
+    ])
+    def test_malformed_layer_and_sub_kernel_records_rejected(self, tmp_path, layer, match):
+        doc = {"format_version": 1, "with_border": True, "layers": [layer]}
+        path = write_json(tmp_path / "transform.json", doc)
+        with pytest.raises(SpecValidationError, match=re.escape(f"{path}: {match}")):
+            load_transform_manifest(path)
 
     @pytest.mark.parametrize("field, value", [("with_border", "yes"), ("layers", 5)])
     def test_manifest_field_of_wrong_json_type_rejected(self, tmp_path, field, value):

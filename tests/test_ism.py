@@ -72,9 +72,10 @@ class TestReconstruct:
 class TestPropagate:
     def test_zero_motion_is_identity(self):
         cs = reconstruct(DisparityMap(np.full((4, 6), 1, np.int32)))
-        zero = MotionField.zero(4, 6)
+        zero = MotionField(np.zeros((4, 6), np.float32), np.zeros((4, 6), np.float32))
         out = propagate(cs, zero, zero)
-        assert out == CorrespondenceSet(cs.xl, cs.yl, cs.xr, cs.yr, cs.stale)
+        for name in ("xl", "yl", "xr", "yr"):
+            assert np.array_equal(getattr(out, name), getattr(cs, name))
 
     def test_formula_substitution(self):
         cs = CorrespondenceSet([10], [5], [12], [5])
@@ -82,22 +83,29 @@ class TestPropagate:
         out = propagate(cs, mf, mf)
         assert (out.xl[0], out.yl[0]) == (12, 6)
         assert (out.xr[0], out.yr[0]) == (14, 6)
-        assert not out.stale[0]
+        assert len(out) == 1
 
     def test_common_translation_preserves_disparity(self):
         dmap = DisparityMap(np.full((6, 12), 3, np.int32))
         cs = reconstruct(dmap)
         mf = MotionField(np.full((6, 12), 3.0, np.float32), np.zeros((6, 12), np.float32))
         out = propagate(cs, mf, mf)
-        live = ~out.stale
-        assert np.all((out.xr - out.xl)[live] == (cs.xr - cs.xl)[live])
+        # pairs whose right pixel moves past x = 11 are dropped: 6 of 9 per row stay
+        assert len(out) == 6 * 6
+        assert np.array_equal(out.xl, cs.xl[cs.xr < 9] + 3)
+        assert np.all(out.xr - out.xl == 3)
 
-    def test_out_of_frame_marked_stale(self):
-        cs = CorrespondenceSet([5], [2], [7], [2])
-        push = MotionField(np.full((4, 8), 6.0, np.float32), np.zeros((4, 8), np.float32))
-        out = propagate(cs, push, push)
-        assert out.stale[0]
-        assert out.xl[0] <= 7  # clipped into frame
+    def test_pairs_leaving_the_frame_on_either_side_are_dropped(self):
+        # the left side moves 2 px left and the right side 2 px right, in an 8 px row:
+        # the first pair leaves on the left, the second on the right
+        cs = CorrespondenceSet([1, 3, 4], [2, 2, 2], [3, 6, 5], [2, 2, 2])
+        still = np.zeros((4, 8), np.float32)
+        mf_left = MotionField(np.full((4, 8), -2.0, np.float32), still)
+        mf_right = MotionField(np.full((4, 8), 2.0, np.float32), still)
+        out = propagate(cs, mf_left, mf_right)
+        assert [out.xl.tolist(), out.yl.tolist(), out.xr.tolist(), out.yr.tolist()] == [
+            [2], [2], [7], [2]
+        ]
 
 
 class TestGaussianBlur:
@@ -116,6 +124,11 @@ class TestGaussianBlur:
         want = np.outer(taps, taps)
         assert np.allclose(out[2:7, 2:7], want, atol=1e-6)
         assert out[0, 0] == 0.0
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_blur(Frame(np.ones((4, 4), np.float32)), sigma, 2)
 
     def test_matches_dense_conv_oracle(self):
         rng = np.random.default_rng(6)
@@ -233,11 +246,6 @@ class TestScatterPairs:
         cs = CorrespondenceSet([2, 2], [1, 1], [4, 6], [1, 1])
         out = scatter_pairs(cs, 3, 8)
         assert out.d[1, 2] == 4  # max(2, 4)
-
-    def test_stale_pairs_dropped(self):
-        cs = CorrespondenceSet([2], [1], [5], [1], stale=[True])
-        out = scatter_pairs(cs, 3, 8)
-        assert out.d[1, 2] == INVALID_DISPARITY
 
 
 class TestIsmRun:

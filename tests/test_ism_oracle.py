@@ -10,7 +10,7 @@ import pytest
 
 import ism_oracle as oracle
 from svopt import ism
-from svopt.ism import INVALID_DISPARITY, DisparityMap, Frame, MotionParams
+from svopt.ism import INVALID_DISPARITY, MOTION_RADIUS, DisparityMap, Frame
 
 SHAPES = [(3, 4), (7, 130), (65, 129), (40, 70)]
 
@@ -90,32 +90,25 @@ def test_refine_ties_on_a_flat_frame_go_to_the_guess_then_to_the_smaller_d():
 
 
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize(
-    "params",
-    [
-        MotionParams(),
-        MotionParams(levels=2, block=3, search_radius=1),
-        MotionParams(levels=1, block=7, search_radius=3),
-    ],
-)
-def test_estimate_motion_matches_oracle(shape, params):
-    rng = np.random.default_rng(shape[0] * 7 + params.block)
+def test_estimate_motion_matches_oracle(shape):
+    rng = np.random.default_rng(shape[0] * 7 + 5)
     prev = quantized(rng, shape, 5)
     cur = Frame(np.roll(prev.luma, (1, -2), axis=(0, 1)))
     for a, b in ((prev, cur), (prev, quantized(rng, shape, 5)), (prev, prev)):
-        fast = ism.estimate_motion(a, b, params)
-        slow = oracle.estimate_motion(a, b, params)
+        fast = ism.estimate_motion(a, b)
+        slow = oracle.estimate_motion(a, b)
         assert_same(fast.dx, slow.dx)
         assert_same(fast.dy, slow.dy)
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (5, 9)])
+@pytest.mark.parametrize("shape", [(1, 2), (2, 3), (3, 2)])
 def test_estimate_motion_with_shifts_as_large_as_the_frame(shape):
+    # every in-frame shift is inside the search window
+    assert max(shape) - 1 <= MOTION_RADIUS
     rng = np.random.default_rng(11)
-    params = MotionParams(levels=1, block=3, search_radius=max(shape))
     prev, cur = quantized(rng, shape, 3), quantized(rng, shape, 3)
-    fast = ism.estimate_motion(prev, cur, params)
-    slow = oracle.estimate_motion(prev, cur, params)
+    fast = ism.estimate_motion(prev, cur)
+    slow = oracle.estimate_motion(prev, cur)
     assert_same(fast.dx, slow.dx)
     assert_same(fast.dy, slow.dy)
 
@@ -131,9 +124,8 @@ def test_non_finite_luma_follows_the_strict_comparisons():
     left, right = Frame(left), Frame(right)
     init = random_guesses(rng, shape)
     assert_same(ism.refine(left, right, init, 5, 2).d, oracle.refine(left, right, init, 5, 2).d)
-    params = MotionParams(levels=1)
     for a, b in ((left, right), (right, left)):
-        fast = ism.estimate_motion(a, b, params)
-        slow = oracle.estimate_motion(a, b, params)
+        fast = ism.estimate_motion(a, b)
+        slow = oracle.estimate_motion(a, b)
         assert_same(fast.dx, slow.dx)
         assert_same(fast.dy, slow.dy)

@@ -85,6 +85,9 @@ def test_negative_plain_sample_rejected(tmp_path):
     ("P2\nx 1\n255\n4\n", "x"),  # the width
     ("P2\n# c\n2 1 255\n4 1.5\n", "1.5"),  # a sample
     ("P2\n2 1\n255\n4 99999999999999999999\n", "99999999999999999999"),
+    ("P2\n2 1\n255\n+3 4\n", "+3"),  # int() takes a sign
+    ("P2\n2 1\n255\n4 1_0\n", "1_0"),  # and digit separators
+    ("P2\n2 1\n+9\n4 1\n", "+9"),  # the maxval
 ])
 def test_non_integer_token_rejected_naming_the_file(tmp_path, text, token):
     path = tmp_path / "tok.pgm"
