@@ -10,7 +10,7 @@ matching, and scored with the three-pixel-error metric.
 import numpy as np
 
 from svopt import DisparityMap, Frame, gaussian_blur, ism_run, three_pixel_error
-from svopt.ism import estimate_motion, nonkey_operation_count
+from svopt.ism import estimate_motion, motion_pyramid, nonkey_operation_count
 
 rng = np.random.default_rng(1)
 panorama = gaussian_blur(Frame(rng.random((220, 420)).astype(np.float32)), 1.2, 2).luma
@@ -32,7 +32,7 @@ gt = DisparityMap(truth)
 
 frames = [crop(t) for t in range(6)]
 
-motion = estimate_motion(frames[0][0], frames[1][0])
+motion = estimate_motion(motion_pyramid(frames[0][0]), motion_pyramid(frames[1][0]))
 print("estimated camera motion between frames 0 and 1 "
       f"(median): dx={np.median(motion.dx):+.0f} dy={np.median(motion.dy):+.0f} "
       f"(actual {-PAN_X:+d}, {-PAN_Y:+d})\n")

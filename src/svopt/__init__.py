@@ -28,6 +28,7 @@ from .ism import (
     estimate_motion,
     gaussian_blur,
     ism_run,
+    motion_pyramid,
     propagate,
     reconstruct,
     refine,

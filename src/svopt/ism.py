@@ -25,6 +25,7 @@ __all__ = [
     "estimate_motion",
     "gaussian_blur",
     "ism_run",
+    "motion_pyramid",
     "nonkey_operation_count",
     "propagate",
     "reconstruct",
@@ -93,8 +94,8 @@ class DisparityMap:
 
     def valid_mask(self) -> np.ndarray:
         """True where the disparity is non-negative and x + d stays in frame."""
-        xs = np.arange(self.width)[None, :]
-        return (self.d >= 0) & (xs + self.d < self.width)
+        xs = np.arange(self.width, dtype=np.int32)
+        return (self.d >= 0) & (self.d < self.width - xs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +149,17 @@ def triangulate(disparity_px: float, rig: CameraRig) -> float:
 
 def reconstruct(dmap: DisparityMap) -> CorrespondenceSet:
     """Pixel pairs (<x,y>, <x+d,y>) for every valid disparity entry, raster order."""
-    ys, xs = np.nonzero(dmap.valid_mask())
-    d = dmap.d[ys, xs]
-    return CorrespondenceSet(xs, ys, xs + d, ys)
+    h, w = dmap.d.shape
+    valid = dmap.valid_mask()
+    xs = np.broadcast_to(np.arange(w, dtype=np.int32), (h, w))[valid]
+    ys = np.broadcast_to(np.arange(h, dtype=np.int32)[:, None], (h, w))[valid]
+    return CorrespondenceSet(xs, ys, xs + dmap.d[valid], ys)
+
+
+def _inside(xs: np.ndarray, ys: np.ndarray, height: int, width: int) -> np.ndarray:
+    """True where the int32 pixel (x, y) lies in a height x width frame."""
+    # a negative int32 reads as a large uint32, so one compare bounds each axis
+    return (xs.view(np.uint32) < width) & (ys.view(np.uint32) < height)
 
 
 def propagate(
@@ -158,17 +167,22 @@ def propagate(
 ) -> CorrespondenceSet:
     """Displace each side of every pair by its own motion vector.
 
-    Displaced coordinates are rounded to the nearest pixel; pairs that
-    leave the frame on either side are dropped.
+    Each side moves by the motion at its pixel, rounded to the nearest
+    whole pixel (halves to even); pairs that leave the frame on either
+    side are dropped. Every pair must start inside the motion fields.
     """
     h, w = mf_left.dx.shape
     if mf_right.dx.shape != (h, w):
         raise ValueError("left and right motion fields must cover the same extent")
+    outside = np.count_nonzero(~(_inside(cs.xl, cs.yl, h, w) & _inside(cs.xr, cs.yr, h, w)))
+    if outside:
+        raise ValueError(f"{outside} of {len(cs)} pairs start outside the {h}x{w} motion field")
 
     def _move(xs, ys, mf):
-        nx = np.rint(xs + mf.dx[ys, xs]).astype(np.int32)
-        ny = np.rint(ys + mf.dy[ys, xs]).astype(np.int32)
-        return nx, ny, (nx >= 0) & (nx < w) & (ny >= 0) & (ny < h)
+        at = ys * w + xs
+        nx = xs + np.rint(mf.dx.ravel().take(at)).astype(np.int32)
+        ny = ys + np.rint(mf.dy.ravel().take(at)).astype(np.int32)
+        return nx, ny, _inside(nx, ny, h, w)
 
     xl, yl, in_l = _move(cs.xl, cs.yl, mf_left)
     xr, yr, in_r = _move(cs.xr, cs.yr, mf_right)
@@ -197,7 +211,7 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
         windows = np.lib.stride_tricks.sliding_window_view(
             padded, 2 * radius + 1, axis=axis
         )
-        out = np.tensordot(windows, taps, axes=([-1], [0])).astype(np.float32)
+        out = np.tensordot(windows, taps, axes=([-1], [0])).astype(np.float32, copy=False)
     return Frame(out)
 
 
@@ -331,42 +345,45 @@ def _search_offsets(p: np.ndarray, warped: np.ndarray) -> tuple[np.ndarray, np.n
     return table[best, 0], table[best, 1]
 
 
-def estimate_motion(prev: Frame, cur: Frame) -> MotionField:
-    """Dense per-pixel motion from `prev` to `cur`.
+def motion_pyramid(frame: Frame) -> list[np.ndarray]:
+    """The levels `estimate_motion` searches, finest first.
 
-    Coarse-to-fine image pyramid of Gaussian-blurred frames; at each
-    level the flow carried up from the coarser level warps `cur`, a
-    block-SAD search over a small residual window updates every pixel,
-    and the field is clamped to stay inside the frame. Integer flow.
+    The Gaussian-blurred luma, then each blurred half-size level while it
+    stays two blocks wide, up to MOTION_LEVELS levels.
     """
-    if prev.luma.shape != cur.luma.shape:
-        raise ValueError("frames must share their extents")
+    levels = [gaussian_blur(frame, BLUR_SIGMA, BLUR_RADIUS).luma]
+    while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * MOTION_BLOCK:
+        levels.append(gaussian_blur(Frame(levels[-1][::2, ::2]), BLUR_SIGMA, BLUR_RADIUS).luma)
+    return levels
 
-    def levels(frame: Frame) -> list[np.ndarray]:
-        """Blurred luma, then each half-size level while it stays 2 blocks wide."""
-        out = [gaussian_blur(frame, BLUR_SIGMA, BLUR_RADIUS).luma]
-        while len(out) < MOTION_LEVELS and min(out[-1].shape) // 2 >= 2 * MOTION_BLOCK:
-            out.append(gaussian_blur(Frame(out[-1][::2, ::2]), BLUR_SIGMA, BLUR_RADIUS).luma)
-        return out
 
-    pyramid = list(zip(levels(prev), levels(cur)))
-    h0, w0 = pyramid[-1][0].shape
-    fx = np.zeros((h0, w0), np.int32)
-    fy = np.zeros((h0, w0), np.int32)
-    for level in range(len(pyramid) - 1, -1, -1):
-        p, c = pyramid[level]
+def estimate_motion(prev: list[np.ndarray], cur: list[np.ndarray]) -> MotionField:
+    """Dense per-pixel motion between the frames of two `motion_pyramid`s.
+
+    Coarse to fine: at each level the flow carried up from the coarser
+    level warps `cur`, a block-SAD search over a small residual window
+    updates every pixel, and the field is clamped to stay inside the
+    frame. Integer flow. A frame's pyramid can serve as `cur` for one
+    field and as `prev` for the next.
+    """
+    if [p.shape for p in prev] != [c.shape for c in cur]:
+        raise ValueError("pyramids must share their levels and extents")
+    fx = fy = np.zeros(prev[-1].shape, np.int32)
+    for p, c in zip(prev[::-1], cur[::-1]):
         h, w = p.shape
         if fx.shape != (h, w):
             fx = np.repeat(np.repeat(fx * 2, 2, axis=0), 2, axis=1)[:h, :w]
             fy = np.repeat(np.repeat(fy * 2, 2, axis=0), 2, axis=1)[:h, :w]
-        ys = np.arange(h)[:, None]
-        xs = np.arange(w)[None, :]
-        fx = np.clip(fx, -xs, w - 1 - xs)
-        fy = np.clip(fy, -ys, h - 1 - ys)
-        warped = c[ys + fy, xs + fx]
-        dy, dx = _search_offsets(p, warped)
-        fx = np.clip(fx + dx, -xs, w - 1 - xs)
-        fy = np.clip(fy + dy, -ys, h - 1 - ys)
+        # the flow is carried as the in-frame pixel it points at
+        xs = np.arange(w, dtype=np.int32)
+        ys = np.arange(h, dtype=np.int32)[:, None]
+        tx = np.clip(xs + fx, 0, w - 1)
+        ty = np.clip(ys + fy, 0, h - 1)
+        dy, dx = _search_offsets(p, c.ravel().take(ty * w + tx))
+        tx += dx
+        ty += dy
+        fx = np.clip(tx, 0, w - 1, out=tx) - xs
+        fy = np.clip(ty, 0, h - 1, out=ty) - ys
     return MotionField(fx.astype(np.float32), fy.astype(np.float32))
 
 
@@ -458,13 +475,14 @@ def scatter_pairs(cs: CorrespondenceSet, height: int, width: int) -> DisparityMa
 
     When several pairs land on one left pixel the largest disparity
     (nearest surface) wins; negative horizontal offsets are treated as
-    holes.
+    holes. Every left pixel must lie in the frame.
     """
-    d = np.full((height, width), INVALID_DISPARITY, dtype=np.int32)
-    disp = cs.xr - cs.xl
-    keep = disp >= 0
-    np.maximum.at(d, (cs.yl[keep], cs.xl[keep]), disp[keep])
-    return DisparityMap(d)
+    if not _inside(cs.xl, cs.yl, height, width).all():
+        raise ValueError(f"pairs must start inside the {height}x{width} frame")
+    d = np.full(height * width, INVALID_DISPARITY, dtype=np.int32)
+    # a negative offset never beats the INVALID_DISPARITY (-1) it lands on
+    np.maximum.at(d, cs.yl * width + cs.xl, cs.xr - cs.xl)
+    return DisparityMap(d.reshape(height, width))
 
 
 def ism_run(
@@ -480,11 +498,14 @@ def ism_run(
     Frames at indices divisible by `pw` emit their supplied key disparity
     unchanged. Every other frame chains forward from the previous emitted
     map: reconstruct pairs, displace both sides by dense motion, scatter
-    the pairs into a guess map, and refine with block matching.
+    the pairs into a guess map, and refine with block matching. Each view
+    of a frame gets one motion pyramid, which the next frame reuses as its
+    previous one; a key frame's is built only when the frame after needs it.
     """
     if pw < 2:
         raise ValueError(f"propagation window must be >= 2, got {pw}")
     out: list[DisparityMap] = []
+    pyramids = None  # the previous frame's (left, right) motion pyramids
     for t, (left, right) in enumerate(frames):
         if t % pw == 0:
             if t not in key_disp:
@@ -493,12 +514,15 @@ def ism_run(
             if dmap.d.shape != left.luma.shape:
                 raise ValueError(f"key disparity for frame {t} does not match the frame")
             out.append(dmap)
+            pyramids = None
             continue
-        prev_left, prev_right = frames[t - 1]
-        mf_left = estimate_motion(prev_left, left)
-        mf_right = estimate_motion(prev_right, right)
-        pairs = propagate(reconstruct(out[-1]), mf_left, mf_right)
-        guess = scatter_pairs(pairs, left.height, left.width)
+        if pyramids is None:
+            pyramids = [motion_pyramid(view) for view in frames[t - 1]]
+        cur = [motion_pyramid(view) for view in (left, right)]
+        fields = [estimate_motion(p, c) for p, c in zip(pyramids, cur)]
+        pyramids = cur
+        guess = scatter_pairs(propagate(reconstruct(out[-1]), *fields), left.height, left.width)
+        del fields  # refine runs with no motion field, pair or old pyramid alive
         out.append(refine(left, right, guess, block, radius))
     return out
 
@@ -522,7 +546,8 @@ def three_pixel_error(pred: DisparityMap, gt: DisparityMap) -> float:
 def nonkey_operation_count(width: int, height: int, block: int = 5, radius: int = 2) -> int:
     """Analytic arithmetic-operation count of one non-key frame.
 
-    Counts the two dense motion estimations (pyramid blur, warp, and
+    Counts the blur of the frame's two motion pyramids (one per view,
+    reused by the next frame), the two dense motion estimations (warp and
     residual SAD search), the pair bookkeeping, and the block-matching
     refinement. SAD costs are charged at 7 ops per pixel per candidate
     (difference, absolute value, two incremental box-sum updates, compare
@@ -544,7 +569,7 @@ def nonkey_operation_count(width: int, height: int, block: int = 5, radius: int 
     search = (2 * MOTION_RADIUS + 1) ** 2
     per_field = 0
     for px in level_px:
-        per_field += px * (2 * blur_taps * 2)  # two separable blur passes
+        per_field += px * (2 * blur_taps * 2)  # two separable blur passes, one view
         per_field += px * 2  # warp by the carried flow
         per_field += px * search * 7  # residual SAD search
     refine_ops = width * height * (2 * radius + 1) * 7

@@ -59,3 +59,23 @@ def make_two_plane(panorama, height, width, d_back, d_front, box, origin=(4, 70)
     hidden = ~in_box & (ys >= y0) & (ys < y1) & behind_box
     gt = np.where((partner >= width) | hidden, -1, gt).astype(np.int32)
     return (Frame(left), Frame(right)), DisparityMap(gt)
+
+
+def make_two_plane_sequence(panorama, n_frames, height, width, d_back, d_front, box,
+                            wall_motion, box_motion, origin=(4, 70)):
+    """`make_two_plane` frames in which the wall and the box move apart.
+
+    Each frame the wall's window moves by `wall_motion` and the box by
+    `box_motion`, both (dy, dx) in pixels, so the box uncovers and hides
+    wall. Returns the stereo frames and each frame's ground truth.
+    """
+    (wy, wx), (by, bx) = wall_motion, box_motion
+    y0, x0, y1, x1 = box
+    frames, truths = [], []
+    for t in range(n_frames):
+        moved = (y0 + by * t, x0 + bx * t, y1 + by * t, x1 + bx * t)
+        pair, gt = make_two_plane(panorama, height, width, d_back, d_front, moved,
+                                  origin=(origin[0] + wy * t, origin[1] + wx * t))
+        frames.append(pair)
+        truths.append(gt)
+    return frames, truths

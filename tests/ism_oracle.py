@@ -5,7 +5,8 @@ before its tiled and in-place rewrite: `refine` scores every disparity
 from 0 to the largest upper bound over the whole frame, `_box_cost` sums
 sliding windows, and `estimate_motion` allocates fresh arrays for every
 search offset. They stay here, unchanged, so tests can require the fast
-versions to produce the same arrays bit for bit.
+versions to produce the same arrays bit for bit. `ism_run` chains them
+the plain way, building both pyramids afresh for every motion field.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from svopt.ism import (
     Frame,
     MotionField,
     gaussian_blur,
+    propagate,
+    reconstruct,
+    scatter_pairs,
 )
 
 
@@ -158,3 +162,19 @@ def refine(
         best_d = np.where(better, d, best_d)
         best_dist = np.where(better, dist, best_dist)
     return DisparityMap(best_d)
+
+
+def ism_run(frames, key_disp, pw, block=5, radius=2):
+    """Key maps at multiples of pw; every other frame propagated from the last map."""
+    out = []
+    for t, (left, right) in enumerate(frames):
+        if t % pw == 0:
+            out.append(key_disp[t])
+            continue
+        prev_left, prev_right = frames[t - 1]
+        mf_left = estimate_motion(prev_left, left)
+        mf_right = estimate_motion(prev_right, right)
+        pairs = propagate(reconstruct(out[-1]), mf_left, mf_right)
+        guess = scatter_pairs(pairs, left.height, left.width)
+        out.append(refine(left, right, guess, block, radius))
+    return out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from svopt import ism
 from svopt.ism import (
     INVALID_DISPARITY,
     CameraRig,
@@ -11,6 +12,7 @@ from svopt.ism import (
     estimate_motion,
     gaussian_blur,
     ism_run,
+    motion_pyramid,
     nonkey_operation_count,
     propagate,
     reconstruct,
@@ -108,6 +110,22 @@ class TestPropagate:
         ]
 
 
+    def test_pair_starting_left_of_the_field_rejected(self):
+        # read at x = -1, the motion would wrap to the last column, which moves +3 px
+        dx = np.zeros((4, 6), np.float32)
+        dx[:, -1] = 3.0
+        mf = MotionField(dx, np.zeros((4, 6), np.float32))
+        with pytest.raises(ValueError, match="1 of 1 pairs start outside the 4x6 motion field"):
+            propagate(CorrespondenceSet([-1], [0], [1], [0]), mf, mf)
+
+    def test_pairs_starting_right_of_or_below_the_field_rejected(self):
+        # the second pair's right side starts at x = w, the third pair at y = h
+        zero = MotionField(np.zeros((4, 6), np.float32), np.zeros((4, 6), np.float32))
+        cs = CorrespondenceSet([0, 2, 0], [0, 1, 4], [1, 6, 0], [0, 1, 4])
+        with pytest.raises(ValueError, match="2 of 3 pairs start outside"):
+            propagate(cs, zero, zero)
+
+
 class TestGaussianBlur:
     def test_constant_frame_unchanged(self):
         frame = Frame(np.full((6, 7), 0.4, np.float32))
@@ -145,17 +163,21 @@ class TestGaussianBlur:
         assert np.allclose(out, want, atol=1e-5)
 
 
+def motion(prev, cur):
+    return estimate_motion(motion_pyramid(prev), motion_pyramid(cur))
+
+
 class TestEstimateMotion:
     def test_identical_frames_zero_field(self, panorama):
         frame = Frame(panorama[:40, :50].copy())
-        mf = estimate_motion(frame, frame)
+        mf = motion(frame, frame)
         assert np.all(mf.dx == 0)
         assert np.all(mf.dy == 0)
 
     def test_translation_recovered_in_interior(self, panorama):
         prev = Frame(panorama[20:68, 30:94].copy())
         cur = Frame(panorama[20:68, 28:92].copy())  # content moves +2 px in x
-        mf = estimate_motion(prev, cur)
+        mf = motion(prev, cur)
         interior = (slice(8, 40), slice(8, 56))
         assert abs(float(np.median(mf.dx[interior])) - 2.0) <= 0.5
         assert abs(float(np.median(mf.dy[interior]))) <= 0.5
@@ -163,13 +185,22 @@ class TestEstimateMotion:
     def test_field_covers_every_pixel(self, panorama):
         prev = Frame(panorama[:32, :40].copy())
         cur = Frame(panorama[1:33, 2:42].copy())
-        mf = estimate_motion(prev, cur)
+        mf = motion(prev, cur)
         assert mf.dx.shape == prev.luma.shape
         assert mf.dy.shape == prev.luma.shape
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_motion(Frame(np.zeros((4, 4))), Frame(np.zeros((4, 5))))
+    def test_pyramid_levels(self, panorama):
+        # a level is added while the one above halves to at least two blocks
+        shapes = [level.shape for level in motion_pyramid(Frame(panorama[:38, :80]))]
+        assert shapes == [(38, 80), (19, 40)]
+        shapes = [level.shape for level in motion_pyramid(Frame(panorama[:80, :80]))]
+        assert shapes == [(80, 80), (40, 40), (20, 20)]
+
+    @pytest.mark.parametrize("other", [(4, 5), (40, 41), (41, 40)])
+    def test_pyramid_mismatch_rejected(self, panorama, other):
+        pyramid = motion_pyramid(Frame(panorama[:40, :40]))
+        with pytest.raises(ValueError, match="pyramids must share"):
+            estimate_motion(pyramid, motion_pyramid(Frame(panorama[: other[0], : other[1]])))
 
 
 class TestRefine:
@@ -247,6 +278,15 @@ class TestScatterPairs:
         out = scatter_pairs(cs, 3, 8)
         assert out.d[1, 2] == 4  # max(2, 4)
 
+    def test_negative_offset_is_a_hole(self):
+        cs = CorrespondenceSet([3, 4, 5], [0, 0, 0], [1, 6, 5], [0, 0, 0])
+        assert scatter_pairs(cs, 1, 8).d.tolist() == [[-1, -1, -1, -1, 2, 0, -1, -1]]
+
+    @pytest.mark.parametrize("xl, yl", [(-1, 0), (8, 0), (0, 3), (0, -1)])
+    def test_left_pixel_outside_the_frame_rejected(self, xl, yl):
+        with pytest.raises(ValueError, match="inside the 3x8 frame"):
+            scatter_pairs(CorrespondenceSet([xl], [yl], [xl + 1], [yl]), 3, 8)
+
 
 class TestIsmRun:
     def test_static_scene_exact_on_valid_region(self, panorama):
@@ -277,6 +317,21 @@ class TestIsmRun:
         maps = ism_run(frames, {t: gt for t in (0, 2, 4)}, 2)
         for m in maps:
             assert three_pixel_error(m, gt) >= 98.0
+
+    def test_one_motion_pyramid_per_frame_and_view(self, panorama, monkeypatch):
+        # key, three propagated frames, key: frames 0-3 each blur one 3-level pyramid
+        # per view, and the last key frame none
+        frames, gt = make_sequence(panorama, 5, 48, 64, disparity=4, motion=(1, 2))
+        blurred = []
+        blur = ism.gaussian_blur
+
+        def counting_blur(frame, sigma, radius):
+            blurred.append(frame.luma.shape)
+            return blur(frame, sigma, radius)
+
+        monkeypatch.setattr(ism, "gaussian_blur", counting_blur)
+        ism_run(frames, {0: gt, 4: gt}, 4)
+        assert blurred == [(48, 64), (24, 32), (12, 16)] * 8
 
     def test_pw_below_two_rejected(self, panorama):
         frames, gt = make_sequence(panorama, 2, 48, 64, disparity=4)

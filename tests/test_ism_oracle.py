@@ -11,6 +11,7 @@ import pytest
 import ism_oracle as oracle
 from svopt import ism
 from svopt.ism import INVALID_DISPARITY, MOTION_RADIUS, DisparityMap, Frame
+from conftest import make_sequence, make_two_plane_sequence
 
 SHAPES = [(3, 4), (7, 130), (65, 129), (40, 70)]
 
@@ -95,7 +96,7 @@ def test_estimate_motion_matches_oracle(shape):
     prev = quantized(rng, shape, 5)
     cur = Frame(np.roll(prev.luma, (1, -2), axis=(0, 1)))
     for a, b in ((prev, cur), (prev, quantized(rng, shape, 5)), (prev, prev)):
-        fast = ism.estimate_motion(a, b)
+        fast = ism.estimate_motion(ism.motion_pyramid(a), ism.motion_pyramid(b))
         slow = oracle.estimate_motion(a, b)
         assert_same(fast.dx, slow.dx)
         assert_same(fast.dy, slow.dy)
@@ -107,7 +108,7 @@ def test_estimate_motion_with_shifts_as_large_as_the_frame(shape):
     assert max(shape) - 1 <= MOTION_RADIUS
     rng = np.random.default_rng(11)
     prev, cur = quantized(rng, shape, 3), quantized(rng, shape, 3)
-    fast = ism.estimate_motion(prev, cur)
+    fast = ism.estimate_motion(ism.motion_pyramid(prev), ism.motion_pyramid(cur))
     slow = oracle.estimate_motion(prev, cur)
     assert_same(fast.dx, slow.dx)
     assert_same(fast.dy, slow.dy)
@@ -125,7 +126,24 @@ def test_non_finite_luma_follows_the_strict_comparisons():
     init = random_guesses(rng, shape)
     assert_same(ism.refine(left, right, init, 5, 2).d, oracle.refine(left, right, init, 5, 2).d)
     for a, b in ((left, right), (right, left)):
-        fast = ism.estimate_motion(a, b)
+        fast = ism.estimate_motion(ism.motion_pyramid(a), ism.motion_pyramid(b))
         slow = oracle.estimate_motion(a, b)
         assert_same(fast.dx, slow.dx)
         assert_same(fast.dy, slow.dy)
+
+
+@pytest.mark.parametrize("scene", ["pan", "two_plane"])
+def test_ism_run_matches_oracle(panorama, scene):
+    # two windows of pw=3: the second starts without the first window's pyramids
+    if scene == "pan":
+        frames, gt = make_sequence(panorama, 7, 48, 64, disparity=4, motion=(1, 2))
+        truths = [gt] * 7
+    else:
+        frames, truths = make_two_plane_sequence(
+            panorama, 7, 64, 96, 8, 20, (20, 20, 44, 50), (1, 2), (0, 3), origin=(20, 60))
+    keys = {t: truths[t] for t in (0, 3, 6)}
+    fast = ism.ism_run(frames, keys, 3)
+    slow = oracle.ism_run(frames, keys, 3)
+    assert len(fast) == len(slow) == 7
+    for f, s in zip(fast, slow):
+        assert_same(f.d, s.d)
