@@ -471,7 +471,7 @@ def refine(
 
 
 def scatter_pairs(cs: CorrespondenceSet, height: int, width: int) -> DisparityMap:
-    """Disparity guesses from propagated pairs; holes stay invalid.
+    """Disparity guesses from propagated pairs; holes stay invalid (`ism_run` fills them).
 
     When several pairs land on one left pixel the largest disparity
     (nearest surface) wins; negative horizontal offsets are treated as
@@ -498,7 +498,9 @@ def ism_run(
     Frames at indices divisible by `pw` emit their supplied key disparity
     unchanged. Every other frame chains forward from the previous emitted
     map: reconstruct pairs, displace both sides by dense motion, scatter
-    the pairs into a guess map, and refine with block matching. Each view
+    the pairs into a guess map, fill each hole of the guess from the
+    previous map at the same pixel (where that is invalid too, `refine`
+    falls back to its zero guess), and refine with block matching. Each view
     of a frame gets one motion pyramid, which the next frame reuses as its
     previous one; a key frame's is built only when the frame after needs it.
     """
@@ -523,6 +525,7 @@ def ism_run(
         pyramids = cur
         guess = scatter_pairs(propagate(reconstruct(out[-1]), *fields), left.height, left.width)
         del fields  # refine runs with no motion field, pair or old pyramid alive
+        np.copyto(guess.d, out[-1].d, where=guess.d < 0)  # a hole keeps the last map's value
         out.append(refine(left, right, guess, block, radius))
     return out
 

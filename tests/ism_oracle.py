@@ -16,6 +16,7 @@ import numpy as np
 from svopt.ism import (
     BLUR_RADIUS,
     BLUR_SIGMA,
+    INVALID_DISPARITY,
     MOTION_BLOCK,
     MOTION_LEVELS,
     MOTION_RADIUS,
@@ -165,7 +166,10 @@ def refine(
 
 
 def ism_run(frames, key_disp, pw, block=5, radius=2):
-    """Key maps at multiples of pw; every other frame propagated from the last map."""
+    """Key maps at multiples of pw; every other frame propagated from the last map.
+
+    Holes of the scattered guess take the last map's value at the same pixel.
+    """
     out = []
     for t, (left, right) in enumerate(frames):
         if t % pw == 0:
@@ -175,6 +179,7 @@ def ism_run(frames, key_disp, pw, block=5, radius=2):
         mf_left = estimate_motion(prev_left, left)
         mf_right = estimate_motion(prev_right, right)
         pairs = propagate(reconstruct(out[-1]), mf_left, mf_right)
-        guess = scatter_pairs(pairs, left.height, left.width)
-        out.append(refine(left, right, guess, block, radius))
+        guess = scatter_pairs(pairs, left.height, left.width).d
+        guess = np.where(guess == INVALID_DISPARITY, out[-1].d, guess)
+        out.append(refine(left, right, DisparityMap(guess), block, radius))
     return out
