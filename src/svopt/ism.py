@@ -274,19 +274,6 @@ def _box_cost(padded: np.ndarray, block: int) -> np.ndarray:
     return _sum_terms([rows[..., j : j + w] for j in range(block)])
 
 
-def _sort_keys(cost: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """uint64 keys that sort like the pairs (cost, rank), for ranks below 2**32.
-
-    `cost` is a float32 SAD, a sum of absolute values and so never
-    negative; the bit pattern of a non-negative float32 read as an
-    unsigned integer sorts like its value, with every NaN after +inf. It
-    fills bits 32-62, the rank the low 32 bits, and bit 63 stays free.
-    """
-    key = np.left_shift(cost.view(np.uint32), np.uint64(32), dtype=np.uint64)
-    key |= rank
-    return key
-
-
 def _offsets(radius: int) -> list[tuple[int, int]]:
     # zero displacement first so exact ties resolve to "no residual motion"
     offs = [
@@ -307,40 +294,58 @@ def _search_offsets(p: np.ndarray, warped: np.ndarray) -> tuple[np.ndarray, np.n
     Offsets are tried in `_offsets` order and only a strictly smaller SAD
     replaces the best so far, so ties keep the earlier offset. The frame
     is searched in bands of MOTION_BAND rows, whose buffers stay in cache.
+
+    Both frames are padded to one row stride, so that a band's rows lie
+    end to end in flat buffers, one per dy, and each dx is a flat offset:
+    the subtract, the box sums and the running best each sweep one
+    contiguous buffer. Sums over p's NaN border columns are junk, but the
+    edge padding of the diff takes its edge columns' sums, and the best
+    offset is cropped to the frame once per band.
     """
     h, w = p.shape
     r, half = MOTION_RADIUS, MOTION_BLOCK // 2
+    border = max(r, half)
+    stride = w + 2 * border
     offsets = _offsets(r)
-    # with `warped` edge-padded by the search radius every clamped shift is a slice
-    src = np.pad(warped, r, mode="edge")
+    # with `warped` edge-padded by the search radius every clamped shift is a flat offset
+    src = np.pad(warped, ((r, r), (border, border)), mode="edge")
     best = np.empty((h, w), np.min_scalar_type(len(offsets)))
     for y0 in range(0, h, MOTION_BAND):
-        band = best[y0 : y0 + MOTION_BAND]
+        rows = min(MOTION_BAND, h - y0)
         # band rows plus a `half` halo, clamped: the edge padding of the diff image
-        cy = np.clip(np.arange(y0 - half, y0 + band.shape[0] + half), 0, h - 1)
-        p_rows = p[cy]
-        src_rows = {dy: src[r + dy + cy] for dy in range(-r, r + 1)}
-        diff = np.empty((cy.size, w + 2 * half), np.float32)
-        inner = diff[:, half : half + w]
-        better = np.empty(band.shape, bool)
+        cy = np.clip(np.arange(y0 - half, y0 + rows + half), 0, h - 1)
+        # NaN, unlike an edge value, takes part in no arithmetic that warns
+        p_rows = np.pad(p[cy], ((0, 0), (border, border)), constant_values=np.nan).ravel()
+        src_rows = {dy: src[r + dy + cy].ravel() for dy in range(-r, r + 1)}
+        n, m = p_rows.size, rows * stride
+        diff = np.zeros(n, np.float32)
+        # the flat index in `cost` of the band's pixel (y, x)
+        crop = np.arange(0, m, stride)[:, None] + np.arange(border - half, border - half + w)
         for k, (dy, dx) in enumerate(offsets):
-            np.subtract(p_rows, src_rows[dy][:, r + dx : r + dx + w], out=inner)
-            np.abs(inner, out=inner)
-            diff[:, :half] = diff[:, half : half + 1]
-            diff[:, -half:] = diff[:, -half - 1 : -half]
-            cost = _box_cost(diff, MOTION_BLOCK)
+            np.subtract(p_rows[border : n - border],
+                        src_rows[dy][border + dx : n - border + dx], out=diff[border : n - border])
+            np.abs(diff, out=diff)
+            # `block` rows top to bottom, then the column sums: `_box_cost`'s order
+            cols = diff[0:m] + diff[stride : stride + m]
+            for i in range(2, MOTION_BLOCK):
+                cols += diff[i * stride : i * stride + m]
+            # a border column of the edge-padded diff sums to its edge column's sum
+            grid = cols.reshape(rows, stride)
+            grid[:, border - half : border] = grid[:, border : border + 1]
+            grid[:, border + w : border + w + half] = grid[:, border + w - 1 : border + w]
+            cost = _sum_terms([cols[j : m - 2 * half + j] for j in range(MOTION_BLOCK)])
             if k == 0:
                 # nothing is below a NaN, so such a pixel keeps the first offset:
                 # -inf stands in for it, which nothing is below either
                 best_cost = np.where(np.isnan(cost), -np.inf, cost).astype(np.float32)
-                band.fill(0)
+                best_k = np.zeros(cost.shape, best.dtype)
                 continue
-            np.less(cost, best_cost, out=better)
-            # the same as taking cost where better: an equal SAD has equal bits
+            # k only grows, so "k where the SAD is less" is the larger of the two
+            np.maximum(best_k, (cost < best_cost) * best.dtype.type(k), out=best_k)
+            # the same as taking cost where it is less: an equal SAD has equal bits
             # (none is -0.0), and fmin keeps best_cost against a NaN cost
             np.fmin(best_cost, cost, out=best_cost)
-            # k only grows, so "k where better" is the larger of the two
-            np.maximum(band, better * band.dtype.type(k), out=band)
+        best[y0 : y0 + rows] = best_k[crop]
     table = np.array(offsets, np.int32)
     return table[best, 0], table[best, 1]
 
@@ -387,10 +392,17 @@ def estimate_motion(prev: list[np.ndarray], cur: list[np.ndarray]) -> MotionFiel
     return MotionField(fx.astype(np.float32), fy.astype(np.float32))
 
 
+def _check_search(block: int, radius: int) -> None:
+    """Reject a `refine` block or radius before any work is done."""
+    if block < 3 or block % 2 == 0:
+        raise ValueError("block must be odd and >= 3")
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+
+
 REFINE_TILE = 64
-# candidates scored at once in a tile, which bounds the tile's buffers
+# candidates whose box sums run at once, which bounds a tile's temporaries
 REFINE_CHUNK = 32
-_EXCLUDED = np.uint64(1 << 63)
 
 
 def refine(
@@ -412,16 +424,14 @@ def refine(
     The frame is searched in REFINE_TILE-square tiles. A tile scores only
     the distinct offsets that one of its pixels may take, so the work per
     pixel is the number of distinct candidates in its tile (2*radius+1 on
-    a smooth guess map), not the largest disparity in the frame. Each
-    (pixel, offset) gets one integer key that sorts like (SAD, distance
-    to the guess, offset), and the least key wins: the same choice as
-    trying the offsets in increasing order and keeping a strictly
-    smaller SAD, or an equal SAD nearer the guess.
+    a smooth guess map), not the largest disparity in the frame. A first
+    pass takes each pixel's least float32 SAD over its own [lo, hi] (an
+    offset outside it scores NaN, which `np.fmin` passes over), a second
+    the offset with that SAD nearest the guess, or below it on a tie: the
+    choice of trying the offsets in increasing order and keeping a
+    strictly smaller SAD, or an equal SAD nearer the guess.
     """
-    if block < 3 or block % 2 == 0:
-        raise ValueError("block must be odd and >= 3")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    _check_search(block, radius)
     if left.luma.shape != right.luma.shape or left.luma.shape != init.d.shape:
         raise ValueError("left, right, and init must share their extents")
     h, w = left.luma.shape
@@ -450,23 +460,21 @@ def refine(
             )
             cands = np.flatnonzero(open_ > 0).astype(np.int32)
             left_crop = left.luma[cy[:, None], cx]
-            best = np.full(t_guess.shape, _EXCLUDED, np.uint64)
+            costs = np.empty(cands.shape + t_guess.shape, np.float32)
             for k0 in range(0, cands.size, REFINE_CHUNK):
-                ds = cands[k0 : k0 + REFINE_CHUNK, None, None]
-                right_crop = right_rows[:, np.clip(cx + ds[:, 0], 0, w - 1)].swapaxes(0, 1)
-                costs = _box_cost(np.abs(left_crop - right_crop), block)
-                # ties go nearer the guess, then below it: rank 2|d - g| + (d > g)
-                offset = ds - t_guess
-                rank = 2 * np.abs(offset) + (offset > 0)
-                keys = _sort_keys(costs, rank.astype(np.uint64))
-                # a NaN SAD never wins a strict comparison, so it never wins here
-                excluded = (ds < t_lo) | (ds > t_hi) | np.isnan(costs)
-                keys |= excluded.astype(np.uint64) << np.uint64(63)
-                np.minimum(best, keys.min(axis=0), out=best)
-            rank = (best & np.uint64(0xFFFFFFFF)).astype(np.int32)
-            found = best < _EXCLUDED
-            step = rank >> 1
-            best_d[ty, tx] = np.where(found, np.where(rank & 1, t_guess + step, t_guess - step), 0)
+                ds = cands[k0 : k0 + REFINE_CHUNK, None]
+                right_crop = right_rows[:, np.clip(cx + ds, 0, w - 1)].swapaxes(0, 1)
+                costs[k0 : k0 + ds.size] = _box_cost(np.abs(left_crop - right_crop), block)
+            ds = cands[:, None, None]
+            costs[(ds < t_lo) | (ds > t_hi)] = np.nan
+            least = np.fmin.reduce(costs, axis=0)
+            # rank |4(d - g) + 1| orders g, g - 1, g + 1, g - 2, ...; 2**30 added where
+            # the SAD is above the least keeps the least rank among the least SADs
+            rank = np.abs(4 * ds - (4 * t_guess - 1))
+            rank = (rank + (costs != least) * np.int32(1 << 30)).min(axis=0)
+            step = (rank + 1) >> 2
+            best_d[ty, tx] = np.where(
+                np.isnan(least), 0, np.where(rank & 2, t_guess - step, t_guess + step))
     return DisparityMap(best_d)
 
 
@@ -506,6 +514,7 @@ def ism_run(
     """
     if pw < 2:
         raise ValueError(f"propagation window must be >= 2, got {pw}")
+    _check_search(block, radius)
     out: list[DisparityMap] = []
     pyramids = None  # the previous frame's (left, right) motion pyramids
     for t, (left, right) in enumerate(frames):

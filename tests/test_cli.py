@@ -20,8 +20,9 @@ from svopt.formats import (
     save_network,
 )
 from svopt.perfmodel import RoundPlan
-from svopt.pgm import frame_to_pgm, read_disparity, write_disparity
-from conftest import make_sequence
+from svopt.pgm import frame_from_pgm, frame_to_pgm, read_disparity, write_disparity
+import ism_oracle
+from conftest import make_sequence, make_two_plane_sequence
 
 
 def write_json(path, obj):
@@ -344,10 +345,42 @@ class TestIsmCommand:
         first = read_disparity(maps[0])
         assert np.array_equal(first.d, gt.d)  # key frames pass through
 
+    def test_maps_match_the_oracle_on_a_two_plane_scene(self, tmp_path, panorama):
+        # a D=16 wall panning (1, 2) px per frame behind a D=40 box moving (0, 3) px;
+        # --pw 3 overrides the manifest's pw=2, so frames 1, 2, 4 and 5 are propagated
+        frames, truths = make_two_plane_sequence(
+            panorama, 6, 96, 160, 16, 40, (20, 30, 70, 80), (1, 2), (0, 3), origin=(20, 60))
+        records = []
+        for i, (left, right) in enumerate(frames):
+            record = {"left": f"l{i}.pgm", "right": f"r{i}.pgm", "key_disparity": f"k{i}.pgm"}
+            frame_to_pgm(tmp_path / record["left"], left, maxval=65535)
+            frame_to_pgm(tmp_path / record["right"], right, maxval=65535)
+            write_disparity(tmp_path / record["key_disparity"], truths[i])
+            records.append(record)
+        manifest = write_json(tmp_path / "seq.json", {"format_version": 1, "pw": 2, "frames": records})
+        out = tmp_path / "out"
+        assert main(["ism", "--sequence", manifest, "--out-dir", str(out), "--pw", "3"]) == 0
+        # the oracle sees the frames as the CLI reads them back, quantized to 16 bits
+        read = [(frame_from_pgm(tmp_path / r["left"]), frame_from_pgm(tmp_path / r["right"]))
+                for r in records]
+        expected = ism_oracle.ism_run(read, {0: truths[0], 3: truths[3]}, 3)
+        written = sorted(out.glob("disparity_*.pgm"))
+        assert len(written) == 6
+        for path, dmap in zip(written, expected):
+            assert np.array_equal(read_disparity(path).d, dmap.d)
+        assert all((dmap.d >= 38).any() for dmap in expected)
+
     def test_missing_key_disparity_is_input_error(self, tmp_path, panorama):
         manifest, _ = self.build_sequence(tmp_path, panorama)
         assert main(["ism", "--sequence", str(manifest), "--out-dir",
                      str(tmp_path / "o"), "--pw", "3"]) == 2  # frame 3 lacks a key map
+
+    def test_even_block_is_input_error(self, tmp_path, panorama, capsys):
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        assert main(["ism", "--sequence", str(manifest), "--out-dir",
+                     str(tmp_path / "o"), "--block", "4"]) == 2
+        assert "block must be odd" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("meta", [{"format_version": 1, "scale": 0}, [1]])
     def test_bad_disparity_sidecar_is_input_error(self, tmp_path, panorama, meta):

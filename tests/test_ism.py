@@ -332,6 +332,23 @@ class TestIsmRun:
         ism_run(frames, {0: gt, 4: gt}, 4)
         assert blurred == [(48, 64), (24, 32), (12, 16)] * 8
 
+    @pytest.mark.parametrize("block, radius, message", [
+        (4, 2, "block must be odd"), (1, 2, "block must be odd"), (5, 0, "radius must be")])
+    def test_bad_search_rejected_before_any_pyramid(self, panorama, monkeypatch,
+                                                   block, radius, message):
+        frames, gt = make_sequence(panorama, 3, 48, 64, disparity=4)
+        built = []
+        pyramid = ism.motion_pyramid
+
+        def counting_pyramid(frame):
+            built.append(frame.luma.shape)
+            return pyramid(frame)
+
+        monkeypatch.setattr(ism, "motion_pyramid", counting_pyramid)
+        with pytest.raises(ValueError, match=message):
+            ism_run(frames, {0: gt, 2: gt}, 2, block=block, radius=radius)
+        assert built == []
+
     def test_moving_two_plane_scene_keeps_a_floor(self, panorama):
         # a D=16 wall whose window pans (1, 2) px per frame behind a D=48 box moving
         # (0, 4) px: the box uncovers and hides wall, and the scattered guess has holes

@@ -13,7 +13,9 @@ from svopt import ism
 from svopt.ism import INVALID_DISPARITY, MOTION_RADIUS, DisparityMap, Frame
 from conftest import make_sequence, make_two_plane_sequence
 
-SHAPES = [(3, 4), (7, 130), (65, 129), (40, 70)]
+# (129, 67): two motion bands and a 1-row remainder, one refine tile and a
+# 3-column remainder, and the padded columns a flat motion sweep crosses between rows
+SHAPES = [(3, 4), (7, 130), (65, 129), (40, 70), (129, 67)]
 
 
 def quantized(rng, shape, levels):
@@ -114,10 +116,9 @@ def test_estimate_motion_with_shifts_as_large_as_the_frame(shape):
     assert_same(fast.dy, slow.dy)
 
 
-def test_non_finite_luma_follows_the_strict_comparisons():
+def test_non_finite_luma_follows_the_strict_comparisons(shape=(24, 90)):
     # a NaN SAD never wins a strict `<`, and an infinite one wins only ties
     rng = np.random.default_rng(12)
-    shape = (24, 90)
     left = quantized(rng, shape, 4).luma.copy()
     right = quantized(rng, shape, 4).luma.copy()
     left[rng.random(shape) < 0.01] = np.nan
@@ -130,6 +131,23 @@ def test_non_finite_luma_follows_the_strict_comparisons():
         slow = oracle.estimate_motion(a, b)
         assert_same(fast.dx, slow.dx)
         assert_same(fast.dy, slow.dy)
+
+
+def test_non_finite_luma_at_the_edges_of_the_search_layout():
+    test_non_finite_luma_follows_the_strict_comparisons((129, 67))
+
+
+def test_infinite_luma_at_opposite_row_ends_raises_no_warning():
+    # the reference never subtracts one row's last pixel from the next row's first,
+    # so the fast search must not either (pytest turns a RuntimeWarning into a failure)
+    rng = np.random.default_rng(13)
+    prev, cur = quantized(rng, (40, 70), 4).luma.copy(), quantized(rng, (40, 70), 4).luma.copy()
+    prev[:, -1] = np.inf
+    cur[:, 0] = np.inf
+    fast = ism.estimate_motion(ism.motion_pyramid(Frame(prev)), ism.motion_pyramid(Frame(cur)))
+    slow = oracle.estimate_motion(Frame(prev), Frame(cur))
+    assert_same(fast.dx, slow.dx)
+    assert_same(fast.dy, slow.dy)
 
 
 @pytest.mark.parametrize("scene", ["pan", "two_plane"])
