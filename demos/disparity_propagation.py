@@ -38,7 +38,7 @@ print("estimated camera motion between frames 0 and 1 "
       f"(actual {-PAN_X:+d}, {-PAN_Y:+d})\n")
 
 key_disparity = {t: gt for t in range(0, 6, 2)}
-maps = ism_run(frames, key_disparity, pw=2, block=5, radius=2)
+maps = ism_run(frames, key_disparity, pw=2)
 
 print(f"{'frame':>5} {'source':>12} {'three-pixel error':>18}")
 for t, dmap in enumerate(maps):

@@ -164,16 +164,27 @@ def cmd_ism(args) -> int:
     key_disp = {}
     gt = {}
     for i, entry in enumerate(sequence.frames):
-        frames.append((frame_from_pgm(entry.left), frame_from_pgm(entry.right)))
+        left, right = frame_from_pgm(entry.left), frame_from_pgm(entry.right)
+        frames.append((left, right))
+        rasters = [(entry.right, right.luma)]
         if i % pw == 0:
             if entry.key_disparity is None:
                 raise SpecValidationError(
                     f"frame {i} is a key frame (pw={pw}) but has no key_disparity"
                 )
             key_disp[i] = read_disparity(entry.key_disparity)
+            rasters.append((entry.key_disparity, key_disp[i].d))
         if entry.gt_disparity is not None:
             gt[i] = read_disparity(entry.gt_disparity)
-    maps = ism_run(frames, key_disp, pw, block=args.block, radius=args.radius)
+            rasters.append((entry.gt_disparity, gt[i].d))
+        for path, raster in rasters:
+            if raster.shape != left.luma.shape:
+                (h, w), (lh, lw) = raster.shape, left.luma.shape
+                raise SpecValidationError(
+                    f"{path}: raster is {w}x{h}, but frame {i}'s left raster "
+                    f"{entry.left} is {lw}x{lh}"
+                )
+    maps = ism_run(frames, key_disp, pw)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -293,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True, help="sequence manifest JSON")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pw", type=int, default=None, help="propagation window override")
-    p.add_argument("--block", type=int, default=5, help="odd SAD block size")
-    p.add_argument("--radius", type=int, default=2, help="refinement search radius")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_ism)
 

@@ -222,56 +222,42 @@ MOTION_BLOCK = 5
 MOTION_RADIUS = 2
 BLUR_SIGMA = 1.0
 BLUR_RADIUS = 2
+# the refinement: SAD block side and search radius around the guess
+REFINE_BLOCK = 5
+REFINE_RADIUS = 2
 
 
 def _sum_terms(terms: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays in numpy's pairwise order.
+    """Elementwise sum of equal-shape arrays, added left to right.
 
-    This is the order `np.add.reduce` adds a contiguous float axis in:
-    left to right below eight terms; from eight on, eight running partial
-    sums joined as a balanced tree, with the rest added after; above 128
-    terms, split in two at a multiple of eight.
+    Below eight terms this is the order in which `np.add.reduce` adds a
+    contiguous float axis; from eight on numpy sums pairwise. So every
+    block side summed here must be below eight.
     """
-    n = len(terms)
-    if n > 128:
-        mid = n // 2 - (n // 2) % 8
-        return _sum_terms(terms[:mid]) + _sum_terms(terms[mid:])
-    if n < 8:
-        acc = terms[0] + terms[1]
-        rest = terms[2:]
-    else:
-        part = [t.copy() for t in terms[:8]]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                part[j] += terms[i + j]
-        acc = ((part[0] + part[1]) + (part[2] + part[3])) + (
-            (part[4] + part[5]) + (part[6] + part[7])
-        )
-        rest = terms[tail:]
-    for t in rest:
+    acc = terms[0] + terms[1]
+    for t in terms[2:]:
         acc += t
     return acc
 
 
-def _box_cost(padded: np.ndarray, block: int) -> np.ndarray:
-    """Per-pixel SAD over block x block patches of an edge-padded |diff|.
+def _box_cost(padded: np.ndarray) -> np.ndarray:
+    """Per-pixel SAD over REFINE_BLOCK-square patches of an edge-padded |diff|.
 
-    `padded` carries a block // 2 border on its last two axes (the frame
-    edge-clamped, as `np.pad(mode="edge")` makes it); the result drops it.
-    The float32 adds run in a fixed order: `block` rows are summed top to
-    bottom, then `block` of those column sums in numpy's pairwise order
-    (left to right for block < 8). That is the order of a sliding-window
-    `sum` along axis 0 and then axis 1, so every SAD is the same bit for
-    bit and exact ties between candidates fall where they always did. A
-    cumulative-sum box filter would round differently and move the ties.
+    `padded` carries a REFINE_BLOCK // 2 border on its last two axes (the
+    frame edge-clamped, as `np.pad(mode="edge")` makes it); the result
+    drops it. The float32 adds run in a fixed order: REFINE_BLOCK rows are
+    summed top to bottom, then that many column sums left to right. That
+    is the order of a sliding-window `sum` along axis 0 and then axis 1,
+    so every SAD is the same bit for bit and exact ties between candidates
+    fall where they always did. A cumulative-sum box filter would round
+    differently and move the ties.
     """
-    h = padded.shape[-2] - block + 1
-    w = padded.shape[-1] - block + 1
+    h = padded.shape[-2] - REFINE_BLOCK + 1
+    w = padded.shape[-1] - REFINE_BLOCK + 1
     rows = padded[..., 0:h, :] + padded[..., 1 : 1 + h, :]
-    for i in range(2, block):
+    for i in range(2, REFINE_BLOCK):
         rows += padded[..., i : i + h, :]
-    return _sum_terms([rows[..., j : j + w] for j in range(block)])
+    return _sum_terms([rows[..., j : j + w] for j in range(REFINE_BLOCK)])
 
 
 def _offsets(radius: int) -> list[tuple[int, int]]:
@@ -325,7 +311,7 @@ def _search_offsets(p: np.ndarray, warped: np.ndarray) -> tuple[np.ndarray, np.n
             np.subtract(p_rows[border : n - border],
                         src_rows[dy][border + dx : n - border + dx], out=diff[border : n - border])
             np.abs(diff, out=diff)
-            # `block` rows top to bottom, then the column sums: `_box_cost`'s order
+            # MOTION_BLOCK rows top to bottom, then the column sums: `_box_cost`'s order
             cols = diff[0:m] + diff[stride : stride + m]
             for i in range(2, MOTION_BLOCK):
                 cols += diff[i * stride : i * stride + m]
@@ -392,55 +378,41 @@ def estimate_motion(prev: list[np.ndarray], cur: list[np.ndarray]) -> MotionFiel
     return MotionField(fx.astype(np.float32), fy.astype(np.float32))
 
 
-def _check_search(block: int, radius: int) -> None:
-    """Reject a `refine` block or radius before any work is done."""
-    if block < 3 or block % 2 == 0:
-        raise ValueError("block must be odd and >= 3")
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-
-
 REFINE_TILE = 64
 # candidates whose box sums run at once, which bounds a tile's temporaries
 REFINE_CHUNK = 32
 
 
-def refine(
-    left: Frame,
-    right: Frame,
-    init: DisparityMap,
-    block: int = 5,
-    radius: int = 2,
-) -> DisparityMap:
+def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
     """Block-matching disparity search around a per-pixel initial guess.
 
-    For each left-image pixel the block x block SAD is evaluated at
-    horizontal offsets init +- radius (clipped to keep x+d in frame) and
-    the minimizing offset wins; ties go to the offset nearest the guess,
-    then to the smaller offset. Pixels whose guess is invalid or out of
-    reach fall back to a zero guess with a doubled radius. Patches are
-    edge-clamped at the borders.
+    For each left-image pixel the REFINE_BLOCK-square SAD is evaluated
+    at horizontal offsets init +- REFINE_RADIUS (clipped to keep x+d in
+    frame) and the minimizing offset wins; ties go to the offset nearest
+    the guess, then to the smaller offset. Pixels whose guess is invalid
+    or out of reach fall back to a zero guess with a doubled radius.
+    Patches are edge-clamped at the borders.
 
     The frame is searched in REFINE_TILE-square tiles. A tile scores only
     the distinct offsets that one of its pixels may take, so the work per
-    pixel is the number of distinct candidates in its tile (2*radius+1 on
-    a smooth guess map), not the largest disparity in the frame. A first
-    pass takes each pixel's least float32 SAD over its own [lo, hi] (an
-    offset outside it scores NaN, which `np.fmin` passes over), a second
-    the offset with that SAD nearest the guess, or below it on a tie: the
-    choice of trying the offsets in increasing order and keeping a
-    strictly smaller SAD, or an equal SAD nearer the guess.
+    pixel is the number of distinct candidates in its tile
+    (2*REFINE_RADIUS+1 on a smooth guess map), not the largest disparity
+    in the frame. A first pass takes each pixel's least float32 SAD over
+    its own [lo, hi] (an offset outside it scores NaN, which `np.fmin`
+    passes over), a second the offset with that SAD nearest the guess, or
+    below it on a tie: the choice of trying the offsets in increasing
+    order and keeping a strictly smaller SAD, or an equal SAD nearer the
+    guess.
     """
-    _check_search(block, radius)
     if left.luma.shape != right.luma.shape or left.luma.shape != init.d.shape:
         raise ValueError("left, right, and init must share their extents")
     h, w = left.luma.shape
-    half = block // 2
+    half = REFINE_BLOCK // 2
     xs = np.arange(w)[None, :]
     max_d = w - 1 - xs
     usable = init.valid_mask()
     guess = np.where(usable, init.d, 0).astype(np.int32)
-    reach = np.where(usable, radius, 2 * radius).astype(np.int32)
+    reach = np.where(usable, REFINE_RADIUS, 2 * REFINE_RADIUS).astype(np.int32)
     lo = np.maximum(guess - reach, 0)
     hi = np.minimum(guess + reach, max_d)
     best_d = np.zeros((h, w), np.int32)
@@ -464,7 +436,7 @@ def refine(
             for k0 in range(0, cands.size, REFINE_CHUNK):
                 ds = cands[k0 : k0 + REFINE_CHUNK, None]
                 right_crop = right_rows[:, np.clip(cx + ds, 0, w - 1)].swapaxes(0, 1)
-                costs[k0 : k0 + ds.size] = _box_cost(np.abs(left_crop - right_crop), block)
+                costs[k0 : k0 + ds.size] = _box_cost(np.abs(left_crop - right_crop))
             ds = cands[:, None, None]
             costs[(ds < t_lo) | (ds > t_hi)] = np.nan
             least = np.fmin.reduce(costs, axis=0)
@@ -493,14 +465,8 @@ def scatter_pairs(cs: CorrespondenceSet, height: int, width: int) -> DisparityMa
     return DisparityMap(d.reshape(height, width))
 
 
-def ism_run(
-    frames: Sequence[tuple[Frame, Frame]],
-    key_disp: Mapping[int, DisparityMap],
-    pw: int,
-    *,
-    block: int = 5,
-    radius: int = 2,
-) -> list[DisparityMap]:
+def ism_run(frames: Sequence[tuple[Frame, Frame]], key_disp: Mapping[int, DisparityMap],
+            pw: int) -> list[DisparityMap]:
     """Disparity for every frame of a stereo sequence.
 
     Frames at indices divisible by `pw` emit their supplied key disparity
@@ -514,7 +480,6 @@ def ism_run(
     """
     if pw < 2:
         raise ValueError(f"propagation window must be >= 2, got {pw}")
-    _check_search(block, radius)
     out: list[DisparityMap] = []
     pyramids = None  # the previous frame's (left, right) motion pyramids
     for t, (left, right) in enumerate(frames):
@@ -535,7 +500,7 @@ def ism_run(
         guess = scatter_pairs(propagate(reconstruct(out[-1]), *fields), left.height, left.width)
         del fields  # refine runs with no motion field, pair or old pyramid alive
         np.copyto(guess.d, out[-1].d, where=guess.d < 0)  # a hole keeps the last map's value
-        out.append(refine(left, right, guess, block, radius))
+        out.append(refine(left, right, guess))
     return out
 
 
@@ -555,7 +520,7 @@ def three_pixel_error(pred: DisparityMap, gt: DisparityMap) -> float:
     return 100.0 * int(good.sum()) / total
 
 
-def nonkey_operation_count(width: int, height: int, block: int = 5, radius: int = 2) -> int:
+def nonkey_operation_count(width: int, height: int) -> int:
     """Analytic arithmetic-operation count of one non-key frame.
 
     Counts the blur of the frame's two motion pyramids (one per view,
@@ -564,13 +529,13 @@ def nonkey_operation_count(width: int, height: int, block: int = 5, radius: int 
     refinement. SAD costs are charged at 7 ops per pixel per candidate
     (difference, absolute value, two incremental box-sum updates, compare
     and select), the cost of a running-sum box filter. The code spends
-    more per candidate: its box sums add 2 * (block - 1) terms directly,
-    in a fixed order that keeps ties bit-exact (see `_box_cost`).
+    more per candidate: its box sums add 2 * (REFINE_BLOCK - 1) terms
+    directly, in a fixed order that keeps ties bit-exact (see `_box_cost`).
 
-    Refinement is charged 2 * radius + 1 candidates per pixel, the search
-    window of a usable guess. `refine` scores the distinct candidates of
-    each pixel's tile, which is at least that many and more where guesses
-    vary inside a tile or fall back to the zero guess.
+    Refinement is charged 2 * REFINE_RADIUS + 1 candidates per pixel, the
+    search window of a usable guess. `refine` scores the distinct
+    candidates of each pixel's tile, which is at least that many and more
+    where guesses vary inside a tile or fall back to the zero guess.
     """
     level_px = []
     px = width * height
@@ -584,6 +549,6 @@ def nonkey_operation_count(width: int, height: int, block: int = 5, radius: int 
         per_field += px * (2 * blur_taps * 2)  # two separable blur passes, one view
         per_field += px * 2  # warp by the carried flow
         per_field += px * search * 7  # residual SAD search
-    refine_ops = width * height * (2 * radius + 1) * 7
+    refine_ops = width * height * (2 * REFINE_RADIUS + 1) * 7
     bookkeeping = width * height * 8  # reconstruct, displace, scatter
     return 2 * per_field + refine_ops + bookkeeping

@@ -19,6 +19,7 @@ from svopt.formats import (
     load_transform_manifest,
     save_network,
 )
+from svopt.ism import DisparityMap, Frame
 from svopt.perfmodel import RoundPlan
 from svopt.pgm import frame_from_pgm, frame_to_pgm, read_disparity, write_disparity
 import ism_oracle
@@ -334,7 +335,7 @@ class TestIsmCommand:
         manifest, gt = self.build_sequence(tmp_path, panorama)
         out = tmp_path / "out"
         assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out),
-                     "--pw", "2", "--block", "5", "--radius", "2"]) == 0
+                     "--pw", "2"]) == 0
         maps = sorted(out.glob("disparity_*.pgm"))
         assert len(maps) == 4
         _, rows = load_report(out / "metrics.csv")
@@ -375,12 +376,32 @@ class TestIsmCommand:
         assert main(["ism", "--sequence", str(manifest), "--out-dir",
                      str(tmp_path / "o"), "--pw", "3"]) == 2  # frame 3 lacks a key map
 
-    def test_even_block_is_input_error(self, tmp_path, panorama, capsys):
+    def test_block_option_is_rejected(self, tmp_path, panorama, capsys):
+        # the refinement runs one configuration, `ism.REFINE_BLOCK` and `REFINE_RADIUS`
         manifest, _ = self.build_sequence(tmp_path, panorama)
-        assert main(["ism", "--sequence", str(manifest), "--out-dir",
-                     str(tmp_path / "o"), "--block", "4"]) == 2
-        assert "block must be odd" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o"),
+                  "--block", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --block 5" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["r1.pgm", "k2.pgm", "g3.pgm"])
+    def test_mis_sized_raster_rejected_before_propagation(self, tmp_path, panorama, capsys,
+                                                          name):
+        # a right view, key map or ground truth one column wider than its left view
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        path = tmp_path / name
+        if name.startswith("r"):
+            frame_to_pgm(path, Frame(np.zeros((48, 65))))
+        else:
+            write_disparity(path, DisparityMap(np.zeros((48, 65))))
+        out = tmp_path / "out"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: raster is 65x48" in err
+        assert f"left raster {tmp_path / ('l' + name[1:])} is 64x48" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("meta", [{"format_version": 1, "scale": 0}, [1]])
     def test_bad_disparity_sidecar_is_input_error(self, tmp_path, panorama, meta):

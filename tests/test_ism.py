@@ -206,7 +206,7 @@ class TestRefine:
     def test_exact_init_zero_sad(self, panorama):
         frames, gt = make_sequence(panorama, 1, 48, 64, disparity=4)
         left, right = frames[0]
-        out = refine(left, right, gt, 5, 2)
+        out = refine(left, right, gt)
         valid = gt.valid_mask()
         valid[:, -10:] = False  # clamped patches distort the right border
         assert np.all(out.d[valid] == 4)
@@ -215,7 +215,7 @@ class TestRefine:
         frames, gt = make_sequence(panorama, 1, 48, 64, disparity=4)
         left, right = frames[0]
         init = DisparityMap(np.where(gt.d >= 0, gt.d + 1, -1))
-        out = refine(left, right, init, 5, 2)
+        out = refine(left, right, init)
         valid = gt.valid_mask()
         valid[:, -10:] = False
         assert np.all(out.d[valid] == 4)
@@ -223,14 +223,14 @@ class TestRefine:
     def test_constant_region_tie_returns_init(self):
         flat = Frame(np.full((10, 20), 0.5, np.float32))
         init = DisparityMap(np.full((10, 20), 3, np.int32))
-        out = refine(flat, flat, init, 5, 2)
+        out = refine(flat, flat, init)
         assert np.all(out.d[:, : 20 - 3] == 3)
 
     def test_idempotent_at_the_optimum(self, panorama):
         frames, gt = make_sequence(panorama, 1, 48, 64, disparity=4)
         left, right = frames[0]
-        once = refine(left, right, gt, 5, 2)
-        twice = refine(left, right, once, 5, 2)
+        once = refine(left, right, gt)
+        twice = refine(left, right, once)
         assert np.array_equal(once.d, twice.d)
 
     def test_invalid_init_widens_search(self, panorama):
@@ -238,7 +238,7 @@ class TestRefine:
         frames, gt = make_sequence(panorama, 1, 48, 64, disparity=4)
         left, right = frames[0]
         holes = DisparityMap(np.full((48, 64), INVALID_DISPARITY, np.int32))
-        out = refine(left, right, holes, 5, 2)
+        out = refine(left, right, holes)
         valid = gt.valid_mask()
         valid[:, -10:] = False
         assert np.all(out.d[valid] == 4)
@@ -262,8 +262,9 @@ class TestTensOfPixels:
     def test_init_near_ground_truth(self, scene, offset):
         (left, right), gt = scene
         init = DisparityMap(np.where(gt.d >= 0, gt.d + offset, INVALID_DISPARITY))
-        out = refine(left, right, init, 5, 2)
-        assert np.array_equal(out.d, oracle.refine(left, right, init, 5, 2).d)
+        out = refine(left, right, init)
+        slow = oracle.refine(left, right, init, ism.REFINE_BLOCK, ism.REFINE_RADIUS)
+        assert np.array_equal(out.d, slow.d)
         if abs(offset) <= 2:
             # the truth is inside the search window: every clean pixel finds it
             clean = self.clean(gt)
@@ -332,22 +333,12 @@ class TestIsmRun:
         ism_run(frames, {0: gt, 4: gt}, 4)
         assert blurred == [(48, 64), (24, 32), (12, 16)] * 8
 
-    @pytest.mark.parametrize("block, radius, message", [
-        (4, 2, "block must be odd"), (1, 2, "block must be odd"), (5, 0, "radius must be")])
-    def test_bad_search_rejected_before_any_pyramid(self, panorama, monkeypatch,
-                                                   block, radius, message):
-        frames, gt = make_sequence(panorama, 3, 48, 64, disparity=4)
-        built = []
-        pyramid = ism.motion_pyramid
-
-        def counting_pyramid(frame):
-            built.append(frame.luma.shape)
-            return pyramid(frame)
-
-        monkeypatch.setattr(ism, "motion_pyramid", counting_pyramid)
-        with pytest.raises(ValueError, match=message):
-            ism_run(frames, {0: gt, 2: gt}, 2, block=block, radius=radius)
-        assert built == []
+    def test_search_constants_keep_the_box_sums_bit_exact(self):
+        # `_sum_terms` adds a block's column sums left to right, which is the
+        # order numpy's sliding-window sums use only below eight terms
+        for block in (ism.MOTION_BLOCK, ism.REFINE_BLOCK):
+            assert block % 2 == 1 and 3 <= block < 8
+        assert ism.REFINE_RADIUS >= 1
 
     def test_moving_two_plane_scene_keeps_a_floor(self, panorama):
         # a D=16 wall whose window pans (1, 2) px per frame behind a D=48 box moving

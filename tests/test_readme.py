@@ -1,10 +1,12 @@
 """The README's examples run and its documented file formats load as written."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
+from svopt.cli import build_parser
 from svopt.formats import load_hardware, load_network, load_sequence
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,6 +32,16 @@ def block(heading, language):
 
 def test_library_example_runs():
     exec(compile(block("Library example", "python"), str(README), "exec"), {})
+
+
+def test_command_line_lists_every_option_of_every_subcommand():
+    listed = {}
+    for line in block("Command line", "").replace("\\\n", " ").splitlines():
+        listed[line.split()[1]] = set(re.findall(r"--[\w-]+", line))
+    action, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for command, p in action.choices.items()}
+    assert listed == options
 
 
 @pytest.fixture
