@@ -49,12 +49,24 @@ def assert_same(fast, slow):
     assert np.array_equal(fast, slow)
 
 
+# seven draws per shape, one for each block the box sums once took
+@pytest.mark.parametrize("seed", [3, 5, 7, 9, 11, 17, 131])
 @pytest.mark.parametrize("shape", SHAPES + [(1, 1)])
-def test_box_cost_matches_sliding_window_sums(shape):
-    rng = np.random.default_rng(REFINE_BLOCK * 1000 + shape[0])
+def test_box_cost_matches_sliding_window_sums(shape, seed):
+    rng = np.random.default_rng(seed * 1000 + shape[0])
     diff = np.abs(rng.random(shape, dtype=np.float32) - rng.random(shape, dtype=np.float32))
     padded = np.pad(diff, REFINE_BLOCK // 2, mode="edge")
     assert_same(ism._box_cost(padded), oracle._box_cost(diff, REFINE_BLOCK))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_sum_terms_adds_in_numpys_order_below_eight_terms(n):
+    # the precondition `test_search_constants_keep_the_box_sums_bit_exact` guards
+    rng = np.random.default_rng(n)
+    scale = rng.choice(np.float32([1e-3, 1, 1e3]), 4000 + n)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        rng.random(4000 + n, dtype=np.float32) * scale, n)
+    assert_same(ism._sum_terms([windows[:, j] for j in range(n)]), windows.sum(axis=-1))
 
 
 def refine_both(left, right, init):
