@@ -17,7 +17,6 @@ from svopt import (
     LayerSpec,
     ScheduleMode,
     Tensor,
-    compare_modes,
     dense_equivalent,
     solve,
     total_latency,
@@ -45,9 +44,8 @@ dense = dense_equivalent(layer)
 baseline = total_latency(solve(dense, None, hw, ScheduleMode.CONV_R), dense, None, hw)
 
 rows = [("baseline", baseline)]
-comparison = compare_modes(layer, kernel_set, hw)
-rows.append(("convr", comparison.convr_report))
-rows.append(("ilar", comparison.ilar_report))
+for name, mode in (("convr", ScheduleMode.CONV_R), ("ilar", ScheduleMode.ILAR)):
+    rows.append((name, total_latency(solve(layer, kernel_set, hw, mode), layer, kernel_set, hw)))
 
 print(f"{'variant':<10} {'cycles':>10} {'speedup':>8} {'util':>6} "
       f"{'dram_if':>9} {'dram_w':>8} {'dram_of':>8}")

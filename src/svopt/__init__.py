@@ -1,7 +1,7 @@
 """Deconvolution-to-convolution transformation, systolic-array schedule
 optimization, and stereo correspondence propagation."""
 
-from .tensor import ConvMode, ShapeError, Tensor, conv_valid, deconv_reference, \
+from .tensor import ShapeError, Tensor, conv_valid, deconv_reference, \
     redundant_mac_fraction, upsample_zero
 from .deconv import SubKernel, SubKernelSet, decompose_2d, decompose_nd, gather, \
     transform_multiply_count, transformed_deconv
@@ -18,7 +18,7 @@ from .perfmodel import (
     dense_equivalent,
     total_latency,
 )
-from .scheduler import ScheduleMode, compare_modes, exhaustive, pack_round, solve
+from .scheduler import ScheduleMode, exhaustive, pack_round, solve
 from .ism import (
     CameraRig,
     CorrespondenceSet,

@@ -13,19 +13,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .deconv import SubKernelSet, decompose_nd, parity_classes, phases
+from .deconv import SubKernelSet, decompose_nd
 from .formats import (
-    _MANIFEST_FIELDS,
-    _MANIFEST_LAYER_FIELDS,
-    _SUB_KERNEL_FIELDS,
     SpecValidationError,
-    _save_json,
     check_name,
     load_hardware,
     load_network,
     load_report,
     load_sequence,
     save_schedule,
+    save_transform_manifest,
     write_bar_chart_svg,
     write_csv,
 )
@@ -36,7 +33,6 @@ from .perfmodel import (
     LayerKind,
     LayerSpec,
     dense_equivalent,
-    output_dims,
     total_latency,
 )
 from .pgm import frame_from_pgm, read_disparity, write_disparity
@@ -105,20 +101,9 @@ def _schedule_all(layers, hw: HardwareConfig, mode: str):
 
 def cmd_transform(args) -> int:
     layers = load_network(args.network, strict=args.strict)
-    records = []
-    for layer in layers:
-        owners = {k for k, *_ in phases(output_dims(layer), layer.kernel)}
-        subs = [
-            dict(zip(_SUB_KERNEL_FIELDS, (
-                phase, list(delta), list(dims), [1 - d for d in delta], phase not in owners,
-            ), strict=True))
-            for phase, delta, dims in parity_classes(layer.kernel)
-        ] if layer.kind is LayerKind.DECONV else []
-        values = (layer.name, layer.kind.value, list(layer.kernel), subs)
-        records.append(dict(zip(_MANIFEST_LAYER_FIELDS, values, strict=True)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _save_json(out_dir / "transform.json", _MANIFEST_FIELDS, True, records)
+    save_transform_manifest(out_dir / "transform.json", layers)
     return 0
 
 

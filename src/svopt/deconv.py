@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DTYPE, ConvMode, ShapeError, Tensor, conv_valid, upsampled_dims, valid_dims
+from .tensor import DTYPE, ShapeError, Tensor, conv_valid, upsampled_dims, valid_dims
 
 __all__ = [
     "SubKernel",
@@ -186,9 +186,7 @@ def transformed_deconv(ifmap: Tensor, kernel: Tensor, with_border: bool = True) 
     sub_ofmaps = []
     for k, dims, _, counts, starts in phases(out_dims, kernel.dims, with_border):
         window = tuple(slice(s, s + c + d - 1) for s, c, d in zip(starts, counts, dims))
-        sub_ofmaps.append(
-            conv_valid(Tensor(ifmap.array[window]), kernel_set.kernels[k].tensor, ConvMode.DOT)
-        )
+        sub_ofmaps.append(conv_valid(Tensor(ifmap.array[window]), kernel_set.kernels[k].tensor))
     return gather(sub_ofmaps, kernel_set, out_dims, with_border)
 
 

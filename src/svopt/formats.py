@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .perfmodel import HardwareConfig, LayerKind, LayerSpec, RoundPlan, TileSchedule
+from .deconv import parity_classes, phases
+from .perfmodel import HardwareConfig, LayerKind, LayerSpec, RoundPlan, TileSchedule, output_dims
 
 __all__ = [
     "SpecValidationError",
@@ -20,7 +21,6 @@ __all__ = [
     "SequenceSpec",
     "check_name",
     "dump_json",
-    "ingest",
     "load_hardware",
     "load_network",
     "load_report",
@@ -29,6 +29,7 @@ __all__ = [
     "load_transform_manifest",
     "save_network",
     "save_schedule",
+    "save_transform_manifest",
     "write_csv",
     "write_bar_chart_svg",
 ]
@@ -212,11 +213,6 @@ def load_hardware(path, strict: bool = False) -> HardwareConfig:
         raise SpecValidationError(f"{path}: {exc}")
 
 
-def ingest(network_path, hardware_path, strict: bool = False):
-    """Load and validate a network and hardware description together."""
-    return load_network(network_path, strict), load_hardware(hardware_path, strict)
-
-
 def save_schedule(path, layer_name: str, mode: str, schedule: TileSchedule) -> None:
     _save_json(path, _SCHEDULE_FIELDS, layer_name, mode, schedule.beta,
                [r._asdict() for r in schedule.rounds])
@@ -231,6 +227,25 @@ def load_schedule(path) -> tuple[str, str, TileSchedule]:
     except ValueError as exc:
         raise SpecValidationError(f"{path}: {exc}")
     return data["layer"], data["mode"], schedule
+
+
+def save_transform_manifest(path, layers: list[LayerSpec]) -> None:
+    """Write each layer's kernel and, for a deconvolution, its parity slices.
+
+    A slice is empty exactly when deconv.phases gives it no output.
+    """
+    records = []
+    for layer in layers:
+        owners = {k for k, *_ in phases(output_dims(layer), layer.kernel)}
+        subs = [
+            dict(zip(_SUB_KERNEL_FIELDS, (
+                phase, list(delta), list(dims), [1 - d for d in delta], phase not in owners,
+            ), strict=True))
+            for phase, delta, dims in parity_classes(layer.kernel)
+        ] if layer.kind is LayerKind.DECONV else []
+        values = (layer.name, layer.kind.value, list(layer.kernel), subs)
+        records.append(dict(zip(_MANIFEST_LAYER_FIELDS, values, strict=True)))
+    _save_json(path, _MANIFEST_FIELDS, True, records)
 
 
 def load_transform_manifest(path) -> dict:

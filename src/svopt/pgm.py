@@ -140,7 +140,8 @@ def write_disparity(
 
     Valid pixels store d * scale; invalid pixels store `invalid_raw`
     (default maxval). The sidecar records scale and the invalid sentinel
-    so the raster re-ingests losslessly.
+    so the raster re-ingests losslessly: a ValueError is raised, before
+    anything is written, if some valid d * scale equals the sentinel.
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
@@ -150,6 +151,10 @@ def write_disparity(
     invalid = dmap.d < 0
     if raw[~invalid].max(initial=0) > maxval:
         raise ValueError("scaled disparity exceeds maxval")
+    clashes = (raw == invalid_raw) & ~invalid
+    if clashes.any():
+        raise ValueError(f"disparity {dmap.d[clashes][0]} scaled by {scale} is the invalid "
+                         f"sentinel {invalid_raw}, so it would read back invalid")
     raw[invalid] = invalid_raw
     write_pgm(path, raw, maxval, binary)
     _save_json(sidecar_path(path), _SIDECAR_FIELDS, scale, invalid_raw)

@@ -20,14 +20,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .deconv import SubKernelSet
 from .perfmodel import (
     HardwareConfig,
     InfeasibleScheduleError,
-    LatencyReport,
     LayerKind,
     LayerSpec,
     RoundPricer,
@@ -36,16 +34,13 @@ from .perfmodel import (
     TileSchedule,
     _ceil_div,
     _check_kernel_set,
-    total_latency,
     validate_schedule,
 )
 
 __all__ = [
     "InfeasibleTileError",
-    "ModeComparison",
     "ScheduleMode",
     "SearchSpaceExceeded",
-    "compare_modes",
     "exhaustive",
     "pack_round",
     "solve",
@@ -374,54 +369,3 @@ def exhaustive(
     validate_schedule(schedule, layer, hw, include_input_channels=include_input_channels)
     return schedule
 
-
-@dataclass(frozen=True)
-class ModeComparison:
-    """Side-by-side modeled cost of CONV_R and ILAR scheduling for one layer."""
-
-    layer: str
-    convr_schedule: TileSchedule
-    ilar_schedule: TileSchedule
-    convr_report: LatencyReport
-    ilar_report: LatencyReport
-
-    @property
-    def convr_cycles(self) -> int:
-        return self.convr_report.total_cycles
-
-    @property
-    def ilar_cycles(self) -> int:
-        return self.ilar_report.total_cycles
-
-    @property
-    def convr_dram_ifmap(self) -> int:
-        return self.convr_report.dram_ifmap
-
-    @property
-    def ilar_dram_ifmap(self) -> int:
-        return self.ilar_report.dram_ifmap
-
-
-def compare_modes(
-    layer: LayerSpec,
-    kernel_set: SubKernelSet,
-    hw: HardwareConfig,
-    *,
-    include_input_channels: bool = False,
-) -> ModeComparison:
-    """Solve the same deconvolution layer in both modes and report both costs."""
-    convr = solve(
-        layer, kernel_set, hw, ScheduleMode.CONV_R,
-        include_input_channels=include_input_channels,
-    )
-    ilar = solve(
-        layer, kernel_set, hw, ScheduleMode.ILAR,
-        include_input_channels=include_input_channels,
-    )
-    convr_report = total_latency(
-        convr, layer, kernel_set, hw, include_input_channels=include_input_channels
-    )
-    ilar_report = total_latency(
-        ilar, layer, kernel_set, hw, include_input_channels=include_input_channels
-    )
-    return ModeComparison(layer.name, convr, ilar, convr_report, ilar_report)

@@ -8,7 +8,6 @@ plain numpy vectorization; the point is to be obviously correct.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "DTYPE",
-    "ConvMode",
     "ShapeError",
     "Tensor",
     "conv_valid",
@@ -32,11 +30,6 @@ DTYPE = np.float32
 
 class ShapeError(ValueError):
     """Operand ranks or extents are incompatible."""
-
-
-class ConvMode(enum.Enum):
-    DOT = "dot"  # sum(a_i * b_i) per window: canonical convolution
-    SAD = "sad"  # sum(|a_i - b_i|) per window: block-matching cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,21 +118,17 @@ def upsampled_dims(ifmap_dims, factor: int, with_border: bool) -> tuple[int, ...
     return tuple(factor * (n - 1) + 1 + pad for n in ifmap_dims)
 
 
-def conv_valid(ifmap: Tensor, kernel: Tensor, mode: ConvMode = ConvMode.DOT) -> Tensor:
-    """Valid (no padding, stride 1) sliding-window reduction of kernel over ifmap.
+def conv_valid(ifmap: Tensor, kernel: Tensor) -> Tensor:
+    """Valid (no padding, stride 1) convolution: the dot product of kernel with
+    each window of ifmap, over valid_dims(ifmap.dims, kernel.dims) extents.
 
-    DOT accumulates products, SAD accumulates absolute differences.
-    The output extents are valid_dims(ifmap.dims, kernel.dims).
+    einsum without optimize runs numpy's own loops, never BLAS, whose dot
+    once raised an invalid-value warning on finite operands.
     """
     valid_dims(ifmap.dims, kernel.dims)
     windows = np.lib.stride_tricks.sliding_window_view(ifmap.array, kernel.dims)
-    if mode is ConvMode.DOT:
-        out = np.tensordot(windows, kernel.array, axes=kernel.rank)
-    elif mode is ConvMode.SAD:
-        reduce_axes = tuple(range(-kernel.rank, 0))
-        out = np.abs(windows - kernel.array).sum(axis=reduce_axes)
-    else:
-        raise ValueError(f"unknown convolution mode {mode!r}")
+    axes = "abcdefghijklmnopqrstuvwxyz"[: kernel.rank]
+    out = np.einsum(f"...{axes},{axes}", windows, kernel.array)
     return Tensor(np.asarray(out, dtype=DTYPE))
 
 
@@ -161,7 +150,7 @@ def deconv_reference(
     ifmap: Tensor, kernel: Tensor, factor: int = 2, with_border: bool = True
 ) -> Tensor:
     """Deconvolution the slow way: explicit zero upsampling, then conv_valid."""
-    return conv_valid(upsample_zero(ifmap, factor, with_border), kernel, ConvMode.DOT)
+    return conv_valid(upsample_zero(ifmap, factor, with_border), kernel)
 
 
 def redundant_mac_fraction(

@@ -10,7 +10,6 @@ import pytest
 from svopt.cli import main
 from svopt.formats import (
     SpecValidationError,
-    ingest,
     load_hardware,
     load_network,
     load_report,
@@ -186,7 +185,7 @@ class TestIngest:
         assert entry.key_disparity is None and entry.gt_disparity is None
 
     def test_ingest_pairs_network_and_hardware(self, net_path, hw_path):
-        layers, hw = ingest(net_path, hw_path)
+        layers, hw = load_network(net_path), load_hardware(hw_path)
         assert [l.name for l in layers] == ["conv1", "up1"]
         assert hw.pe_count == 64
 

@@ -21,7 +21,7 @@ from svopt.ism import (
     three_pixel_error,
     triangulate,
 )
-from svopt.tensor import ConvMode, Tensor, conv_valid
+from svopt.tensor import Tensor, conv_valid
 import ism_oracle as oracle
 from conftest import make_sequence, make_two_plane, make_two_plane_sequence
 
@@ -156,9 +156,7 @@ class TestGaussianBlur:
         taps = np.exp(-(offsets**2) / (2 * sigma * sigma))
         taps = (taps / taps.sum()).astype(np.float32)
         padded = np.pad(luma, radius, mode="edge")
-        want = conv_valid(
-            Tensor(padded), Tensor(np.outer(taps, taps)), ConvMode.DOT
-        ).array
+        want = conv_valid(Tensor(padded), Tensor(np.outer(taps, taps))).array
         assert np.allclose(out, want, atol=1e-5)
 
 

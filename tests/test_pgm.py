@@ -64,6 +64,20 @@ def test_disparity_roundtrip_plain_8bit(tmp_path):
     assert np.array_equal(got.d, d)
 
 
+@pytest.mark.parametrize("d, options, match", [
+    # 21845 * 3 is 65535, the default sentinel (maxval)
+    ([[21845, INVALID_DISPARITY, 3]], {"scale": 3}, r"disparity 21845 .* sentinel 65535"),
+    ([[200, INVALID_DISPARITY, 3]], {"invalid_raw": 200, "maxval": 255},
+     r"disparity 200 .* sentinel 200"),
+], ids=["scaled_onto_maxval", "on_a_set_sentinel"])
+def test_disparity_on_the_invalid_sentinel_rejected(tmp_path, d, options, match):
+    # written as-is, the valid disparity would read back as invalid
+    path = tmp_path / "d.pgm"
+    with pytest.raises(ValueError, match=match):
+        write_disparity(path, DisparityMap(np.array(d, np.int32)), **options)
+    assert not path.exists() and not sidecar_path(path).exists()
+
+
 def test_truncated_body_rejected(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")

@@ -29,7 +29,6 @@ from svopt.scheduler import (
     SearchSpaceExceeded,
     _filter_round,
     _pack_tile,
-    compare_modes,
     exhaustive,
     pack_round,
     solve,
@@ -327,11 +326,17 @@ class TestValidateRoundValues:
 
 
 class TestCompareModes:
+    @staticmethod
+    def both_modes(layer, kernel_set, hw):
+        """(schedule, report) per mode, CONV_R first."""
+        schedules = (solve(layer, kernel_set, hw, mode) for mode in ScheduleMode)
+        return [(s, total_latency(s, layer, kernel_set, hw)) for s in schedules]
+
     def test_modes_tie_with_a_buffer_holding_everything(self):
         layer = deconv_layer(out_ch=2, in_ch=1, ifmap=(6, 6))
         hw = HardwareConfig(4, 4, 10**7, 8.0)
-        cmp_ = compare_modes(layer, kset((3, 3)), hw)
-        assert cmp_.ilar_cycles == cmp_.convr_cycles
+        (_, convr), (_, ilar) = self.both_modes(layer, kset((3, 3)), hw)
+        assert ilar.total_cycles == convr.total_cycles
 
     def test_ilar_loads_the_tile_less_often(self):
         # heavy weights and a light ifmap keep the tile streaming in both
@@ -339,19 +344,11 @@ class TestCompareModes:
         # shares it within mixed rounds
         layer = deconv_layer(kernel=(5, 5), out_ch=8, in_ch=1, ifmap=(6, 6))
         hw = HardwareConfig(2, 2, 200, 1.0, double_buffered=False)
-        cmp_ = compare_modes(layer, kset((5, 5)), hw)
-        assert cmp_.ilar_schedule.beta == 1
-        assert cmp_.convr_schedule.beta == 1
-        assert cmp_.ilar_dram_ifmap < cmp_.convr_dram_ifmap
-        assert cmp_.ilar_cycles <= cmp_.convr_cycles
-
-    def test_report_totals_reconcile(self):
-        layer = deconv_layer(out_ch=4, in_ch=2, ifmap=(8, 8))
-        hw = HardwareConfig(4, 4, 1500, 4.0)
-        ks_ = kset((3, 3))
-        cmp_ = compare_modes(layer, ks_, hw)
-        again = total_latency(cmp_.ilar_schedule, layer, ks_, hw)
-        assert again == cmp_.ilar_report
+        (convr_schedule, convr), (ilar_schedule, ilar) = self.both_modes(layer, kset((5, 5)), hw)
+        assert ilar_schedule.beta == 1
+        assert convr_schedule.beta == 1
+        assert ilar.dram_ifmap < convr.dram_ifmap
+        assert ilar.total_cycles <= convr.total_cycles
 
 
 def guard_case(rng, small):
@@ -535,9 +532,9 @@ def test_model_schedules_exactly_the_sub_convolutions_the_transform_runs(monkeyp
     convolved = []
     real_conv_valid = deconv.conv_valid
 
-    def recording_conv_valid(ifmap, kernel, mode):
+    def recording_conv_valid(ifmap, kernel):
         convolved.append(kernel.dims)
-        return real_conv_valid(ifmap, kernel, mode)
+        return real_conv_valid(ifmap, kernel)
 
     monkeypatch.setattr(deconv, "conv_valid", recording_conv_valid)
     hw = HardwareConfig(4, 4, 10**6, 8.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from svopt.tensor import (
-    ConvMode,
     ShapeError,
     Tensor,
     conv_valid,
@@ -52,21 +51,15 @@ class TestTensor:
 
 class TestConvValid:
     def test_zero_ifmap(self):
-        out = conv_valid(Tensor.zeros((3, 3)), Tensor(np.ones((2, 2))), ConvMode.DOT)
+        out = conv_valid(Tensor.zeros((3, 3)), Tensor(np.ones((2, 2))))
         assert out.dims == (2, 2)
         assert np.all(out.array == 0)
-
-    def test_sad_identical_window_is_zero(self):
-        block = Tensor(np.array([[1, 2], [3, 4]], dtype=np.float32))
-        out = conv_valid(block, block, ConvMode.SAD)
-        assert out.dims == (1, 1)
-        assert out.array[0, 0] == 0.0
 
     def test_against_nested_loop_oracle(self):
         rng = np.random.default_rng(11)
         ifmap = rng.uniform(-1, 1, (7, 7)).astype(np.float32)
         kernel = rng.uniform(-1, 1, (3, 3)).astype(np.float32)
-        got = conv_valid(Tensor(ifmap), Tensor(kernel), ConvMode.DOT)
+        got = conv_valid(Tensor(ifmap), Tensor(kernel))
         want = conv_dot_loops(ifmap, kernel)
         assert got.dims == (5, 5)
         assert np.allclose(got.array, want, atol=1e-5)
@@ -181,7 +174,7 @@ class TestRedundantMacFraction:
             if any(k > u for k, u in zip(kdims, up.dims)):
                 continue
             ones = Tensor(np.ones(kdims))
-            nonzero_macs = conv_valid(up, ones, ConvMode.DOT).array.sum()
+            nonzero_macs = conv_valid(up, ones).array.sum()
             out_dims = tuple(u - k + 1 for u, k in zip(up.dims, kdims))
             total = math.prod(out_dims) * math.prod(kdims)
             want = 1.0 - float(nonzero_macs) / total
