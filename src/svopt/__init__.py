@@ -18,7 +18,7 @@ from .perfmodel import (
     dense_equivalent,
     total_latency,
 )
-from .scheduler import ScheduleMode, exhaustive, pack_round, solve
+from .scheduler import ScheduleMode, pack_round, solve
 from .ism import (
     CameraRig,
     CorrespondenceSet,

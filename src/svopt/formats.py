@@ -20,7 +20,6 @@ __all__ = [
     "SequenceEntry",
     "SequenceSpec",
     "check_name",
-    "dump_json",
     "load_hardware",
     "load_network",
     "load_report",
@@ -37,12 +36,6 @@ __all__ = [
 
 class SpecValidationError(ValueError):
     """An input file failed to parse or violated a spec invariant."""
-
-
-def dump_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 # every file's own field: read with kind 1 (the integer 1), written as it stands
@@ -64,7 +57,8 @@ def _load_json(path, table: dict, strict: bool = False) -> dict:
 
 def _save_json(path, table: dict, *values) -> None:
     """Write a format-version-1 JSON object file: `values` in `table`'s field order."""
-    dump_json(path, {**_HEADER, **dict(zip(table, values, strict=True))})
+    obj = {**_HEADER, **dict(zip(table, values, strict=True))}
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _is_int(value) -> bool:

@@ -12,8 +12,8 @@ whole elements and whole cycles.
 
 That rule is written once: RoundPricer prices a (tile, filters) round
 into a RoundTerms record, and validation, latency reports, the
-scheduler's tile search, its exhaustive oracle and its knapsack classes
-all derive from it.
+scheduler's tile search and its knapsack classes all derive from it, as
+does the exhaustive schedule oracle in tests/schedule_oracle.py.
 """
 
 from __future__ import annotations
@@ -237,9 +237,6 @@ class TileSchedule:
             return NotImplemented
         return self.beta == other.beta and self.rounds == other.rounds
 
-    def __hash__(self) -> int:
-        return hash((self.beta, self.rounds))
-
     def __repr__(self) -> str:
         body = f"grid={self.grid!r}" if self.grid is not None else f"rounds={self.rounds!r}"
         return f"TileSchedule(beta={self.beta}, {body})"
@@ -288,9 +285,6 @@ class LatencyReport:
         if not isinstance(other, LatencyReport):
             return NotImplemented
         return self._totals() == other._totals() and self.rounds == other.rounds
-
-    def __hash__(self) -> int:
-        return hash(self._totals())
 
 
 def filter_group_dims(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:

@@ -1,0 +1,124 @@
+"""Reference schedule search: the global minimum-latency schedule of a layer.
+
+`exhaustive` is the yardstick that tests hold `svopt.scheduler.solve` to.
+It prices rounds with the same `RoundPricer` and sums them over the same
+tile grid (`_grid_cycles`) as the greedy search, but it tries every
+candidate tile, every partition of the filter counts into buffer-feasible
+rounds and both reuse orders, so no schedule in that space beats it.
+It stays here so tests can require the greedy search never to beat it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+from svopt.deconv import SubKernelSet
+from svopt.perfmodel import (
+    HardwareConfig,
+    InfeasibleScheduleError,
+    LayerKind,
+    LayerSpec,
+    RoundPricer,
+    TileGrid,
+    TileSchedule,
+    _check_kernel_set,
+    validate_schedule,
+)
+from svopt.scheduler import ScheduleMode, _grid_cycles, _tile_candidates
+
+
+class SearchSpaceExceeded(RuntimeError):
+    """The exhaustive search space is larger than the configured bound."""
+
+
+def _check_mode(layer: LayerSpec, kernel_set: SubKernelSet | None, mode: ScheduleMode):
+    if mode is ScheduleMode.ILAR and layer.kind is not LayerKind.DECONV:
+        raise ValueError("ILAR applies only to transformed deconvolution layers")
+    _check_kernel_set(layer, kernel_set)
+
+
+def exhaustive(
+    layer: LayerSpec,
+    kernel_set: SubKernelSet | None,
+    hw: HardwareConfig,
+    mode: ScheduleMode = ScheduleMode.ILAR,
+    *,
+    max_candidates: int = 10**6,
+    include_input_channels: bool = False,
+) -> TileSchedule:
+    """Global minimum-latency schedule over the bounded candidate space.
+
+    Considers every candidate tile, every unordered partition of the
+    filter counts into buffer-feasible rounds (single-group rounds only
+    in CONV_R mode), and both reuse orders. Because latency is additive
+    over rounds, the minimum over partitions is found exactly by dynamic
+    programming on the remaining-filter vector; the bound caps the number
+    of (remaining-filters, candidate-round) extensions explored and
+    SearchSpaceExceeded is raised beyond it. Intended as a test oracle.
+    """
+    _check_mode(layer, kernel_set, mode)
+    price = RoundPricer(layer, include_input_channels)
+    full = (layer.out_channels,) * len(price.groups)
+    # Filter-count vectors are numbered as mixed-radix integers with radices
+    # full[g] + 1. A part never exceeds its state in any group, so the number
+    # of state - part is the state's number minus the part's, with no borrow;
+    # it is smaller, so the DP can visit states in number order.
+    strides = [math.prod(c + 1 for c in full[g + 1:]) for g in range(len(full))]
+    vectors = list(itertools.product(*(range(c + 1) for c in full)))
+
+    def round_options(state):
+        if mode is ScheduleMode.CONV_R:
+            return [c * stride for avail, stride in zip(state, strides)
+                    for c in range(1, avail + 1)]
+        parts = [0]
+        for avail, stride in zip(state, strides):
+            parts = [p + c * stride for p in parts for c in range(avail + 1)]
+        return parts[1:]
+
+    best = None
+    explored = 0
+    for tile in sorted(_tile_candidates(layer, price.groups)):
+        # (cycles at beta=1, cycles at beta=0) per part, None when it overflows the buffer
+        costs: dict[int, tuple[int, int] | None] = {}
+        dp = [[0] + [None] * (len(vectors) - 1) for _ in (0, 1)]  # by beta, then state
+        parent = [[0] * len(vectors) for _ in (0, 1)]
+        for state in range(1, len(vectors)):
+            options = round_options(vectors[state])
+            explored += len(options)
+            if explored > max_candidates:
+                raise SearchSpaceExceeded(f"more than {max_candidates} candidate extensions")
+            for part in options:
+                if part not in costs:
+                    fits = price(tile, vectors[part]).occupancy <= hw.usable_buffer
+                    costs[part] = _grid_cycles(price, tile, (vectors[part],), hw) if fits else None
+                part_costs = costs[part]
+                if part_costs is None:
+                    continue
+                for beta, part_cost in zip((1, 0), part_costs):
+                    base = dp[beta][state - part]
+                    if base is None:
+                        continue
+                    candidate = base + part_cost
+                    incumbent = dp[beta][state]
+                    if incumbent is None or candidate < incumbent:
+                        dp[beta][state] = candidate
+                        parent[beta][state] = part
+        for beta in (1, 0):
+            cycles = dp[beta][-1]
+            if cycles is not None and (best is None or cycles < best[0]):
+                parts = []
+                state = len(vectors) - 1
+                while state:
+                    parts.append(vectors[parent[beta][state]])
+                    state -= parent[beta][state]
+                parts.sort(reverse=True)
+                best = (cycles, tile, tuple(parts), beta)
+    if best is None:
+        raise InfeasibleScheduleError(
+            f"layer {layer.name}: no feasible schedule in the bounded space"
+        )
+    _, tile, parts, beta = best
+    schedule = TileSchedule(beta, grid=TileGrid(layer.ifmap, tile, tuple(parts)))
+    validate_schedule(schedule, layer, hw, include_input_channels=include_input_channels)
+    return schedule

@@ -31,7 +31,7 @@ from svopt.perfmodel import (
     filter_group_dims,
     total_latency,
 )
-from svopt.scheduler import ScheduleMode, exhaustive, solve
+from svopt.scheduler import ScheduleMode, solve
 from svopt.tensor import (
     Tensor,
     deconv_reference,
@@ -39,6 +39,7 @@ from svopt.tensor import (
     upsample_zero,
 )
 from conftest import make_sequence
+from schedule_oracle import exhaustive
 
 
 def announce(number, text):

@@ -26,14 +26,16 @@ from svopt.perfmodel import (
 from svopt.scheduler import (
     InfeasibleTileError,
     ScheduleMode,
-    SearchSpaceExceeded,
     _filter_round,
     _pack_tile,
-    exhaustive,
     pack_round,
     solve,
 )
 from svopt.tensor import Tensor, deconv_reference
+import schedule_oracle
+from schedule_oracle import SearchSpaceExceeded, exhaustive
+
+SEARCHES = {"solve": solve, "exhaustive": exhaustive}
 
 
 def deconv_layer(name="d", kernel=(3, 3), in_ch=2, out_ch=4, ifmap=(8, 8)):
@@ -224,35 +226,48 @@ class TestExhaustive:
         e = total_latency(exhaustive(layer, ks33, hw, ScheduleMode.ILAR), layer, ks33, hw)
         assert g.total_cycles == e.total_cycles
 
-    def test_greedy_never_beats_exhaustive_and_ilar_contains_convr(self):
+    @pytest.mark.parametrize("draw", ["few_channels", "hundreds_of_channels"])
+    def test_greedy_never_beats_exhaustive_and_ilar_contains_convr(self, draw):
+        # few_channels: 1-2 input channels under paper weights. hundreds_of_channels:
+        # 128-512 under input-channel-aware weights, with a buffer of 10-60 elements
+        # per input channel, which holds only some of a tile's filters per round
+        iaware = draw == "hundreds_of_channels"
         rng = random.Random(31)
         checked = 0
+        parts_per_origin = set()
         while checked < 8:
             kernel = rng.choice([(2, 2), (3, 3)])
+            in_ch = rng.randint(128, 512) if iaware else rng.randint(1, 2)
             layer = LayerSpec(
-                "s", LayerKind.DECONV, kernel, rng.randint(1, 2), rng.randint(1, 4),
+                "s", LayerKind.DECONV, kernel, in_ch, rng.randint(1, 4),
                 (rng.randint(4, 8), rng.randint(4, 8)), 2,
             )
             ks_ = kset(kernel)
             hw = HardwareConfig(
-                rng.randint(2, 5), rng.randint(2, 5), rng.randint(150, 600),
+                rng.randint(2, 5), rng.randint(2, 5),
+                rng.randint(10, 60) * in_ch if iaware else rng.randint(150, 600),
                 float(rng.choice([2, 4, 8])),
             )
-            try:
-                greedy = total_latency(
-                    solve(layer, ks_, hw, ScheduleMode.ILAR), layer, ks_, hw
+
+            def cycles(schedule):
+                return total_latency(
+                    schedule, layer, ks_, hw, include_input_channels=iaware
                 ).total_cycles
+
+            try:
+                greedy = solve(layer, ks_, hw, ScheduleMode.ILAR, include_input_channels=iaware)
             except InfeasibleScheduleError:
                 continue
-            ex_ilar = total_latency(
-                exhaustive(layer, ks_, hw, ScheduleMode.ILAR), layer, ks_, hw
-            ).total_cycles
-            ex_convr = total_latency(
-                exhaustive(layer, ks_, hw, ScheduleMode.CONV_R), layer, ks_, hw
-            ).total_cycles
-            assert greedy >= ex_ilar
-            assert ex_ilar <= ex_convr
+            ex_ilar = exhaustive(layer, ks_, hw, ScheduleMode.ILAR, include_input_channels=iaware)
+            ex_convr = exhaustive(
+                layer, ks_, hw, ScheduleMode.CONV_R, include_input_channels=iaware
+            )
+            assert cycles(greedy) >= cycles(ex_ilar)
+            assert cycles(ex_ilar) <= cycles(ex_convr)
+            parts_per_origin.add(len(greedy.grid.parts))
             checked += 1
+        if iaware:
+            assert max(parts_per_origin) > 1
 
     def test_every_emitted_round_respects_the_buffer(self):
         layer = deconv_layer(out_ch=3, in_ch=2, ifmap=(6, 6))
@@ -389,7 +404,7 @@ def test_rounds_hold_python_ints_and_round_trip(tmp_path, search):
     for _ in range(60):
         layer, ks_, hw, mode, iaware = guard_case(rng, small=True)
         try:
-            sched = getattr(scheduler, search)(
+            sched = SEARCHES[search](
                 layer, ks_, hw, mode, include_input_channels=iaware, **bound
             )
         except (InfeasibleScheduleError, SearchSpaceExceeded):
@@ -423,6 +438,7 @@ class TestSearchCostMatchesReport:
             return build(beta, grid=grid)
 
         monkeypatch.setattr(scheduler, "TileSchedule", spy)
+        monkeypatch.setattr(schedule_oracle, "TileSchedule", spy)
         return seen
 
     @pytest.mark.parametrize("search", ["solve", "exhaustive"])
@@ -481,7 +497,7 @@ def test_grid_schedules_agree_with_their_explicit_rounds(tmp_path, search):
     for _ in range(200 if search == "solve" else 150):
         layer, ks_, hw, mode, iaware = guard_case(rng, small=search == "exhaustive")
         try:
-            sched = getattr(scheduler, search)(
+            sched = SEARCHES[search](
                 layer, ks_, hw, mode, include_input_channels=iaware, **bound
             )
         except (InfeasibleScheduleError, SearchSpaceExceeded):
