@@ -191,10 +191,12 @@ def propagate(
 
 
 def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
-    """Separable Gaussian smoothing with edge-clamped borders.
+    """Separable Gaussian smoothing with edge-clamped borders; fixed-order, no BLAS.
 
     The 2*radius+1 taps are normalized to sum to one, so constant frames
-    pass through unchanged.
+    pass through unchanged. Each axis is edge-padded in turn and its taps
+    are multiplied and added left to right in float32, so the result is
+    the same bit for bit on every CPU.
     """
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -207,11 +209,12 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
     for axis in (0, 1):
         pad = [(0, 0), (0, 0)]
         pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, mode="edge")
         windows = np.lib.stride_tricks.sliding_window_view(
-            padded, 2 * radius + 1, axis=axis
-        )
-        out = np.tensordot(windows, taps, axes=([-1], [0])).astype(np.float32, copy=False)
+            np.pad(out, pad, mode="edge"), 2 * radius + 1, axis=axis)
+        out = windows[..., 0] * taps[0]
+        term = np.empty_like(out)
+        for i in range(1, 2 * radius + 1):
+            out += np.multiply(windows[..., i], taps[i], out=term)
     return Frame(out)
 
 
@@ -227,14 +230,14 @@ REFINE_BLOCK = 5
 REFINE_RADIUS = 2
 
 
-def _sum_terms(terms: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays, added left to right.
+def _sum_terms(terms: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays, added left to right (into `out` if given).
 
     Below eight terms this is the order in which `np.add.reduce` adds a
     contiguous float axis; from eight on numpy sums pairwise. So every
     block side summed here must be below eight.
     """
-    acc = terms[0] + terms[1]
+    acc = np.add(terms[0], terms[1], out=out)
     for t in terms[2:]:
         acc += t
     return acc
@@ -304,22 +307,26 @@ def _search_offsets(p: np.ndarray, warped: np.ndarray) -> tuple[np.ndarray, np.n
         p_rows = np.pad(p[cy], ((0, 0), (border, border)), constant_values=np.nan).ravel()
         src_rows = {dy: src[r + dy + cy].ravel() for dy in range(-r, r + 1)}
         n, m = p_rows.size, rows * stride
+        # the band's sweep buffers, which every offset reuses
         diff = np.zeros(n, np.float32)
+        inner = diff[border : n - border]
+        cols = np.empty(m, np.float32)
+        cost = np.empty(m - 2 * half, np.float32)
+        less = np.empty(cost.size, bool)
+        less_k = np.empty(cost.size, best.dtype)
         # the flat index in `cost` of the band's pixel (y, x)
         crop = np.arange(0, m, stride)[:, None] + np.arange(border - half, border - half + w)
         for k, (dy, dx) in enumerate(offsets):
             np.subtract(p_rows[border : n - border],
-                        src_rows[dy][border + dx : n - border + dx], out=diff[border : n - border])
-            np.abs(diff, out=diff)
+                        src_rows[dy][border + dx : n - border + dx], out=inner)
+            np.abs(inner, out=inner)
             # MOTION_BLOCK rows top to bottom, then the column sums: `_box_cost`'s order
-            cols = diff[0:m] + diff[stride : stride + m]
-            for i in range(2, MOTION_BLOCK):
-                cols += diff[i * stride : i * stride + m]
+            _sum_terms([diff[i * stride : i * stride + m] for i in range(MOTION_BLOCK)], cols)
             # a border column of the edge-padded diff sums to its edge column's sum
             grid = cols.reshape(rows, stride)
             grid[:, border - half : border] = grid[:, border : border + 1]
             grid[:, border + w : border + w + half] = grid[:, border + w - 1 : border + w]
-            cost = _sum_terms([cols[j : m - 2 * half + j] for j in range(MOTION_BLOCK)])
+            _sum_terms([cols[j : m - 2 * half + j] for j in range(MOTION_BLOCK)], cost)
             if k == 0:
                 # nothing is below a NaN, so such a pixel keeps the first offset:
                 # -inf stands in for it, which nothing is below either
@@ -327,13 +334,14 @@ def _search_offsets(p: np.ndarray, warped: np.ndarray) -> tuple[np.ndarray, np.n
                 best_k = np.zeros(cost.shape, best.dtype)
                 continue
             # k only grows, so "k where the SAD is less" is the larger of the two
-            np.maximum(best_k, (cost < best_cost) * best.dtype.type(k), out=best_k)
+            np.less(cost, best_cost, out=less)
+            np.maximum(best_k, np.multiply(less, best.dtype.type(k), out=less_k), out=best_k)
             # the same as taking cost where it is less: an equal SAD has equal bits
             # (none is -0.0), and fmin keeps best_cost against a NaN cost
             np.fmin(best_cost, cost, out=best_cost)
         best[y0 : y0 + rows] = best_k[crop]
-    table = np.array(offsets, np.int32)
-    return table[best, 0], table[best, 1]
+    dys, dxs = (np.array(axis, np.int32) for axis in zip(*offsets))
+    return dys.take(best), dxs.take(best)
 
 
 def motion_pyramid(frame: Frame) -> list[np.ndarray]:
@@ -415,6 +423,8 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
     reach = np.where(usable, REFINE_RADIUS, 2 * REFINE_RADIUS).astype(np.int32)
     lo = np.maximum(guess - reach, 0)
     hi = np.minimum(guess + reach, max_d)
+    # |d - g| <= reach exactly where the rank |4(d - g) + 1| below is <= 4 * reach + 1
+    top_rank = 4 * reach + 1
     best_d = np.zeros((h, w), np.int32)
     for y0 in range(0, h, REFINE_TILE):
         ty = slice(y0, min(y0 + REFINE_TILE, h))
@@ -438,12 +448,19 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
                 right_crop = right_rows[:, np.clip(cx + ds, 0, w - 1)].swapaxes(0, 1)
                 costs[k0 : k0 + ds.size] = _box_cost(np.abs(left_crop - right_crop))
             ds = cands[:, None, None]
-            costs[(ds < t_lo) | (ds > t_hi)] = np.nan
+            # rank |4(d - g) + 1| orders g, g - 1, g + 1, g - 2, ...
+            rank = np.subtract(4 * ds, 4 * t_guess - 1)
+            np.abs(rank, out=rank)
+            # d lies outside [lo, hi] where it is out of reach of the guess or x + d
+            # leaves the frame (d >= 0 always holds)
+            mask = rank > top_rank[ty, tx]
+            mask |= ds > max_d[:, tx]
+            np.copyto(costs, np.nan, where=mask)
             least = np.fmin.reduce(costs, axis=0)
-            # rank |4(d - g) + 1| orders g, g - 1, g + 1, g - 2, ...; 2**30 added where
-            # the SAD is above the least keeps the least rank among the least SADs
-            rank = np.abs(4 * ds - (4 * t_guess - 1))
-            rank = (rank + (costs != least) * np.int32(1 << 30)).min(axis=0)
+            # 2**30 added where the SAD is above the least keeps the least rank
+            # among the least SADs
+            rank += np.not_equal(costs, least, out=mask) * np.int32(1 << 30)
+            rank = rank.min(axis=0)
             step = (rank + 1) >> 2
             best_d[ty, tx] = np.where(
                 np.isnan(least), 0, np.where(rank & 2, t_guess - step, t_guess + step))

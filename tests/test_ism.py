@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,37 @@ class TestGaussianBlur:
         padded = np.pad(luma, radius, mode="edge")
         want = conv_valid(Tensor(padded), Tensor(np.outer(taps, taps))).array
         assert np.allclose(out, want, atol=1e-5)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (3, 4), (540, 960)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_sums_each_axis_left_to_right_in_float32(self, shape, radius):
+        # the same bits on every CPU: no BLAS call, whose summation order varies
+        rng = np.random.default_rng(shape[0] * 10 + radius)
+        luma = rng.random(shape, dtype=np.float32)
+        sigma = 0.6 + 0.4 * radius
+        offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+        taps = np.exp(-(offsets**2) / (2 * sigma * sigma))
+        taps = (taps / taps.sum()).astype(np.float32)
+        want = luma
+        for _ in range(2):  # down the columns, then down the transposed rows
+            padded = np.pad(want, ((radius, radius), (0, 0)), mode="edge")
+            n = want.shape[0]
+            acc = padded[0:n] * taps[0]
+            for i in range(1, 2 * radius + 1):
+                acc = acc + padded[i : i + n] * taps[i]
+            want = acc.T
+        assert want.dtype == np.float32
+        assert np.array_equal(gaussian_blur(Frame(luma), sigma, radius).luma, want)
+
+    def test_motion_pyramid_bits_are_pinned(self):
+        # a BLAS tap sum would give other bits on some CPUs; CI reruns this under two
+        # OpenBLAS kernels
+        rng = np.random.default_rng(7)
+        levels = motion_pyramid(Frame(rng.random((540, 960), dtype=np.float32)))
+        assert [lv.shape for lv in levels] == [(540, 960), (270, 480), (135, 240)]
+        got = hashlib.sha256(b"".join(lv.tobytes() for lv in levels)).hexdigest()
+        assert got == "c1aa6f0b48a25babcc0f0365e3ee69f5122a04e3cf25f450434a5af97ab52478"
 
 
 def motion(prev, cur):
@@ -349,6 +382,15 @@ class TestIsmRun:
         # pairs more than the search radius off (95.7, 92.1 and 88.3 % here)
         assert min(scores[1:4]) >= 85.0
         assert scores[1] >= 95.0
+
+    def test_moving_two_plane_scene_output_is_pinned(self, panorama):
+        # `test_moving_two_plane_scene_keeps_a_floor`'s run: any change to the
+        # blur, the motion search or the refinement moves these bits
+        frames, truths = make_two_plane_sequence(
+            panorama, 5, 192, 256, 16, 48, (40, 60, 150, 170), (1, 2), (0, 4))
+        maps = ism_run(frames, {0: truths[0], 4: truths[4]}, 4)
+        got = hashlib.sha256(b"".join(m.d.tobytes() for m in maps)).hexdigest()
+        assert got == "9734185635e8997ea1c652879a9d8f1e0d60cf75b3cb73ced133ce7db206450f"
 
     def test_pw_below_two_rejected(self, panorama):
         frames, gt = make_sequence(panorama, 2, 48, 64, disparity=4)

@@ -98,6 +98,40 @@ def test_refine_ties_on_a_flat_frame_go_to_the_guess_then_to_the_smaller_d():
     assert np.all(fast.d[~usable] == 0)
 
 
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_refine_window_bounds_match_oracle(seed):
+    # right[:, x + D] == left[:, x], so the SAD at D is 0 and no other is: D wins
+    # exactly where a pixel's window holds it. Guesses D -+ REFINE_RADIUS hold it
+    # at their window's edge, D -+ (REFINE_RADIUS + 1) one past it; in the last
+    # columns the windows end at max_d = w - 1 - x or would cross it by one
+    h, w, true_d, r = 24, 70, 12, REFINE_RADIUS
+    rng = np.random.default_rng(seed)
+    left = rng.random((h, w), dtype=np.float32)
+    right = np.roll(left, true_d, axis=1)
+    xs = np.arange(w)
+    max_d = w - 1 - xs
+    offsets = np.array([-r - 1, -r, r, r + 1])
+    guess = true_d + offsets[(xs + np.arange(h)[:, None]) % 4]
+    edge = xs >= w - true_d
+    guess[:, edge] = (max_d - r + rng.integers(0, 2, (h, w)))[:, edge]
+    # the zero-guess fallback: holes and guesses past the right border
+    guess[::5, ::3] = INVALID_DISPARITY
+    guess[1::5, ::3] = (max_d + 1)[::3]
+    init = DisparityMap(guess)
+    fast, slow = refine_both(Frame(left), Frame(right), init)
+    assert_same(fast.d, slow.d)
+    usable = init.valid_mask()
+    # interior pixels whose whole block matches at D
+    inner = usable & (xs >= REFINE_BLOCK // 2) & (xs < w - true_d - REFINE_BLOCK // 2)
+    off = guess - true_d
+    assert np.all(fast.d[inner & (np.abs(off) == r)] == true_d)
+    assert np.all(fast.d[inner & (np.abs(off) == r + 1)] != true_d)
+    assert np.count_nonzero(inner & (np.abs(off) == r + 1)) > 100
+    # windows that reach past max_d, which the mask must cut
+    assert np.count_nonzero(usable & (guess + r > max_d)) > 50
+    assert np.all(fast.d <= max_d)
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_estimate_motion_matches_oracle(shape):
     rng = np.random.default_rng(shape[0] * 7 + 5)
