@@ -32,19 +32,19 @@ for sub in kernel_set.kernels:
 
 ifmap = Tensor(rng.integers(-4, 5, (3, 3)).astype(np.float32))
 print("what the naive path convolves (3x3 input zero-upsampled to 7x7):")
-print(upsample_zero(ifmap, 2, with_border=True).array, end="\n\n")
+print(upsample_zero(ifmap).array, end="\n\n")
 
-reference = deconv_reference(ifmap, kernel, factor=2, with_border=True)
-transformed = transformed_deconv(ifmap, kernel, with_border=True)
+reference = deconv_reference(ifmap, kernel)
+transformed = transformed_deconv(ifmap, kernel)
 print("reference ofmap:")
 print(reference.array, end="\n\n")
 print("transformed ofmap (sub-convolutions + gather):")
 print(transformed.array, end="\n\n")
 assert np.array_equal(reference.array, transformed.array)
 
-fraction = redundant_mac_fraction((3, 3), (3, 3), factor=2, with_border=True)
+fraction = redundant_mac_fraction((3, 3), (3, 3))
 total_macs = reference.size * kernel.size
-multiplies = transform_multiply_count((3, 3), (3, 3), with_border=True)
+multiplies = transform_multiply_count((3, 3), (3, 3))
 print(f"naive MACs:            {total_macs}")
 print(f"zero-operand fraction: {fraction:.3f}  ({round(fraction * total_macs)} wasted MACs)")
 print(f"transformed multiplies: {multiplies}  (exactly the useful MACs)")

@@ -151,23 +151,24 @@ def cmd_ism(args) -> int:
     for i, entry in enumerate(sequence.frames):
         left, right = frame_from_pgm(entry.left), frame_from_pgm(entry.right)
         frames.append((left, right))
-        rasters = [(entry.right, right.luma)]
+        # each raster as (path, raster, the frame whose left raster it must match)
+        rasters = [(entry.left, left.luma, 0), (entry.right, right.luma, i)]
         if i % pw == 0:
             if entry.key_disparity is None:
                 raise SpecValidationError(
                     f"frame {i} is a key frame (pw={pw}) but has no key_disparity"
                 )
             key_disp[i] = read_disparity(entry.key_disparity)
-            rasters.append((entry.key_disparity, key_disp[i].d))
+            rasters.append((entry.key_disparity, key_disp[i].d, i))
         if entry.gt_disparity is not None:
             gt[i] = read_disparity(entry.gt_disparity)
-            rasters.append((entry.gt_disparity, gt[i].d))
-        for path, raster in rasters:
-            if raster.shape != left.luma.shape:
-                (h, w), (lh, lw) = raster.shape, left.luma.shape
+            rasters.append((entry.gt_disparity, gt[i].d, i))
+        for path, raster, j in rasters:
+            if raster.shape != frames[j][0].luma.shape:
+                (h, w), (lh, lw) = raster.shape, frames[j][0].luma.shape
                 raise SpecValidationError(
-                    f"{path}: raster is {w}x{h}, but frame {i}'s left raster "
-                    f"{entry.left} is {lw}x{lh}"
+                    f"{path}: raster is {w}x{h}, but frame {j}'s left raster "
+                    f"{sequence.frames[j].left} is {lw}x{lh}"
                 )
     maps = ism_run(frames, key_disp, pw)
     out_dir = Path(args.out_dir)

@@ -7,9 +7,12 @@ outermost dimension. Convolving the original (never upsampled) ifmap
 with each sub-kernel produces exactly the ofmap elements of one parity
 class, and a gather interleaves those classes back into the full ofmap.
 Every multiply performed by the transformed path corresponds to a
-nonzero-operand MAC of the naive upsampled convolution. `phases` decides
-which sub-kernels own ofmap positions; the gather, the transformed path,
-multiply counting and the model's filter groups all read it.
+nonzero-operand MAC of the naive upsampled convolution, whose ifmap is
+bordered (2n + 1 per axis, originals at odd indices: svopt.tensor's one
+convention), so sub-kernel delta owns ofmap parity 1 - delta and
+convolves the whole ifmap. `phases` decides which sub-kernels own ofmap
+positions; the gather, the transformed path, multiply counting and the
+model's filter groups all read it.
 """
 
 from __future__ import annotations
@@ -112,58 +115,50 @@ def decompose_2d(kernel: Tensor) -> SubKernelSet:
     return decompose_nd(kernel)
 
 
-def deconv_output_dims(ifmap_dims, kernel_dims, with_border: bool = True) -> tuple[int, ...]:
-    """Ofmap extents of the stride-2 reference deconvolution for the given convention:
-    the valid convolution extents over the zero-upsampled ifmap."""
-    return valid_dims(upsampled_dims(ifmap_dims, 2, with_border), kernel_dims)
+def deconv_output_dims(ifmap_dims, kernel_dims) -> tuple[int, ...]:
+    """Ofmap extents of the stride-2 reference deconvolution: the valid
+    convolution extents over the zero-upsampled ifmap, 2n + 2 - K per axis."""
+    return valid_dims(upsampled_dims(ifmap_dims), kernel_dims)
 
 
-def phases(out_dims, kernel_dims, with_border: bool = True):
+def phases(out_dims, kernel_dims):
     """The parity slices that own ofmap positions, in phase order.
 
     Each entry is (phase index, sub-kernel extents, owned parity, owned
-    counts, first ifmap index). This is the one rule for which
-    sub-convolutions a deconvolution runs. Under the bordered convention
-    slice delta owns parity 1-delta and its valid convolution over the
-    whole ifmap tiles that class exactly; without the border it owns
-    parity delta and the first delta input rows/columns per dimension do
-    not participate. A slice owns nothing when it is empty (K = 1 on some
-    axis) or its parity class is (K = 2n+1 leaves one ofmap position on
-    that axis, at parity 0).
+    counts). This is the one rule for which sub-convolutions a
+    deconvolution runs. Slice delta owns parity 1-delta, and its valid
+    convolution over the whole ifmap tiles that class exactly. A slice
+    owns nothing when it is empty (K = 1 on some axis) or its parity
+    class is (K = 2n+1 leaves one ofmap position on that axis, at
+    parity 0).
     """
     owned = []
     for k, delta, dims in parity_classes(tuple(kernel_dims)):
-        parity = tuple((1 - d if with_border else d) for d in delta)
+        parity = tuple(1 - d for d in delta)
         counts = tuple((o - p + 1) // 2 for o, p in zip(out_dims, parity))
         if all(dims) and all(counts):
-            owned.append((k, dims, parity, counts, tuple(0 if with_border else d for d in delta)))
+            owned.append((k, dims, parity, counts))
     return tuple(owned)
 
 
-def gather(
-    sub_ofmaps,
-    kernel_set: SubKernelSet,
-    out_dims,
-    with_border: bool = True,
-) -> Tensor:
+def gather(sub_ofmaps, kernel_set: SubKernelSet, out_dims) -> Tensor:
     """Interleave per-parity sub-ofmaps into the final ofmap.
 
     Expects one sub-ofmap, of exactly the owned counts, per entry of
-    phases(out_dims, kernel_set.source_dims, with_border), in phase order.
-    Under the bordered convention these extents coincide with the plain
-    valid convolution of each sub-kernel over the full ifmap. Distinct
+    phases(out_dims, kernel_set.source_dims), in phase order: the valid
+    convolution of each owning sub-kernel over the full ifmap. Distinct
     phases own disjoint parity classes; a class no phase owns is
     structurally zero and stays zero-filled.
     """
     out_dims = tuple(out_dims)
-    owned = phases(out_dims, kernel_set.source_dims, with_border)
+    owned = phases(out_dims, kernel_set.source_dims)
     if len(sub_ofmaps) != len(owned):
         raise ShapeError(
             f"{len(sub_ofmaps)} sub-ofmaps supplied for {len(owned)} phases that own "
             f"ofmap positions"
         )
     out = np.zeros(out_dims, dtype=DTYPE)
-    for sof, (k, _, parity, counts, _) in zip(sub_ofmaps, owned):
+    for sof, (k, _, parity, counts) in zip(sub_ofmaps, owned):
         if sof.dims != counts:
             raise ShapeError(
                 f"sub-ofmap for phase {k} has dims {sof.dims}, "
@@ -173,33 +168,29 @@ def gather(
     return Tensor(out)
 
 
-def transformed_deconv(ifmap: Tensor, kernel: Tensor, with_border: bool = True) -> Tensor:
+def transformed_deconv(ifmap: Tensor, kernel: Tensor) -> Tensor:
     """Deconvolution via decomposition: dense sub-convolutions plus a gather.
 
-    Numerically equal to deconv_reference(ifmap, kernel, 2, with_border);
-    the multiply count equals the reference's nonzero-operand MAC count
-    because each sub-convolution runs only over the ifmap slice that
-    feeds its parity class.
+    Numerically equal to deconv_reference(ifmap, kernel); the multiply
+    count equals the reference's nonzero-operand MAC count because each
+    owning sub-kernel convolves the original ifmap, which holds no
+    inserted zero.
     """
-    out_dims = deconv_output_dims(ifmap.dims, kernel.dims, with_border)
+    out_dims = deconv_output_dims(ifmap.dims, kernel.dims)
     kernel_set = decompose_nd(kernel)
-    sub_ofmaps = []
-    for k, dims, _, counts, starts in phases(out_dims, kernel.dims, with_border):
-        window = tuple(slice(s, s + c + d - 1) for s, c, d in zip(starts, counts, dims))
-        sub_ofmaps.append(conv_valid(Tensor(ifmap.array[window]), kernel_set.kernels[k].tensor))
-    return gather(sub_ofmaps, kernel_set, out_dims, with_border)
+    sub_ofmaps = [conv_valid(ifmap, kernel_set.kernels[k].tensor)
+                  for k, *_ in phases(out_dims, kernel.dims)]
+    return gather(sub_ofmaps, kernel_set, out_dims)
 
 
-def transform_multiply_count(
-    ifmap_dims, kernel_dims, with_border: bool = True
-) -> int:
+def transform_multiply_count(ifmap_dims, kernel_dims) -> int:
     """Multiplies the transformed path performs for this configuration.
 
     Computed from extents alone: each phase contributes
     (owned ofmap positions) x (sub-kernel elements) multiplies.
     """
-    out_dims = deconv_output_dims(ifmap_dims, kernel_dims, with_border)
+    out_dims = deconv_output_dims(ifmap_dims, kernel_dims)
     return sum(
         math.prod(counts) * math.prod(dims)
-        for _, dims, _, counts, _ in phases(out_dims, kernel_dims, with_border)
+        for _, dims, _, counts in phases(out_dims, kernel_dims)
     )

@@ -297,21 +297,17 @@ class SequenceSpec:
 
 
 def load_sequence(path, strict: bool = False) -> SequenceSpec:
-    """Parse a stereo sequence manifest; file paths resolve relative to it."""
+    """Parse a stereo sequence manifest; its paths, none empty, resolve relative to it."""
     data = _load_json(path, _SEQUENCE_FIELDS, strict)
     base = Path(path).parent
     frames = []
     for i, record in enumerate(data["frames"]):
         fields = _record(f"{path}: frame {i}", record, _FRAME_FIELDS, strict)
-        key, gt = fields["key_disparity"], fields["gt_disparity"]
-        frames.append(
-            SequenceEntry(
-                left=base / fields["left"],
-                right=base / fields["right"],
-                key_disparity=base / key if key else None,
-                gt_disparity=base / gt if gt else None,
-            )
-        )
+        for name, value in fields.items():
+            if value == "":
+                raise SpecValidationError(f"{path}: frame {i}: field {name!r} is an empty path")
+        frames.append(SequenceEntry(**{name: None if value is None else base / value
+                                       for name, value in fields.items()}))
     if not frames:
         raise SpecValidationError(f"{path}: sequence has no frames")
     if data["pw"] < 2:

@@ -296,7 +296,7 @@ def filter_group_dims(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     """
     if layer.kind is LayerKind.CONV:
         return (layer.kernel,)
-    return tuple(dims for _, dims, _, _, _ in phases(output_dims(layer), layer.kernel))
+    return tuple(dims for _, dims, *_ in phases(output_dims(layer), layer.kernel))
 
 
 def _check_kernel_set(layer: LayerSpec, kernel_set: SubKernelSet | None) -> None:
@@ -552,7 +552,7 @@ def total_latency(
 def dense_equivalent(layer: LayerSpec) -> LayerSpec:
     """The unit-stride convolution a naive deconvolution actually executes.
 
-    The ifmap extents become the bordered zero-upsampled extents, so
+    The ifmap extents become the zero-upsampled extents, so
     modeling this layer prices in every inserted-zero MAC the
     transformation removes.
     """
@@ -564,14 +564,14 @@ def dense_equivalent(layer: LayerSpec) -> LayerSpec:
         kernel=layer.kernel,
         in_channels=layer.in_channels,
         out_channels=layer.out_channels,
-        ifmap=upsampled_dims(layer.ifmap, layer.stride, with_border=True),
+        ifmap=upsampled_dims(layer.ifmap),
         stride=1,
     )
 
 
 def output_dims(layer: LayerSpec) -> tuple[int, ...]:
-    """Spatial ofmap extents of the layer (per filter), a deconvolution's in the
-    bordered convention; ShapeError when the kernel does not fit."""
+    """Spatial ofmap extents of the layer (per filter); ShapeError when the
+    kernel does not fit."""
     if layer.kind is LayerKind.DECONV:
         return deconv_output_dims(layer.ifmap, layer.kernel)
     return tuple((v - 1) // layer.stride + 1 for v in valid_dims(layer.ifmap, layer.kernel))

@@ -2,8 +2,10 @@
 
 This module is deliberately naive: a thin N-d float32 container plus
 window-by-window convolution, zero upsampling, reference deconvolution,
-and exact redundancy accounting. Nothing here is tuned for speed beyond
-plain numpy vectorization; the point is to be obviously correct.
+and exact redundancy accounting. Deconvolution has one convention:
+stride 2, over an ifmap zero-upsampled to 2n + 1 per axis with the
+originals at odd indices. Nothing here is tuned for speed beyond plain
+numpy vectorization; the point is to be obviously correct.
 """
 
 from __future__ import annotations
@@ -109,13 +111,9 @@ def valid_dims(ifmap_dims, kernel_dims) -> tuple[int, ...]:
     return tuple(n - k + 1 for n, k in zip(ifmap_dims, kernel_dims))
 
 
-def upsampled_dims(ifmap_dims, factor: int, with_border: bool) -> tuple[int, ...]:
-    """Extents of a zero-upsampled ifmap: factor * (n - 1) + 1 per axis, plus
-    2 * (factor - 1) with the border; factor 2 gives 2n + 1 with it, 2n - 1 without."""
-    if factor < 1:
-        raise ShapeError("upsampling factor must be >= 1")
-    pad = 2 * (factor - 1) if with_border else 0
-    return tuple(factor * (n - 1) + 1 + pad for n in ifmap_dims)
+def upsampled_dims(ifmap_dims) -> tuple[int, ...]:
+    """Extents of the zero-upsampled ifmap of a stride-2 deconvolution: 2n + 1 per axis."""
+    return tuple(2 * n + 1 for n in ifmap_dims)
 
 
 def conv_valid(ifmap: Tensor, kernel: Tensor) -> Tensor:
@@ -132,30 +130,20 @@ def conv_valid(ifmap: Tensor, kernel: Tensor) -> Tensor:
     return Tensor(np.asarray(out, dtype=DTYPE))
 
 
-def upsample_zero(ifmap: Tensor, factor: int, with_border: bool = True) -> Tensor:
-    """Insert factor-1 zeros between neighbouring elements, into upsampled_dims extents.
-
-    With the bordered convention a ring of factor-1 zeros is added on
-    every side as well, so for factor 2 the original elements sit at odd
-    indices; without the border they sit at even indices.
-    """
-    up = upsampled_dims(ifmap.dims, factor, with_border)
-    pad = factor - 1 if with_border else 0
-    out = np.zeros(up, dtype=DTYPE)
-    out[tuple(slice(pad, u - pad, factor) for u in up)] = ifmap.array
+def upsample_zero(ifmap: Tensor) -> Tensor:
+    """Place each element at odd indices of a zero tensor of upsampled_dims extents:
+    one zero between neighbouring elements and a ring of one zero on every side."""
+    out = np.zeros(upsampled_dims(ifmap.dims), dtype=DTYPE)
+    out[(slice(1, None, 2),) * ifmap.rank] = ifmap.array
     return Tensor(out)
 
 
-def deconv_reference(
-    ifmap: Tensor, kernel: Tensor, factor: int = 2, with_border: bool = True
-) -> Tensor:
-    """Deconvolution the slow way: explicit zero upsampling, then conv_valid."""
-    return conv_valid(upsample_zero(ifmap, factor, with_border), kernel)
+def deconv_reference(ifmap: Tensor, kernel: Tensor) -> Tensor:
+    """Stride-2 deconvolution the slow way: explicit zero upsampling, then conv_valid."""
+    return conv_valid(upsample_zero(ifmap), kernel)
 
 
-def redundant_mac_fraction(
-    ifmap_dims, kernel_dims, factor: int = 2, with_border: bool = True
-) -> float:
+def redundant_mac_fraction(ifmap_dims, kernel_dims) -> float:
     """Fraction of naive-deconvolution MACs whose ifmap operand is an inserted zero.
 
     Counted exactly: an occupancy map of the upsampled ifmap is enumerated
@@ -163,7 +151,7 @@ def redundant_mac_fraction(
     of the dense convolution over the upsampled input.
     """
     kernel_dims = tuple(kernel_dims)
-    occupancy = upsample_zero(Tensor(np.ones(tuple(ifmap_dims), dtype=DTYPE)), factor, with_border)
+    occupancy = upsample_zero(Tensor(np.ones(tuple(ifmap_dims), dtype=DTYPE)))
     out_dims = valid_dims(occupancy.dims, kernel_dims)
     zero_map = (occupancy.array == 0.0).astype(np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(zero_map, kernel_dims)

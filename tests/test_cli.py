@@ -402,6 +402,34 @@ class TestIsmCommand:
         assert f"left raster {tmp_path / ('l' + name[1:])} is 64x48" in err
         assert not out.exists()
 
+    def test_frame_sized_unlike_frame_0_rejected_before_propagation(self, tmp_path, panorama,
+                                                                     capsys):
+        # frame 2 is consistent in itself but four columns narrower than frame 0
+        manifest, gt = self.build_sequence(tmp_path, panorama)
+        for name in ("l2.pgm", "r2.pgm"):
+            frame_to_pgm(tmp_path / name, Frame(np.zeros((48, 60))))
+        for name in ("k2.pgm", "g2.pgm"):
+            write_disparity(tmp_path / name, DisparityMap(gt.d[:, :60]))
+        out = tmp_path / "out"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'l2.pgm'}: raster is 60x48" in err
+        assert f"frame 0's left raster {tmp_path / 'l0.pgm'} is 64x48" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["left", "right", "key_disparity", "gt_disparity"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_empty_path_is_input_error(self, tmp_path, panorama, capsys, field, strict):
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        doc = json.loads(manifest.read_text())
+        doc["frames"][2][field] = ""
+        write_json(manifest, doc)
+        out = tmp_path / "out"
+        args = ["ism", "--sequence", str(manifest), "--out-dir", str(out)]
+        assert main(args + ["--strict"] * strict) == 2
+        assert f"{manifest}: frame 2: field '{field}' is an empty path" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("meta", [{"format_version": 1, "scale": 0}, [1]])
     def test_bad_disparity_sidecar_is_input_error(self, tmp_path, panorama, meta):
         manifest, _ = self.build_sequence(tmp_path, panorama)

@@ -120,7 +120,7 @@ class TestGather:
         kernel = Tensor(rng.uniform(-1, 1, (3, 3)).astype(np.float32))
         ks = decompose_2d(kernel)
         s0_conv = conv_valid(ifmap, ks.kernels[0].tensor)
-        full = transformed_deconv(ifmap, kernel, with_border=True)
+        full = transformed_deconv(ifmap, kernel)
         assert full.dims == (5, 5)
         assert np.allclose(full.array[1::2, 1::2], s0_conv.array, atol=1e-6)
 
@@ -130,10 +130,10 @@ class TestGather:
         kernel = Tensor(np.array([[2.0]], dtype=np.float32))
         ks = decompose_2d(kernel)
         sub_of = conv_valid(ifmap, ks.kernels[0].tensor)
-        out = gather([sub_of], ks, deconv_output_dims((4, 4), (1, 1), True), True)
+        out = gather([sub_of], ks, deconv_output_dims((4, 4), (1, 1)))
         # phase 0 owns the odd positions; the rest is structurally zero
         assert np.allclose(out.array[1::2, 1::2], sub_of.array)
-        ref = deconv_reference(ifmap, kernel, 2, True)
+        ref = deconv_reference(ifmap, kernel)
         assert np.allclose(out.array, ref.array, atol=1e-6)
 
     def test_gather_of_transform_outputs_matches_reference(self):
@@ -141,24 +141,24 @@ class TestGather:
         ifmap = Tensor(rng.uniform(-1, 1, (6, 6)).astype(np.float32))
         kernel = Tensor(rng.uniform(-1, 1, (4, 4)).astype(np.float32))
         ks = decompose_2d(kernel)
-        out_dims = deconv_output_dims((6, 6), (4, 4), True)
+        out_dims = deconv_output_dims((6, 6), (4, 4))
         sub_ofs = [
             conv_valid(ifmap, sub.tensor) for sub in ks.kernels if not sub.is_empty
         ]
-        got = gather(sub_ofs, ks, out_dims, True)
-        want = deconv_reference(ifmap, kernel, 2, True)
+        got = gather(sub_ofs, ks, out_dims)
+        want = deconv_reference(ifmap, kernel)
         assert np.allclose(got.array, want.array, atol=1e-5)
 
     def test_wrong_subofmap_dims_rejected(self):
         ks = decompose_2d(Tensor(np.ones((3, 3), dtype=np.float32)))
         bad = [Tensor.zeros((9, 9))] * 4
         with pytest.raises(ShapeError):
-            gather(bad, ks, (5, 5), True)
+            gather(bad, ks, (5, 5))
 
     def test_missing_subofmap_rejected(self):
         ks = decompose_2d(Tensor(np.ones((3, 3), dtype=np.float32)))
         with pytest.raises(ShapeError):
-            gather([Tensor.zeros((2, 2))], ks, (5, 5), True)
+            gather([Tensor.zeros((2, 2))], ks, (5, 5))
 
 
 class TestTransformedDeconv:
@@ -166,28 +166,25 @@ class TestTransformedDeconv:
         rng = np.random.default_rng(1)
         ifmap = Tensor(rng.integers(-8, 8, (3, 3)).astype(np.float32))
         kernel = Tensor(rng.integers(-8, 8, (3, 3)).astype(np.float32))
-        got = transformed_deconv(ifmap, kernel, True)
-        want = deconv_reference(ifmap, kernel, 2, True)
+        got = transformed_deconv(ifmap, kernel)
+        want = deconv_reference(ifmap, kernel)
         assert np.array_equal(got.array, want.array)
 
     def test_zero_kernel_gives_zero_ofmap(self):
         rng = np.random.default_rng(2)
         ifmap = Tensor(rng.random((4, 5)).astype(np.float32))
-        out = transformed_deconv(ifmap, Tensor.zeros((3, 3)), True)
+        out = transformed_deconv(ifmap, Tensor.zeros((3, 3)))
         assert np.all(out.array == 0)
 
     def test_exhaustive_small_grid_rank2(self):
         rng = np.random.default_rng(3)
-        for ih, iw, kh, kw, wb in itertools.product(
-            range(1, 5), range(1, 5), range(1, 5), range(1, 5), (True, False)
-        ):
-            up = tuple(2 * n + 1 if wb else 2 * n - 1 for n in (ih, iw))
-            if kh > up[0] or kw > up[1]:
+        for ih, iw, kh, kw in itertools.product(range(1, 5), range(1, 5), range(1, 7), range(1, 7)):
+            if kh > 2 * ih + 1 or kw > 2 * iw + 1:
                 continue
             ifmap = Tensor(rng.uniform(-1, 1, (ih, iw)).astype(np.float32))
             kernel = Tensor(rng.uniform(-1, 1, (kh, kw)).astype(np.float32))
-            got = transformed_deconv(ifmap, kernel, wb)
-            want = deconv_reference(ifmap, kernel, 2, wb)
+            got = transformed_deconv(ifmap, kernel)
+            want = deconv_reference(ifmap, kernel)
             assert got.dims == want.dims
             assert np.abs(got.array - want.array).max() <= 1e-4
 
@@ -197,16 +194,29 @@ class TestTransformedDeconv:
         while done < 60:
             idims = tuple(int(rng.integers(1, 6)) for _ in range(3))
             kdims = tuple(int(rng.integers(1, 6)) for _ in range(3))
-            wb = bool(rng.integers(0, 2))
-            up = tuple(2 * n + 1 if wb else 2 * n - 1 for n in idims)
-            if any(k > u for k, u in zip(kdims, up)):
+            if any(k > 2 * n + 1 for k, n in zip(kdims, idims)):
                 continue
             ifmap = Tensor(rng.uniform(-1, 1, idims).astype(np.float32))
             kernel = Tensor(rng.uniform(-1, 1, kdims).astype(np.float32))
-            got = transformed_deconv(ifmap, kernel, wb)
-            want = deconv_reference(ifmap, kernel, 2, wb)
+            got = transformed_deconv(ifmap, kernel)
+            want = deconv_reference(ifmap, kernel)
             assert np.abs(got.array - want.array).max() <= 1e-4
             done += 1
+
+    def test_unbordered_convention_is_one_ring_cropped(self):
+        # upsampling to 2n - 1 (originals at even indices, no border) gives
+        # the bordered ofmap without its outermost ring on every axis
+        rng = np.random.default_rng(6)
+        for ih, iw, kh, kw in itertools.product(range(1, 5), range(1, 5), range(1, 7), range(1, 7)):
+            if kh > 2 * ih - 1 or kw > 2 * iw - 1:
+                continue
+            ifmap = rng.integers(-9, 10, (ih, iw)).astype(np.float32)
+            kernel = Tensor(rng.integers(-9, 10, (kh, kw)).astype(np.float32))
+            up = np.zeros((2 * ih - 1, 2 * iw - 1), dtype=np.float32)
+            up[::2, ::2] = ifmap
+            unbordered = conv_valid(Tensor(up), kernel).array
+            bordered = transformed_deconv(Tensor(ifmap), kernel).array
+            assert np.array_equal(unbordered, bordered[1:-1, 1:-1])
 
     def test_multiply_count_equals_nonzero_macs(self):
         rng = np.random.default_rng(5)
@@ -215,13 +225,11 @@ class TestTransformedDeconv:
             rank = int(rng.integers(1, 4))
             idims = tuple(int(rng.integers(1, 6)) for _ in range(rank))
             kdims = tuple(int(rng.integers(1, 6)) for _ in range(rank))
-            wb = bool(rng.integers(0, 2))
-            up = tuple(2 * n + 1 if wb else 2 * n - 1 for n in idims)
-            if any(k > u for k, u in zip(kdims, up)):
+            if any(k > 2 * n + 1 for k, n in zip(kdims, idims)):
                 continue
-            frac = redundant_mac_fraction(idims, kdims, 2, wb)
-            out_dims = deconv_output_dims(idims, kdims, wb)
+            frac = redundant_mac_fraction(idims, kdims)
+            out_dims = deconv_output_dims(idims, kdims)
             total = math.prod(out_dims) * math.prod(kdims)
             nonzero = round((1.0 - frac) * total)
-            assert transform_multiply_count(idims, kdims, wb) == nonzero
+            assert transform_multiply_count(idims, kdims) == nonzero
             done += 1

@@ -343,14 +343,12 @@ def test_geometry_agrees_across_modules():
         idims = tuple(int(n) for n in rng.integers(1, 5, rank))
         kdims = tuple(int(k) for k in rng.integers(1, 11, rank))
         ifmap, kernel = Tensor.zeros(idims), Tensor.zeros(kdims)
-        factor = int(rng.integers(1, 4))
-        for wb in (True, False):
-            assert upsample_zero(ifmap, factor, wb).dims == upsampled_dims(idims, factor, wb)
-            want = dims_or_none(lambda: deconv_reference(ifmap, kernel, 2, wb).dims)
-            assert dims_or_none(deconv_output_dims, idims, kdims, wb) == want
-            fraction = dims_or_none(redundant_mac_fraction, idims, kdims, 2, wb)
-            assert (fraction is None) == (want is None)
-            seen.add(("reference fits", want is not None))
+        assert upsample_zero(ifmap).dims == upsampled_dims(idims)
+        want = dims_or_none(lambda: deconv_reference(ifmap, kernel).dims)
+        assert dims_or_none(deconv_output_dims, idims, kdims) == want
+        fraction = dims_or_none(redundant_mac_fraction, idims, kdims)
+        assert (fraction is None) == (want is None)
+        seen.add(("reference fits", want is not None))
 
         rank = int(rng.integers(2, 4))
         idims = tuple(int(n) for n in rng.integers(1, 7, rank))
@@ -373,7 +371,7 @@ def test_geometry_agrees_across_modules():
         assert output_dims(layer) == want
         if kind is LayerKind.DECONV:
             dense = dense_equivalent(layer)
-            assert dense.ifmap == upsample_zero(ifmap, 2).dims
+            assert dense.ifmap == upsample_zero(ifmap).dims
             assert output_dims(dense) == want
     assert seen == {(what, fits) for what in ("reference fits", *LayerKind)
                     for fits in (True, False)}

@@ -95,9 +95,9 @@ class TestConvValid:
 
 class TestUpsampleZero:
     def test_bordered_3x3_becomes_7x7(self):
-        # the bordered factor-2 convention: originals at odd indices
+        # originals at odd indices, a ring of zeros around them
         src = Tensor(np.arange(1, 10, dtype=np.float32).reshape(3, 3))
-        up = upsample_zero(src, 2, with_border=True)
+        up = upsample_zero(src)
         assert up.dims == (7, 7)
         assert np.count_nonzero(up.array) == 9
         for r in range(3):
@@ -107,39 +107,27 @@ class TestUpsampleZero:
         mask[1::2, 1::2] = True
         assert np.all(up.array[~mask] == 0)
 
-    def test_factor_one_is_identity(self):
-        src = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        for wb in (False, True):
-            assert upsample_zero(src, 1, wb).allclose(src)
-
-    def test_unbordered_hand_placement(self):
-        src = Tensor(np.array([[1, 2], [3, 4]], dtype=np.float32))
-        up = upsample_zero(src, 2, with_border=False)
-        want = np.array([[1, 0, 2], [0, 0, 0], [3, 0, 4]], dtype=np.float32)
-        assert up.dims == (3, 3)
-        assert np.array_equal(up.array, want)
-
-    def test_zero_factor_rejected(self):
-        with pytest.raises(ShapeError):
-            upsample_zero(Tensor.zeros((2, 2)), 0)
+    def test_hand_placement_rank1_and_rank2(self):
+        up = upsample_zero(Tensor(np.array([1, 2], dtype=np.float32)))
+        assert up.array.tolist() == [0, 1, 0, 2, 0]
+        up = upsample_zero(Tensor(np.array([[1, 2]], dtype=np.float32)))
+        assert up.array.tolist() == [[0, 0, 0, 0, 0], [0, 1, 0, 2, 0], [0, 0, 0, 0, 0]]
 
 
 class TestDeconvReference:
     def test_3x3_input_gives_5x5_output(self):
-        out = deconv_reference(Tensor.zeros((3, 3)), Tensor(np.ones((3, 3))), 2, True)
+        out = deconv_reference(Tensor.zeros((3, 3)), Tensor(np.ones((3, 3))))
         assert out.dims == (5, 5)
 
     def test_zero_ifmap_gives_zero_ofmap(self):
         rng = np.random.default_rng(0)
-        out = deconv_reference(Tensor.zeros((4, 4)), Tensor(rng.random((3, 3))), 2, True)
+        out = deconv_reference(Tensor.zeros((4, 4)), Tensor(rng.random((3, 3))))
         assert np.all(out.array == 0)
 
     def test_single_pixel_hits_kernel_center(self):
         v = 3.5
         kernel = np.arange(1, 10, dtype=np.float32).reshape(3, 3)
-        out = deconv_reference(
-            Tensor(np.array([[v]], dtype=np.float32)), Tensor(kernel), 2, True
-        )
+        out = deconv_reference(Tensor(np.array([[v]], dtype=np.float32)), Tensor(kernel))
         assert out.dims == (1, 1)
         assert out.array[0, 0] == np.float32(v) * kernel[1, 1]
 
@@ -147,17 +135,18 @@ class TestDeconvReference:
 class TestRedundantMacFraction:
     def test_worked_2d_case(self):
         # total 25 windows * 9 taps = 225 MACs; 49 hit original elements
-        frac = redundant_mac_fraction((3, 3), (3, 3), 2, True)
+        frac = redundant_mac_fraction((3, 3), (3, 3))
         assert frac == 176 / 225
         assert frac > 0.75
 
-    def test_factor_one_has_no_redundancy(self):
-        assert redundant_mac_fraction((4, 5), (3, 3), 1, False) == 0.0
+    def test_1x1_kernel_wastes_exactly_the_inserted_zeros(self):
+        # every MAC reads one upsampled element, so the fraction is the zero share
+        assert redundant_mac_fraction((4, 5), (1, 1)) == (9 * 11 - 20) / (9 * 11)
 
     def test_3d_upsampled_zero_fraction(self):
         # element-level sparsity of the bordered stride-2 volume
         for n in (1, 2, 3, 4):
-            up = upsample_zero(Tensor(np.ones((n, n, n))), 2, True)
+            up = upsample_zero(Tensor(np.ones((n, n, n))))
             zero_frac = 1.0 - n**3 / up.size
             assert zero_frac >= 7 / 8
 
@@ -169,8 +158,7 @@ class TestRedundantMacFraction:
             rank = int(rng.integers(1, 4))
             idims = tuple(int(rng.integers(1, 5)) for _ in range(rank))
             kdims = tuple(int(rng.integers(1, 4)) for _ in range(rank))
-            wb = bool(rng.integers(0, 2))
-            up = upsample_zero(Tensor(np.ones(idims)), 2, wb)
+            up = upsample_zero(Tensor(np.ones(idims)))
             if any(k > u for k, u in zip(kdims, up.dims)):
                 continue
             ones = Tensor(np.ones(kdims))
@@ -178,5 +166,5 @@ class TestRedundantMacFraction:
             out_dims = tuple(u - k + 1 for u, k in zip(up.dims, kdims))
             total = math.prod(out_dims) * math.prod(kdims)
             want = 1.0 - float(nonzero_macs) / total
-            got = redundant_mac_fraction(idims, kdims, 2, wb)
+            got = redundant_mac_fraction(idims, kdims)
             assert got == pytest.approx(want, abs=1e-12)
