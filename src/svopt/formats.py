@@ -297,7 +297,7 @@ class SequenceSpec:
 
 
 def load_sequence(path, strict: bool = False) -> SequenceSpec:
-    """Parse a stereo sequence manifest; its paths, none empty, resolve relative to it."""
+    """Parse a stereo sequence manifest; paths resolve relative to it, none empty or a dir."""
     data = _load_json(path, _SEQUENCE_FIELDS, strict)
     base = Path(path).parent
     frames = []
@@ -306,6 +306,9 @@ def load_sequence(path, strict: bool = False) -> SequenceSpec:
         for name, value in fields.items():
             if value == "":
                 raise SpecValidationError(f"{path}: frame {i}: field {name!r} is an empty path")
+            if value is not None and (base / value).is_dir():
+                raise SpecValidationError(
+                    f"{path}: frame {i}: field {name!r} names a directory ({base / value})")
         frames.append(SequenceEntry(**{name: None if value is None else base / value
                                        for name, value in fields.items()}))
     if not frames:

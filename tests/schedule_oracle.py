@@ -1,11 +1,14 @@
-"""Reference schedule search: the global minimum-latency schedule of a layer.
+"""Reference schedule searches that tests hold `svopt.scheduler.solve` to.
 
-`exhaustive` is the yardstick that tests hold `svopt.scheduler.solve` to.
-It prices rounds with the same `RoundPricer` and sums them over the same
+`exhaustive` is the global minimum-latency schedule of a layer. It
+prices rounds with the same `RoundPricer` and sums them over the same
 tile grid (`_grid_cycles`) as the greedy search, but it tries every
 candidate tile, every partition of the filter counts into buffer-feasible
 rounds and both reuse orders, so no schedule in that space beats it.
 It stays here so tests can require the greedy search never to beat it.
+
+`every_tile` is the greedy search without its lower bounds: it packs
+every candidate tile, so `solve`, which prunes, must return its schedule.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ from svopt.perfmodel import (
     _check_kernel_set,
     validate_schedule,
 )
-from svopt.scheduler import ScheduleMode, _grid_cycles, _tile_candidates
+from svopt.scheduler import (
+    InfeasibleTileError,
+    ScheduleMode,
+    _grid_cycles,
+    _pack_tile,
+    _scored_tiles,
+    _tile_candidates,
+)
 
 
 class SearchSpaceExceeded(RuntimeError):
@@ -122,3 +132,34 @@ def exhaustive(
     schedule = TileSchedule(beta, grid=TileGrid(layer.ifmap, tile, tuple(parts)))
     validate_schedule(schedule, layer, hw, include_input_channels=include_input_channels)
     return schedule
+
+
+def every_tile(
+    layer: LayerSpec,
+    kernel_set: SubKernelSet | None,
+    hw: HardwareConfig,
+    mode: ScheduleMode = ScheduleMode.ILAR,
+    *,
+    include_input_channels: bool = False,
+) -> TileSchedule:
+    """The greedy schedule found with no pruning: the first strict minimum.
+
+    Packs every candidate tile in `_scored_tiles` order, prices beta=1
+    then beta=0, and keeps the first (tile, beta) whose cycles are
+    strictly below every earlier one's.
+    """
+    _check_mode(layer, kernel_set, mode)
+    price = RoundPricer(layer, include_input_channels)
+    best = None
+    for _, tile in _scored_tiles(price, hw, mode):
+        try:
+            parts = _pack_tile(price, tile, hw, mode)
+        except InfeasibleTileError:
+            continue
+        for beta, cycles in zip((1, 0), _grid_cycles(price, tile, parts, hw)):
+            if best is None or cycles < best[0]:
+                best = (cycles, tile, parts, beta)
+    if best is None:
+        raise InfeasibleScheduleError(f"layer {layer.name}: no candidate tile packs")
+    _, tile, parts, beta = best
+    return TileSchedule(beta, grid=TileGrid(layer.ifmap, tile, tuple(parts)))

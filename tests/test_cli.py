@@ -430,6 +430,19 @@ class TestIsmCommand:
         assert f"{manifest}: frame 2: field '{field}' is an empty path" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["left", "right", "key_disparity", "gt_disparity"])
+    def test_directory_path_is_input_error(self, tmp_path, panorama, capsys, field):
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        (tmp_path / "sub").mkdir()
+        doc = json.loads(manifest.read_text())
+        doc["frames"][2][field] = "sub"
+        write_json(manifest, doc)
+        out = tmp_path / "out"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: frame 2: field '{field}' names a directory ({tmp_path / 'sub'})" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("meta", [{"format_version": 1, "scale": 0}, [1]])
     def test_bad_disparity_sidecar_is_input_error(self, tmp_path, panorama, meta):
         manifest, _ = self.build_sequence(tmp_path, panorama)

@@ -5,9 +5,10 @@ random instances are built the way pack_round builds them, in its
 priority order (value, then weight, descending), and include duplicate
 (weight, value) classes, zero values, counts up to 512 and capacities
 from below the lightest item to above the total weight. The layer
-instances are the ones `solve` itself hands to the packer. The packer
-test requires the per-group count packer to build the same rounds as the
-item-level packer on every candidate tile of random layers.
+instances are the ones the packer gets on every candidate tile of random
+layers, pruned by `solve` or not. The packer test requires the
+per-group count packer to build the same rounds as the item-level packer
+on every candidate tile of random layers.
 """
 
 import random
@@ -16,7 +17,6 @@ import pytest
 
 import knapsack_oracle as oracle
 from svopt import scheduler
-from svopt.deconv import decompose_nd
 from svopt.perfmodel import (
     HardwareConfig,
     InfeasibleScheduleError,
@@ -24,8 +24,7 @@ from svopt.perfmodel import (
     LayerSpec,
     RoundPricer,
 )
-from svopt.scheduler import InfeasibleTileError, ScheduleMode, solve
-from svopt.tensor import Tensor
+from svopt.scheduler import InfeasibleTileError, ScheduleMode
 
 
 def random_classes(rng):
@@ -82,6 +81,7 @@ def random_layer(rng, rank):
 @pytest.mark.parametrize("mode", list(ScheduleMode))
 @pytest.mark.parametrize("rank", [2, 3])
 def test_layer_instances(monkeypatch, rank, mode):
+    # every candidate tile is packed, not only those solve's bound leaves unpruned
     calls = []
     pack_counts = scheduler._pack_counts
 
@@ -95,11 +95,9 @@ def test_layer_instances(monkeypatch, rank, mode):
     for _ in range(12):
         layer = random_layer(rng, rank)
         hw = HardwareConfig(rng.randint(2, 8), rng.randint(2, 8), rng.randint(300, 6000), 8.0)
-        try:
-            solve(layer, decompose_nd(Tensor.zeros(layer.kernel)), hw, mode,
-                  include_input_channels=True)
-        except InfeasibleScheduleError:
-            continue
+        price = RoundPricer(layer, True)
+        for tile in scheduler._tile_candidates(layer, price.groups):
+            packed(scheduler._pack_tile, price, tile, hw, mode)
     assert len(calls) >= 20
     if rank == 3 and mode is ScheduleMode.ILAR:
         assert any(len(classes) > 2 for classes, _, _ in calls)
