@@ -11,9 +11,11 @@ resident and the weights plus ofmap elements move. All quantities are
 whole elements and whole cycles.
 
 That rule is written once: RoundPricer prices a (tile, filters) round
-into a RoundTerms record, and validation, latency reports, the
-scheduler's tile search and its knapsack classes all derive from it, as
-does the exhaustive schedule oracle in tests/schedule_oracle.py.
+into a RoundTerms record, and validation, latency reports and the
+scheduler's knapsack classes all derive from it, as does the exhaustive
+schedule oracle in tests/schedule_oracle.py. The same pricer bounds a
+candidate tile's cycles from its per-group factors (`floors`) for the
+scheduler's tile search.
 """
 
 from __future__ import annotations
@@ -358,38 +360,74 @@ class RoundTerms(NamedTuple):
 class RoundPricer:
     """Prices the rounds of one layer under one weight model.
 
-    The filter groups are derived once, and each distinct (tile, filters)
-    pair is priced once per pricer; both must be tuples.
+    The filter groups and their per-group factors are derived once; each
+    call prices one (tile, filters) pair, both tuples, into a RoundTerms
+    record. `floors` bounds a whole tile grid from the same factors
+    without building records.
     """
 
     def __init__(self, layer: LayerSpec, include_input_channels: bool = False) -> None:
         self.layer = layer
         self.groups = filter_group_dims(layer)
-        self._sizes = tuple(math.prod(dims) for dims in self.groups)
-        self._w_scale = layer.in_channels if include_input_channels else 1
-        self._stride_vol = layer.stride**layer.rank
-        self._priced: dict[tuple[tuple[int, ...], tuple[int, ...]], RoundTerms] = {}
+        sizes = self._sizes = tuple(math.prod(dims) for dims in self.groups)
+        w_scale = self._w_scale = layer.in_channels if include_input_channels else 1
+        stride_vol = self._stride_vol = layer.stride**layer.rank
+        in_ch, out_ch = layer.in_channels, layer.out_channels
+        ifmap_elems = math.prod(layer.ifmap)
+        # per group: MACs per tile element with every filter, weights of one filter
+        self._full_macs = tuple(s * in_ch * out_ch for s in sizes)
+        self._filter_weights = tuple(s * w_scale for s in sizes)
+        # layer totals: the ifmap once, every weight once, the ofmap rounded down
+        self._ifmap_total = ifmap_elems * in_ch
+        self._weight_total = sum(sizes) * out_ch * w_scale
+        self._ofmap_floor = ifmap_elems * out_ch * len(sizes) // stride_vol
 
     def __call__(self, tile: tuple[int, ...], filters: tuple[int, ...]) -> RoundTerms:
-        terms = self._priced.get((tile, filters))
-        if terms is None:
-            if len(filters) != len(self.groups):
-                raise ValueError(
-                    f"round carries {len(filters)} filter counts for {len(self.groups)} groups"
-                )
-            tile_elems = math.prod(tile)
-            in_ch = self.layer.in_channels
-            sizes, w_scale, stride_vol = self._sizes, self._w_scale, self._stride_vol
-            # the solver prices thousands of rounds per layer: a named tuple, list
-            # comprehensions and inline ceil divisions keep this cheap
-            terms = RoundTerms(
-                tuple([s * in_ch * c * tile_elems for s, c in zip(sizes, filters)]),
-                tile_elems * in_ch,
-                tuple([s * c * w_scale for s, c in zip(sizes, filters)]),
-                tuple([-(-tile_elems * c // stride_vol) for c in filters]),
+        if len(filters) != len(self.groups):
+            raise ValueError(
+                f"round carries {len(filters)} filter counts for {len(self.groups)} groups"
             )
-            self._priced[tile, filters] = terms
-        return terms
+        tile_elems = math.prod(tile)
+        in_ch = self.layer.in_channels
+        sizes, w_scale, stride_vol = self._sizes, self._w_scale, self._stride_vol
+        return RoundTerms(
+            tuple([s * in_ch * c * tile_elems for s, c in zip(sizes, filters)]),
+            tile_elems * in_ch,
+            tuple([s * c * w_scale for s, c in zip(sizes, filters)]),
+            tuple([-(-tile_elems * c // stride_vol) for c in filters]),
+        )
+
+    def floors(self, tile: tuple[int, ...], hw: HardwareConfig, mixed: bool) -> tuple[int, int]:
+        """Lower bounds (compute, traffic) on the cycles of `tile`'s grid.
+
+        Both hold for every schedule that runs one packing of the full
+        tile at every origin. The compute floor prices all filters of
+        every group at once on each clipped tile shape: a group's
+        per-round ceilings sum to at least the ceiling of its total MACs.
+        The traffic floor takes the fewest rounds that hold every filter
+        beside the tile (groups share rounds when `mixed`), each loading
+        its tile at beta=1, against every origin loading every weight at
+        beta=0, plus the ofmap. It is 0 at infinite bandwidth or when the
+        tile alone fills the buffer.
+        """
+        layer, pe_count = self.layer, hw.pe_count
+        compute = 0
+        for shape, n in TileGrid(layer.ifmap, tile, ()).shapes():
+            elems = math.prod(shape)
+            compute += n * sum([-(-m * elems // pe_count) for m in self._full_macs])
+        tile_elems = math.prod(tile)
+        capacity = hw.usable_buffer - tile_elems * layer.in_channels
+        if math.isinf(hw.bandwidth) or capacity <= 0:
+            return compute, 0
+        ofmap = -(-tile_elems // self._stride_vol)
+        loads = [(w + ofmap) * layer.out_channels for w in self._filter_weights]
+        if mixed:
+            rounds = -(-sum(loads) // capacity)
+        else:
+            rounds = sum([-(-load // capacity) for load in loads])
+        origins = math.prod([-(-e // t) for e, t in zip(layer.ifmap, tile)])
+        traffic = min(rounds * self._ifmap_total, origins * self._weight_total)
+        return compute, math.ceil((traffic + self._ofmap_floor) / hw.bandwidth)
 
 
 def _grid_holds(grid: TileGrid, layer: LayerSpec, hw: HardwareConfig, price: RoundPricer) -> bool:

@@ -1,8 +1,10 @@
-"""PGM image I/O (plain P2 and binary P5, 8- or 16-bit) plus disparity sidecars.
+"""PGM image I/O plus disparity sidecars.
 
-Disparity maps are stored as PGM rasters scaled by an integer factor,
-with a JSON sidecar next to the raster recording the scale and the raw
-value that marks invalid pixels. 16-bit binary samples are big-endian.
+Plain P2 and binary P5 rasters, 8- or 16-bit, are read; binary P5 is
+written. 16-bit binary samples are big-endian. A disparity raster has a
+JSON sidecar next to it recording an integer scale and the raw value
+that marks invalid pixels; written maps use scale 1 and the 16-bit
+maxval, 65535, as that value.
 """
 
 from __future__ import annotations
@@ -90,24 +92,17 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return values.reshape(height, width), maxval
 
 
-def write_pgm(path, raster: np.ndarray, maxval: int, binary: bool = True) -> None:
-    """Write a (h, w) integer raster as P5 (binary) or P2 (plain) PGM."""
+def write_pgm(path, raster: np.ndarray, maxval: int) -> None:
+    """Write a (h, w) integer raster as a binary P5 PGM."""
     raster = np.asarray(raster)
     if raster.ndim != 2:
         raise ValueError("raster must be 2-d")
     if raster.min(initial=0) < 0 or raster.max(initial=0) > maxval:
         raise ValueError(f"raster values must lie in [0, {maxval}]")
     height, width = raster.shape
-    path = Path(path)
-    if binary:
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-        path.write_bytes(header + raster.astype(dtype).tobytes())
-    else:
-        lines = [f"P2\n{width} {height}\n{maxval}"]
-        for row in raster:
-            lines.append(" ".join(str(int(v)) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    Path(path).write_bytes(header + raster.astype(dtype).tobytes())
 
 
 def frame_from_pgm(path) -> Frame:
@@ -116,9 +111,9 @@ def frame_from_pgm(path) -> Frame:
     return Frame(raster.astype(np.float32) / np.float32(maxval))
 
 
-def frame_to_pgm(path, frame: Frame, maxval: int = 255, binary: bool = True) -> None:
+def frame_to_pgm(path, frame: Frame, maxval: int = 255) -> None:
     raster = np.rint(np.clip(frame.luma, 0.0, 1.0) * maxval).astype(np.int64)
-    write_pgm(path, raster, maxval, binary)
+    write_pgm(path, raster, maxval)
 
 
 def sidecar_path(path) -> Path:
@@ -126,38 +121,27 @@ def sidecar_path(path) -> Path:
 
 
 _SIDECAR_FIELDS = {"scale": (int, 1), "invalid": (int, None)}
+_SENTINEL = 65535  # what write_disparity stores for invalid pixels: the 16-bit maxval
 
 
-def write_disparity(
-    path,
-    dmap: DisparityMap,
-    scale: int = 1,
-    invalid_raw: int | None = None,
-    maxval: int = 65535,
-    binary: bool = True,
-) -> None:
-    """Store a disparity map as scaled PGM plus a JSON sidecar.
+def write_disparity(path, dmap: DisparityMap) -> None:
+    """Store a disparity map as a 16-bit PGM plus a JSON sidecar.
 
-    Valid pixels store d * scale; invalid pixels store `invalid_raw`
-    (default maxval). The sidecar records scale and the invalid sentinel
-    so the raster re-ingests losslessly: a ValueError is raised, before
-    anything is written, if some valid d * scale equals the sentinel.
+    Valid pixels store d, invalid pixels the maxval 65535, and the sidecar
+    records scale 1 and that sentinel so the raster re-ingests losslessly:
+    a ValueError is raised, before anything is written, if a valid d does
+    not lie below the sentinel.
     """
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
-    if invalid_raw is None:
-        invalid_raw = maxval
-    raw = dmap.d.astype(np.int64) * scale
+    raw = dmap.d.astype(np.int64)
     invalid = dmap.d < 0
-    if raw[~invalid].max(initial=0) > maxval:
-        raise ValueError("scaled disparity exceeds maxval")
-    clashes = (raw == invalid_raw) & ~invalid
-    if clashes.any():
-        raise ValueError(f"disparity {dmap.d[clashes][0]} scaled by {scale} is the invalid "
-                         f"sentinel {invalid_raw}, so it would read back invalid")
-    raw[invalid] = invalid_raw
-    write_pgm(path, raw, maxval, binary)
-    _save_json(sidecar_path(path), _SIDECAR_FIELDS, scale, invalid_raw)
+    if raw[~invalid].max(initial=0) > _SENTINEL:
+        raise ValueError(f"disparity exceeds maxval {_SENTINEL}")
+    if (raw[~invalid] == _SENTINEL).any():
+        raise ValueError(f"disparity {_SENTINEL} is the invalid sentinel, "
+                         f"so it would read back invalid")
+    raw[invalid] = _SENTINEL
+    write_pgm(path, raw, _SENTINEL)
+    _save_json(sidecar_path(path), _SIDECAR_FIELDS, 1, _SENTINEL)
 
 
 def read_disparity(path) -> DisparityMap:

@@ -14,18 +14,16 @@ the resident ifmap tile; CONV_R mode packs each sub-kernel separately,
 which is also the only mode meaningful for plain convolutions. The reuse
 order beta is chosen per layer as the argmin of total modeled latency.
 
-Tiles are searched best first by a lower bound on their cycles. Each
-starts with a cheap bound (compute of the whole layer, or DRAM traffic);
-the first time the search reaches a tile it raises that bound to the
-tile's compute floor, which prices all filters at once on each clipped
-tile shape, and only a tile that comes up again at its raised bound is
-packed. Ties keep the tile the unpruned search would keep.
+Tiles are packed in one pass, in order of a lower bound on their cycles
+(the larger of the tile's compute floor and its DRAM-traffic floor), and
+the pass stops at the first tile whose bound cannot beat the best packed
+so far. Equal-cycle tiles are told apart by a tie key (the larger of the
+whole layer's compute and the traffic floor), then by the tile itself.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -182,19 +180,6 @@ def _grid_cycles(price: RoundPricer, tile, parts, hw: HardwareConfig) -> tuple[i
     return beta1, beta0
 
 
-def _compute_floor(price: RoundPricer, tile, hw: HardwareConfig) -> int:
-    """A lower bound on `_grid_cycles` of `tile` under any packing: its compute floor.
-
-    Every clipped shape of the tile's grid is priced with all filters of
-    every group at once. On each shape a group's per-round ceilings sum to
-    at least the ceiling of its total MACs, and a round costs at least its
-    compute cycles, so no split of the filters into rounds costs less.
-    """
-    full = (price.layer.out_channels,) * len(price.groups)
-    return sum(n * price(shape, full).compute_cycles(hw)
-               for shape, n in TileGrid(price.layer.ifmap, tile, ()).shapes())
-
-
 def _pack_tile(
     price: RoundPricer, tile, hw: HardwareConfig, mode: ScheduleMode
 ) -> list[tuple[int, ...]]:
@@ -224,35 +209,21 @@ def _pack_tile(
 
 
 def _scored_tiles(price: RoundPricer, hw: HardwareConfig, mode: ScheduleMode):
-    """Candidate tiles with a cheap cycle lower bound, sorted by (bound, tile).
+    """Candidate tiles as (bound, tie, tile), sorted.
 
-    No schedule built on a tile beats its bound. A tile's place in this
-    order is its rank, which decides which of two equal-cost tiles the
-    solver keeps; `solve` raises the bounds to the compute floor later
-    without changing the ranks.
+    `bound`, the larger of the tile's two `RoundPricer.floors`, is beaten
+    by no schedule built on the tile. `tie`, the larger of the whole
+    layer's compute and the traffic floor, never exceeds `bound`; with the
+    tile it decides which of two equal-cost tiles the solver keeps.
     """
     layer = price.layer
-    out_ch = layer.out_channels
-    n_groups = len(price.groups)
-    whole = price(layer.ifmap, (out_ch,) * n_groups)
+    whole = price(layer.ifmap, (layer.out_channels,) * len(price.groups))
     lb = _ceil_div(sum(whole.macs), hw.pe_count)
-    of_floor = (math.prod(layer.ifmap) * out_ch * n_groups) // layer.stride**layer.rank
+    mixed = mode is ScheduleMode.ILAR
     scored = []
     for tile in _tile_candidates(layer, price.groups):
-        one = _filter_round(price, tile)
-        capacity = hw.usable_buffer - one.ifmap
-        if math.isinf(hw.bandwidth) or capacity <= 0:
-            scored.append((lb, tile))
-            continue
-        group_weights = [(w + o) * out_ch for w, o in zip(one.weights, one.ofmap)]
-        if mode is ScheduleMode.CONV_R:
-            rounds_min = sum(_ceil_div(w, capacity) for w in group_weights)
-        else:
-            rounds_min = _ceil_div(sum(group_weights), capacity)
-        n_origins = math.prod(_ceil_div(e, t) for e, t in zip(layer.ifmap, tile))
-        beta1 = rounds_min * whole.ifmap + of_floor
-        beta0 = n_origins * sum(whole.weights) + of_floor
-        scored.append((max(lb, math.ceil(min(beta1, beta0) / hw.bandwidth)), tile))
+        compute, traffic = price.floors(tile, hw, mixed)
+        scored.append((max(compute, traffic), max(lb, traffic), tile))
     return sorted(scored)
 
 
@@ -268,38 +239,28 @@ def solve(
 
     For a packed tile the packer consumes every filter, the resulting
     round structure is applied at every tile origin, and beta is chosen
-    as the per-layer argmin. Tiles leave a heap in (bound, rank) order:
-    a tile's bound starts as `_scored_tiles`' and is raised to at least
-    its `_compute_floor` before the tile is packed. The search stops when
-    the next (bound, rank) is not below the incumbent's (cycles, rank),
-    and an incumbent is replaced only by a smaller (cycles, rank), beta=1
-    tried before beta=0. So the schedule is the one packing every tile in
-    rank order would keep: the first of least cycles. Deterministic for
-    fixed inputs.
+    as the per-layer argmin. Tiles are packed in `_scored_tiles` order
+    until the next (bound, tie, tile) is not below the incumbent's
+    (cycles, tie, tile), and an incumbent is replaced only by a smaller
+    (cycles, tie, tile), beta=1 tried before beta=0. So the schedule is
+    the one packing every tile in (tie, tile) order would keep: the first
+    of least cycles. Deterministic for fixed inputs.
     """
     if mode is ScheduleMode.ILAR and layer.kind is not LayerKind.DECONV:
         raise ValueError("ILAR applies only to transformed deconvolution layers")
     _check_kernel_set(layer, kernel_set)
     price = RoundPricer(layer, include_input_channels)
-    # sorted, so already a heap; rank is the tile's place in that order
-    heap = [(bound, rank, tile, False)
-            for rank, (bound, tile) in enumerate(_scored_tiles(price, hw, mode))]
-    best = best_rank = None  # best is (cycles, tile, parts, beta)
-    while heap:
-        bound, rank, tile, raised = heapq.heappop(heap)
-        if best is not None and (bound, rank) >= (best[0], best_rank):
+    best = best_tie = None  # best is (cycles, tile, parts, beta)
+    for bound, tie, tile in _scored_tiles(price, hw, mode):
+        if best is not None and (bound, tie, tile) >= (best[0], best_tie, best[1]):
             break
-        if not raised:
-            floor = _compute_floor(price, tile, hw)
-            heapq.heappush(heap, (max(bound, floor), rank, tile, True))
-            continue
         try:
             parts = _pack_tile(price, tile, hw, mode)
         except InfeasibleTileError:
             continue
         for beta, cycles in zip((1, 0), _grid_cycles(price, tile, parts, hw)):
-            if best is None or (cycles, rank) < (best[0], best_rank):
-                best, best_rank = (cycles, tile, parts, beta), rank
+            if best is None or (cycles, tie, tile) < (best[0], best_tie, best[1]):
+                best, best_tie = (cycles, tile, parts, beta), tie
     if best is None:
         raise InfeasibleScheduleError(
             f"layer {layer.name}: no candidate tile satisfies the buffer "

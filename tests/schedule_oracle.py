@@ -8,7 +8,8 @@ rounds and both reuse orders, so no schedule in that space beats it.
 It stays here so tests can require the greedy search never to beat it.
 
 `every_tile` is the greedy search without its lower bounds: it packs
-every candidate tile, so `solve`, which prunes, must return its schedule.
+every candidate tile in tie order, so `solve`, which packs in bound
+order and stops early, must return its schedule.
 """
 
 from __future__ import annotations
@@ -144,14 +145,14 @@ def every_tile(
 ) -> TileSchedule:
     """The greedy schedule found with no pruning: the first strict minimum.
 
-    Packs every candidate tile in `_scored_tiles` order, prices beta=1
-    then beta=0, and keeps the first (tile, beta) whose cycles are
-    strictly below every earlier one's.
+    Packs every candidate tile in the (tie, tile) order of
+    `_scored_tiles`, prices beta=1 then beta=0, and keeps the first
+    (tile, beta) whose cycles are strictly below every earlier one's.
     """
     _check_mode(layer, kernel_set, mode)
     price = RoundPricer(layer, include_input_channels)
     best = None
-    for _, tile in _scored_tiles(price, hw, mode):
+    for _, tile in sorted(scored[1:] for scored in _scored_tiles(price, hw, mode)):
         try:
             parts = _pack_tile(price, tile, hw, mode)
         except InfeasibleTileError:

@@ -20,10 +20,16 @@ from svopt.pgm import (
 @pytest.mark.parametrize("binary", [True, False])
 @pytest.mark.parametrize("maxval", [255, 65535])
 def test_raster_roundtrip(tmp_path, binary, maxval):
+    # write_pgm writes P5 only; a plain P2 raster comes from elsewhere, so its
+    # text is written here
     rng = np.random.default_rng(0)
     raster = rng.integers(0, maxval + 1, (7, 5)).astype(np.int64)
     path = tmp_path / "img.pgm"
-    write_pgm(path, raster, maxval, binary=binary)
+    if binary:
+        write_pgm(path, raster, maxval)
+    else:
+        rows = "\n".join(" ".join(str(v) for v in row) for row in raster.tolist())
+        path.write_text(f"P2\n5 7\n{maxval}\n{rows}\n")
     got, got_max = read_pgm(path)
     assert got_max == maxval
     assert np.array_equal(got, raster)
@@ -48,33 +54,31 @@ def test_frame_roundtrip_is_close(tmp_path):
 
 def test_disparity_roundtrip_with_sidecar(tmp_path):
     d = np.array([[0, 3, 7], [INVALID_DISPARITY, 2, INVALID_DISPARITY]], np.int32)
-    dmap = DisparityMap(d)
     path = tmp_path / "d.pgm"
-    write_disparity(path, dmap, scale=256)
-    assert sidecar_path(path).exists()
-    got = read_disparity(path)
-    assert np.array_equal(got.d, d)
+    write_disparity(path, DisparityMap(d))
+    assert read_pgm(path)[1] == 65535
+    meta = json.loads(sidecar_path(path).read_text())
+    assert meta == {"format_version": 1, "scale": 1, "invalid": 65535}
+    assert np.array_equal(read_disparity(path).d, d)
 
 
-def test_disparity_roundtrip_plain_8bit(tmp_path):
-    d = np.array([[0, 1, 2], [5, 4, 3]], np.int32)
+def test_plain_8bit_scaled_disparity_reads_through_its_sidecar(tmp_path):
     path = tmp_path / "d8.pgm"
-    write_disparity(path, DisparityMap(d), scale=1, invalid_raw=255, maxval=255, binary=False)
+    path.write_text("P2\n3 2\n255\n0 2 4\n255 8 6\n")
+    sidecar_path(path).write_text('{"format_version": 1, "scale": 2, "invalid": 255}')
     got = read_disparity(path)
-    assert np.array_equal(got.d, d)
+    assert got.d.tolist() == [[0, 1, 2], [INVALID_DISPARITY, 4, 3]]
 
 
-@pytest.mark.parametrize("d, options, match", [
-    # 21845 * 3 is 65535, the default sentinel (maxval)
-    ([[21845, INVALID_DISPARITY, 3]], {"scale": 3}, r"disparity 21845 .* sentinel 65535"),
-    ([[200, INVALID_DISPARITY, 3]], {"invalid_raw": 200, "maxval": 255},
-     r"disparity 200 .* sentinel 200"),
-], ids=["scaled_onto_maxval", "on_a_set_sentinel"])
-def test_disparity_on_the_invalid_sentinel_rejected(tmp_path, d, options, match):
-    # written as-is, the valid disparity would read back as invalid
+@pytest.mark.parametrize("d, match", [
+    ([[65535, INVALID_DISPARITY, 3]], r"disparity 65535 is the invalid sentinel"),
+    ([[65536, INVALID_DISPARITY, 3]], r"disparity exceeds maxval 65535"),
+], ids=["on_the_sentinel", "above_maxval"])
+def test_disparity_the_raster_cannot_hold_rejected(tmp_path, d, match):
+    # written as-is, the valid disparity would read back as invalid or not fit
     path = tmp_path / "d.pgm"
     with pytest.raises(ValueError, match=match):
-        write_disparity(path, DisparityMap(np.array(d, np.int32)), **options)
+        write_disparity(path, DisparityMap(np.array(d, np.int32)))
     assert not path.exists() and not sidecar_path(path).exists()
 
 

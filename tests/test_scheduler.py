@@ -26,7 +26,6 @@ from svopt.perfmodel import (
 from svopt.scheduler import (
     InfeasibleTileError,
     ScheduleMode,
-    _compute_floor,
     _filter_round,
     _grid_cycles,
     _pack_tile,
@@ -192,9 +191,9 @@ class TestSolve:
 
     def test_pruning_preserves_the_tile_grid_minimum(self):
         # every_tile packs every candidate, so solve's bounds may prune no tile
-        # that wins or ties at a better rank. About one draw in 300 has a tile
-        # whose bound ties the incumbent's cycles at a better rank: a stop rule
-        # that ignores the rank needs this many draws to show
+        # that wins or ties earlier in (tie, tile) order. About one draw in 300
+        # has a tile whose bound ties the incumbent's cycles earlier in that
+        # order: a stop rule that ignores the tie key needs this many draws to show
         rng = random.Random(99)
         regimes = set()
         checked = 0
@@ -218,8 +217,8 @@ class TestSolve:
     @pytest.mark.parametrize("mode", list(ScheduleMode))
     def test_decoder_layers_pack_only_the_chosen_tile(self, monkeypatch, mode):
         # DispNet upconv5..upconv1 and GC-Net's first two 3-D deconvolutions on a
-        # 24x24-PE, 786,432-element, 16 elements/cycle accelerator: the compute
-        # floor prunes every tile but the one solve keeps
+        # 24x24-PE, 786,432-element, 16 elements/cycle accelerator: the bounds
+        # prune every tile but the one solve keeps
         hw = HardwareConfig(24, 24, 786432, 16.0, double_buffered=True)
         channels = [1024, 512, 256, 128, 64, 32]
         ifmaps = [(9, 15), (17, 30), (34, 60), (68, 120), (135, 240)]
@@ -246,24 +245,53 @@ class TestSolve:
 
 
 def test_compute_floor_bounds_every_packed_tile():
-    """Neither bound of a tile exceeds the cycles its packed rounds cost."""
+    """Neither floor of a tile exceeds the cycles its packed rounds cost."""
     rng = random.Random(5)
-    checked = raised = tight = 0
+    checked = tight = above = below = 0
     for _ in range(150):
         layer, _, hw, mode, iaware = guard_case(rng, small=False)
         price = RoundPricer(layer, iaware)
-        for bound, tile in _scored_tiles(price, hw, mode):
-            floor = _compute_floor(price, tile, hw)
+        for bound, tie, tile in _scored_tiles(price, hw, mode):
+            compute, traffic = price.floors(tile, hw, mode is ScheduleMode.ILAR)
+            assert bound == max(compute, traffic) and tie <= bound
             try:
                 parts = _pack_tile(price, tile, hw, mode)
             except InfeasibleTileError:
                 continue
             cycles = min(_grid_cycles(price, tile, parts, hw))
-            assert max(bound, floor) <= cycles, (layer, hw, mode, iaware, tile)
-            raised += floor > bound
-            tight += floor == cycles
+            assert compute <= cycles and traffic <= cycles, (layer, hw, mode, iaware, tile)
+            tight += compute == cycles
+            above += compute > traffic > 0
+            below += traffic > compute
             checked += 1
-    assert checked > 1000 and raised and tight
+    assert checked > 1000 and tight and above and below
+
+
+UPCONV2 = LayerSpec("upconv2", LayerKind.DECONV, (4, 4), 128, 64, (68, 120), 2)
+
+
+@pytest.mark.parametrize("layer, hw, mode, rival, tile, beta, cycles, dram", [
+    # DispNet upconv2 on a 49,152-element buffer: the rival has the smaller bound
+    (UPCONV2, HardwareConfig(24, 24, 49152, 4.0), ScheduleMode.ILAR, (17, 8),
+     (8, 8), 1, 1_856_940, (1_044_480, 0, 522_240)),
+    (UPCONV2, HardwareConfig(24, 24, 49152, 1.0), ScheduleMode.ILAR, (17, 8),
+     (8, 8), 1, 1_856_940, (1_044_480, 0, 522_240)),
+    # the rival comes first in tile order
+    (LayerSpec("g", LayerKind.DECONV, (2, 3), 2, 1, (8, 9), 2),
+     HardwareConfig(5, 5, 2086, 2.0, double_buffered=False), ScheduleMode.CONV_R, (4, 9),
+     (8, 9), 0, 44, (0, 6, 72)),
+], ids=["upconv2-bw4", "upconv2-bw1", "tile-order"])
+def test_equal_cycle_tiles_keep_the_tie_order(layer, hw, mode, rival, tile, beta, cycles, dram):
+    # the rival costs what the kept tile costs, and ordering equal-cycle tiles by
+    # the bound or by the tile alone would keep it
+    price = RoundPricer(layer)
+    bounds = {t: bound for bound, _, t in _scored_tiles(price, hw, mode)}
+    assert bounds[rival] < bounds[tile] or rival < tile
+    assert min(_grid_cycles(price, rival, _pack_tile(price, rival, hw, mode), hw)) == cycles
+    sched = solve(layer, kset(layer.kernel), hw, mode)
+    report = total_latency(sched, layer, kset(layer.kernel), hw)
+    assert (sched.grid.tile, sched.beta, report.total_cycles) == (tile, beta, cycles)
+    assert (report.dram_ifmap, report.dram_weights, report.dram_ofmap) == dram
 
 
 class TestExhaustive:
