@@ -13,9 +13,9 @@ whole elements and whole cycles.
 That rule is written once: RoundPricer prices a (tile, filters) round
 into a RoundTerms record, and validation, latency reports and the
 scheduler's knapsack classes all derive from it, as does the exhaustive
-schedule oracle in tests/schedule_oracle.py. The same pricer bounds a
-candidate tile's cycles from its per-group factors (`floors`) for the
-scheduler's tile search.
+schedule oracle in tests/schedule_oracle.py. One call of the same pricer
+bounds the cycles of every candidate tile of the scheduler's search from
+per-group factors and per-axis extents (`candidate_floors`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -289,6 +289,7 @@ class LatencyReport:
         return self._totals() == other._totals() and self.rounds == other.rounds
 
 
+@cache
 def filter_group_dims(layer: LayerSpec) -> tuple[tuple[int, ...], ...]:
     """Kernel extents of each filter group the model schedules.
 
@@ -362,8 +363,8 @@ class RoundPricer:
 
     The filter groups and their per-group factors are derived once; each
     call prices one (tile, filters) pair, both tuples, into a RoundTerms
-    record. `floors` bounds a whole tile grid from the same factors
-    without building records.
+    record. `candidate_floors` bounds whole tile grids from the same
+    factors without building records.
     """
 
     def __init__(self, layer: LayerSpec, include_input_channels: bool = False) -> None:
@@ -397,37 +398,54 @@ class RoundPricer:
             tuple([-(-tile_elems * c // stride_vol) for c in filters]),
         )
 
-    def floors(self, tile: tuple[int, ...], hw: HardwareConfig, mixed: bool) -> tuple[int, int]:
-        """Lower bounds (compute, traffic) on the cycles of `tile`'s grid.
+    def candidate_floors(self, extents, hw: HardwareConfig, mixed: bool):
+        """Lower bounds (compute, traffic, tile) on the cycles of candidate tiles' grids.
 
-        Both hold for every schedule that runs one packing of the full
-        tile at every origin. The compute floor prices all filters of
-        every group at once on each clipped tile shape: a group's
+        The candidates are the product of `extents`, a list of tile extents
+        per axis, in itertools.product order, less every tile whose ifmap
+        elements alone fill the usable buffer, as no filter fits beside
+        them. Both floors hold for every schedule that runs one packing of
+        the full tile at every origin. The compute floor prices all filters
+        of every group at once on each clipped tile shape: a group's
         per-round ceilings sum to at least the ceiling of its total MACs.
         The traffic floor takes the fewest rounds that hold every filter
         beside the tile (groups share rounds when `mixed`), each loading
         its tile at beta=1, against every origin loading every weight at
-        beta=0, plus the ofmap. It is 0 at infinite bandwidth or when the
-        tile alone fills the buffer.
+        beta=0, plus the ofmap; it is 0 at infinite bandwidth.
         """
-        layer, pe_count = self.layer, hw.pe_count
-        compute = 0
-        for shape, n in TileGrid(layer.ifmap, tile, ()).shapes():
-            elems = math.prod(shape)
-            compute += n * sum([-(-m * elems // pe_count) for m in self._full_macs])
-        tile_elems = math.prod(tile)
-        capacity = hw.usable_buffer - tile_elems * layer.in_channels
-        if math.isinf(hw.bandwidth) or capacity <= 0:
-            return compute, 0
-        ofmap = -(-tile_elems // self._stride_vol)
-        loads = [(w + ofmap) * layer.out_channels for w in self._filter_weights]
-        if mixed:
-            rounds = -(-sum(loads) // capacity)
-        else:
-            rounds = sum([-(-load // capacity) for load in loads])
-        origins = math.prod([-(-e // t) for e, t in zip(layer.ifmap, tile)])
-        traffic = min(rounds * self._ifmap_total, origins * self._weight_total)
-        return compute, math.ceil((traffic + self._ofmap_floor) / hw.bandwidth)
+        layer, pe_count, full_macs = self.layer, hw.pe_count, self._full_macs
+        in_ch, out_ch, usable = layer.in_channels, layer.out_channels, hw.usable_buffer
+        # (tile, its elements, its origin count, its clipped shapes as (elements, count)),
+        # extended one axis at a time, so each axis's clipped extents and origin count are
+        # worked out once per extent; a prefix that fills the buffer stays full, so it goes
+        tiles = [((), 1, 1, [(1, 1)])]
+        for e, ts in zip(layer.ifmap, extents):
+            axis = [(t, -(-e // t), [(s, n) for s, n in ((t, e // t), (e % t, 1)) if s and n])
+                    for t in ts]
+            tiles = [(tile + (t,), elems * t, origins * count,
+                      [(a * s, m * n) for a, m in cells for s, n in options])
+                     for tile, elems, origins, cells in tiles
+                     for t, count, options in axis if elems * t * in_ch < usable]
+        shape_compute: dict[int, int] = {}  # by element count: clipped shapes repeat
+        for tile, tile_elems, origins, cells in tiles:
+            compute = 0
+            for elems, mult in cells:
+                c = shape_compute.get(elems)
+                if c is None:
+                    c = shape_compute[elems] = sum([-(-m * elems // pe_count) for m in full_macs])
+                compute += mult * c
+            if math.isinf(hw.bandwidth):
+                yield compute, 0, tile
+                continue
+            capacity = usable - tile_elems * in_ch
+            ofmap = -(-tile_elems // self._stride_vol)
+            loads = [(w + ofmap) * out_ch for w in self._filter_weights]
+            if mixed:
+                rounds = -(-sum(loads) // capacity)
+            else:
+                rounds = sum([-(-load // capacity) for load in loads])
+            traffic = min(rounds * self._ifmap_total, origins * self._weight_total)
+            yield compute, math.ceil((traffic + self._ofmap_floor) / hw.bandwidth), tile
 
 
 def _grid_holds(grid: TileGrid, layer: LayerSpec, hw: HardwareConfig, price: RoundPricer) -> bool:

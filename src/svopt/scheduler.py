@@ -14,17 +14,19 @@ the resident ifmap tile; CONV_R mode packs each sub-kernel separately,
 which is also the only mode meaningful for plain convolutions. The reuse
 order beta is chosen per layer as the argmin of total modeled latency.
 
-Tiles are packed in one pass, in order of a lower bound on their cycles
-(the larger of the tile's compute floor and its DRAM-traffic floor), and
-the pass stops at the first tile whose bound cannot beat the best packed
-so far. Equal-cycle tiles are told apart by a tie key (the larger of the
-whole layer's compute and the traffic floor), then by the tile itself.
+The candidate tiles, the product of per-axis extents, are scored per
+axis in one pricer call, which drops the tiles that leave no room for a
+filter. They are packed in one pass, in order of a lower bound on their
+cycles (the larger of the tile's compute floor and its DRAM-traffic
+floor), and the pass stops at the first tile whose bound cannot beat the
+best packed so far. Equal-cycle tiles are told apart by a tie key (the
+larger of the whole layer's compute and the traffic floor), then by the
+tile itself.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from fractions import Fraction
 
@@ -157,13 +159,11 @@ def _axis_candidates(extent: int, min_extent: int) -> list[int]:
     return sorted(v for v in values if v >= min_extent)
 
 
-def _tile_candidates(layer: LayerSpec, groups) -> list[tuple[int, ...]]:
-    """Divisors of each ifmap extent plus powers of two clipped to it."""
-    per_axis = [
-        _axis_candidates(extent, max(dims[axis] for dims in groups))
-        for axis, extent in enumerate(layer.ifmap)
-    ]
-    return [tuple(tile) for tile in itertools.product(*per_axis)]
+def _candidate_extents(layer: LayerSpec, groups) -> list[list[int]]:
+    """Per axis, the divisors of the ifmap extent plus powers of two clipped
+    to it; the candidate tiles are their product."""
+    return [_axis_candidates(extent, max(dims[axis] for dims in groups))
+            for axis, extent in enumerate(layer.ifmap)]
 
 
 def _grid_cycles(price: RoundPricer, tile, parts, hw: HardwareConfig) -> tuple[int, int]:
@@ -209,22 +209,19 @@ def _pack_tile(
 
 
 def _scored_tiles(price: RoundPricer, hw: HardwareConfig, mode: ScheduleMode):
-    """Candidate tiles as (bound, tie, tile), sorted.
+    """Candidate tiles that leave room for a filter, as (bound, tie, tile), sorted.
 
-    `bound`, the larger of the tile's two `RoundPricer.floors`, is beaten
-    by no schedule built on the tile. `tie`, the larger of the whole
-    layer's compute and the traffic floor, never exceeds `bound`; with the
-    tile it decides which of two equal-cost tiles the solver keeps.
+    `bound`, the larger of the tile's two `RoundPricer.candidate_floors`,
+    is beaten by no schedule built on the tile. `tie`, the larger of the
+    whole layer's compute and the traffic floor, never exceeds `bound`;
+    with the tile it decides which of two equal-cost tiles the solver keeps.
     """
     layer = price.layer
     whole = price(layer.ifmap, (layer.out_channels,) * len(price.groups))
     lb = _ceil_div(sum(whole.macs), hw.pe_count)
-    mixed = mode is ScheduleMode.ILAR
-    scored = []
-    for tile in _tile_candidates(layer, price.groups):
-        compute, traffic = price.floors(tile, hw, mixed)
-        scored.append((max(compute, traffic), max(lb, traffic), tile))
-    return sorted(scored)
+    extents = _candidate_extents(layer, price.groups)
+    return sorted([(max(compute, traffic), max(lb, traffic), tile) for compute, traffic, tile
+                   in price.candidate_floors(extents, hw, mode is ScheduleMode.ILAR)])
 
 
 def solve(

@@ -10,6 +10,10 @@ It stays here so tests can require the greedy search never to beat it.
 `every_tile` is the greedy search without its lower bounds: it packs
 every candidate tile in tie order, so `solve`, which packs in bound
 order and stops early, must return its schedule.
+
+`tile_floors` prices the two lower bounds of one tile from scratch,
+clipped shape by clipped shape, as `RoundPricer.candidate_floors` must
+price them for every candidate at once.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from svopt.scheduler import (
     _grid_cycles,
     _pack_tile,
     _scored_tiles,
-    _tile_candidates,
+    _candidate_extents,
 )
 
 
@@ -47,6 +51,41 @@ def _check_mode(layer: LayerSpec, kernel_set: SubKernelSet | None, mode: Schedul
     if mode is ScheduleMode.ILAR and layer.kind is not LayerKind.DECONV:
         raise ValueError("ILAR applies only to transformed deconvolution layers")
     _check_kernel_set(layer, kernel_set)
+
+
+def tile_floors(
+    price: RoundPricer, tile: tuple[int, ...], hw: HardwareConfig, mixed: bool
+) -> tuple[int, int]:
+    """Lower bounds (compute, traffic) on the cycles of `tile`'s grid.
+
+    Both hold for every schedule that runs one packing of the full
+    tile at every origin. The compute floor prices all filters of
+    every group at once on each clipped tile shape: a group's
+    per-round ceilings sum to at least the ceiling of its total MACs.
+    The traffic floor takes the fewest rounds that hold every filter
+    beside the tile (groups share rounds when `mixed`), each loading
+    its tile at beta=1, against every origin loading every weight at
+    beta=0, plus the ofmap. It is 0 at infinite bandwidth or when the
+    tile alone fills the buffer.
+    """
+    layer, pe_count = price.layer, hw.pe_count
+    compute = 0
+    for shape, n in TileGrid(layer.ifmap, tile, ()).shapes():
+        elems = math.prod(shape)
+        compute += n * sum([-(-m * elems // pe_count) for m in price._full_macs])
+    tile_elems = math.prod(tile)
+    capacity = hw.usable_buffer - tile_elems * layer.in_channels
+    if math.isinf(hw.bandwidth) or capacity <= 0:
+        return compute, 0
+    ofmap = -(-tile_elems // price._stride_vol)
+    loads = [(w + ofmap) * layer.out_channels for w in price._filter_weights]
+    if mixed:
+        rounds = -(-sum(loads) // capacity)
+    else:
+        rounds = sum([-(-load // capacity) for load in loads])
+    origins = math.prod([-(-e // t) for e, t in zip(layer.ifmap, tile)])
+    traffic = min(rounds * price._ifmap_total, origins * price._weight_total)
+    return compute, math.ceil((traffic + price._ofmap_floor) / hw.bandwidth)
 
 
 def exhaustive(
@@ -89,7 +128,7 @@ def exhaustive(
 
     best = None
     explored = 0
-    for tile in sorted(_tile_candidates(layer, price.groups)):
+    for tile in itertools.product(*_candidate_extents(layer, price.groups)):
         # (cycles at beta=1, cycles at beta=0) per part, None when it overflows the buffer
         costs: dict[int, tuple[int, int] | None] = {}
         dp = [[0] + [None] * (len(vectors) - 1) for _ in (0, 1)]  # by beta, then state

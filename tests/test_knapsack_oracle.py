@@ -11,6 +11,7 @@ per-group count packer to build the same rounds as the item-level packer
 on every candidate tile of random layers.
 """
 
+import itertools
 import random
 
 import pytest
@@ -96,7 +97,7 @@ def test_layer_instances(monkeypatch, rank, mode):
         layer = random_layer(rng, rank)
         hw = HardwareConfig(rng.randint(2, 8), rng.randint(2, 8), rng.randint(300, 6000), 8.0)
         price = RoundPricer(layer, True)
-        for tile in scheduler._tile_candidates(layer, price.groups):
+        for tile in itertools.product(*scheduler._candidate_extents(layer, price.groups)):
             packed(scheduler._pack_tile, price, tile, hw, mode)
     assert len(calls) >= 20
     if rank == 3 and mode is ScheduleMode.ILAR:
@@ -130,7 +131,7 @@ def test_pack_tile_matches_item_level_packer(rank, kind, mode, iaware):
                               layer.ifmap, rng.choice([1, 2]))
         price = RoundPricer(layer, iaware)
         try:
-            tiles = scheduler._tile_candidates(layer, price.groups)
+            tiles = list(itertools.product(*scheduler._candidate_extents(layer, price.groups)))
         except InfeasibleScheduleError:
             continue
         one = scheduler._filter_round(price, rng.choice(tiles))

@@ -35,7 +35,7 @@ from svopt.scheduler import (
 )
 from svopt.tensor import Tensor, deconv_reference
 import schedule_oracle
-from schedule_oracle import SearchSpaceExceeded, every_tile, exhaustive
+from schedule_oracle import SearchSpaceExceeded, every_tile, exhaustive, tile_floors
 
 SEARCHES = {"solve": solve, "exhaustive": exhaustive}
 
@@ -220,14 +220,6 @@ class TestSolve:
         # 24x24-PE, 786,432-element, 16 elements/cycle accelerator: the bounds
         # prune every tile but the one solve keeps
         hw = HardwareConfig(24, 24, 786432, 16.0, double_buffered=True)
-        channels = [1024, 512, 256, 128, 64, 32]
-        ifmaps = [(9, 15), (17, 30), (34, 60), (68, 120), (135, 240)]
-        layers = [LayerSpec(f"upconv{5 - i}", LayerKind.DECONV, (4, 4), channels[i],
-                            channels[i + 1], ifmaps[i], 2) for i in range(5)]
-        layers += [LayerSpec(f"deconv3d_{i + 1}", LayerKind.DECONV, (3, 3, 3), cin, cout,
-                             ifmap, 2)
-                   for i, (cin, cout, ifmap) in enumerate([(128, 64, (6, 17, 30)),
-                                                          (64, 64, (12, 34, 60))])]
         packed = []
         pack_tile = scheduler._pack_tile
 
@@ -236,7 +228,7 @@ class TestSolve:
             return pack_tile(price, tile, hw, mode)
 
         monkeypatch.setattr(scheduler, "_pack_tile", spy)
-        for layer in layers:
+        for layer in DECODER_LAYERS:
             want = every_tile(layer, kset(layer.kernel), hw, mode)
             packed.clear()
             got = solve(layer, kset(layer.kernel), hw, mode)
@@ -252,7 +244,7 @@ def test_compute_floor_bounds_every_packed_tile():
         layer, _, hw, mode, iaware = guard_case(rng, small=False)
         price = RoundPricer(layer, iaware)
         for bound, tie, tile in _scored_tiles(price, hw, mode):
-            compute, traffic = price.floors(tile, hw, mode is ScheduleMode.ILAR)
+            compute, traffic = tile_floors(price, tile, hw, mode is ScheduleMode.ILAR)
             assert bound == max(compute, traffic) and tie <= bound
             try:
                 parts = _pack_tile(price, tile, hw, mode)
@@ -265,6 +257,66 @@ def test_compute_floor_bounds_every_packed_tile():
             below += traffic > compute
             checked += 1
     assert checked > 1000 and tight and above and below
+
+
+def assert_floors_match_oracle(price, hw, mode) -> int:
+    """candidate_floors equals tile_floors, as ints, on every candidate that
+    leaves room for a filter, and drops the others; returns how many it dropped."""
+    mixed, layer = mode is ScheduleMode.ILAR, price.layer
+    extents = scheduler._candidate_extents(layer, price.groups)
+    tiles = list(itertools.product(*extents))
+    fits = [t for t in tiles if math.prod(t) * layer.in_channels < hw.usable_buffer]
+    got = list(price.candidate_floors(extents, hw, mixed))
+    assert got == [(*tile_floors(price, t, hw, mixed), t) for t in fits], (layer, hw, mode)
+    assert all(type(c) is int and type(t) is int for c, t, _ in got)
+    return len(tiles) - len(fits)
+
+
+def test_candidate_floors_match_the_per_tile_oracle_on_guard_draws():
+    rng = random.Random(22)
+    dropped, regimes = 0, set()
+    for _ in range(300):
+        layer, _, hw, mode, iaware = guard_case(rng, small=False)
+        dropped += assert_floors_match_oracle(RoundPricer(layer, iaware), hw, mode)
+        regimes |= {("rank", layer.rank), ("mode", mode), ("inf", math.isinf(hw.bandwidth))}
+    assert dropped and len(regimes) == 6
+
+
+@pytest.mark.parametrize("iaware", [False, True])
+@pytest.mark.parametrize("buffer", [786432, 49152])
+@pytest.mark.parametrize("bandwidth", [16.0, 1.0, 0.25, math.inf])
+def test_candidate_floors_match_the_per_tile_oracle_on_decoders(bandwidth, buffer, iaware):
+    hw = HardwareConfig(24, 24, buffer, bandwidth)
+    for layer in DECODER_LAYERS:
+        for mode in ScheduleMode:
+            assert_floors_match_oracle(RoundPricer(layer, iaware), hw, mode)
+
+
+def test_no_tile_whose_ifmap_fills_the_buffer_is_packed(monkeypatch):
+    # such a tile holds no filter, so scoring drops it (test_infeasible_hardware:
+    # solve still raises InfeasibleScheduleError when every candidate is one)
+    packed = []
+    pack_tile = scheduler._pack_tile
+
+    def spy(price, tile, hw, mode):
+        packed.append((price.layer, tile, hw))
+        return pack_tile(price, tile, hw, mode)
+
+    monkeypatch.setattr(scheduler, "_pack_tile", spy)
+    hw = HardwareConfig(24, 24, 49152, 16.0)
+    for layer in DECODER_LAYERS:
+        for mode in ScheduleMode:
+            solve(layer, kset(layer.kernel), hw, mode)
+    rng = random.Random(23)
+    for _ in range(300):
+        layer, ks_, hw, mode, iaware = guard_case(rng, small=False)
+        try:
+            solve(layer, ks_, hw, mode, include_input_channels=iaware)
+        except InfeasibleScheduleError:
+            pass
+    assert packed
+    assert all(math.prod(tile) * layer.in_channels < hw.usable_buffer
+               for layer, tile, hw in packed)
 
 
 UPCONV2 = LayerSpec("upconv2", LayerKind.DECONV, (4, 4), 128, 64, (68, 120), 2)
@@ -441,6 +493,18 @@ class TestCompareModes:
         assert convr_schedule.beta == 1
         assert ilar.dram_ifmap < convr.dram_ifmap
         assert ilar.total_cycles <= convr.total_cycles
+
+
+# DispNet upconv5..upconv1 and GC-Net's first two 3-D deconvolutions
+DECODER_LAYERS = [
+    LayerSpec(f"upconv{5 - i}", LayerKind.DECONV, (4, 4), cin, cout, ifmap, 2)
+    for i, (cin, cout, ifmap) in enumerate(zip(
+        [1024, 512, 256, 128, 64], [512, 256, 128, 64, 32],
+        [(9, 15), (17, 30), (34, 60), (68, 120), (135, 240)]))
+] + [
+    LayerSpec(f"deconv3d_{i + 1}", LayerKind.DECONV, (3, 3, 3), cin, cout, ifmap, 2)
+    for i, (cin, cout, ifmap) in enumerate([(128, 64, (6, 17, 30)), (64, 64, (12, 34, 60))])
+]
 
 
 def guard_case(rng, small):
