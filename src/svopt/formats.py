@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .deconv import parity_classes, phases
-from .perfmodel import HardwareConfig, LayerKind, LayerSpec, RoundPlan, TileSchedule, output_dims
+from .perfmodel import HardwareConfig, LayerKind, LayerSpec, TileGrid, TileSchedule, output_dims
 
 __all__ = [
     "SpecValidationError",
@@ -38,12 +38,13 @@ class SpecValidationError(ValueError):
     """An input file failed to parse or violated a spec invariant."""
 
 
-# every file's own field: read with kind 1 (the integer 1), written as it stands
+# every file's own field: read with kind 1 or 2 (that integer), written as it stands
 _HEADER = {"format_version": 1}
+_SCHEDULE_HEADER = {"format_version": 2}  # a tile grid, where version 1 listed every round
 
 
-def _load_json(path, table: dict, strict: bool = False) -> dict:
-    """Read a format-version-1 JSON object file whose fields `table` declares (_record)."""
+def _load_json(path, table: dict, strict: bool = False, header: dict = _HEADER) -> dict:
+    """Read a JSON object file whose `header` (checked first) and `table` declare its fields."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -52,12 +53,13 @@ def _load_json(path, table: dict, strict: bool = False) -> dict:
         raise SpecValidationError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise SpecValidationError(f"{path}: top level must be a JSON object")
-    return _record(str(path), data, {**_HEADER, **table}, strict)
+    _record(str(path), data, header)
+    return _record(str(path), data, {**header, **table}, strict)
 
 
-def _save_json(path, table: dict, *values) -> None:
-    """Write a format-version-1 JSON object file: `values` in `table`'s field order."""
-    obj = {**_HEADER, **dict(zip(table, values, strict=True))}
+def _save_json(path, table: dict, *values, header: dict = _HEADER) -> None:
+    """Write a JSON object file of `header`'s version: `values` in `table`'s field order."""
+    obj = {**header, **dict(zip(table, values, strict=True))}
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -75,6 +77,7 @@ _KINDS = {
     bool: (lambda v: isinstance(v, bool), "true or false", None),
     dict: (lambda v: isinstance(v, dict), "an object", "objects"),
     1: (lambda v: _is_int(v) and v == 1, "1", None),
+    2: (lambda v: _is_int(v) and v == 2, "2", None),
 }
 _REQUIRED = object()
 
@@ -83,7 +86,7 @@ def _field(context: str, record: dict, name: str, kind, default=_REQUIRED):
     """Read field `name` of a JSON object and check its JSON type.
 
     `kind` is int, float (a number or "inf", read as a float), str, bool,
-    1 (the integer 1), or [int] or [dict] for a list of those read as a
+    1 or 2 (that integer), or [int] or [dict] for a list of those read as a
     tuple ([int, int]: of two integers). An optional field that is missing
     reads as `default`, and so does a null when the default is None; a
     required field must already be known to be present (_record). Raises
@@ -145,8 +148,9 @@ _LAYER_FIELDS = {"name": str, "kind": str, "kernel": [int], "in_channels": int,
 _NETWORK_FIELDS = {"layers": [dict]}
 _HARDWARE_FIELDS = {"pe_array": [int, int], "buffer_capacity": int, "bandwidth": float,
                     "double_buffered": (bool, True)}
-_SCHEDULE_FIELDS = {"layer": str, "mode": str, "beta": int, "rounds": [dict]}
-_ROUND_FIELDS = dict.fromkeys(RoundPlan._fields, [int])
+_SCHEDULE_FIELDS = {"layer": str, "mode": str, "beta": int, "ifmap": [int], "tile": [int],
+                    "parts": [dict]}
+_PART_FIELDS = {"filters": [int]}
 _MANIFEST_FIELDS = {"with_border": bool, "layers": [dict]}
 _MANIFEST_LAYER_FIELDS = {"name": str, "kind": str, "kernel": [int], "sub_kernels": [dict]}
 _SUB_KERNEL_FIELDS = {"phase": int, "delta": [int], "dims": [int], "ofmap_parity": [int],
@@ -208,16 +212,19 @@ def load_hardware(path, strict: bool = False) -> HardwareConfig:
 
 
 def save_schedule(path, layer_name: str, mode: str, schedule: TileSchedule) -> None:
-    _save_json(path, _SCHEDULE_FIELDS, layer_name, mode, schedule.beta,
-               [r._asdict() for r in schedule.rounds])
+    if schedule.grid is None:
+        raise ValueError(f"{path}: a schedule file holds a tile grid, not explicit rounds")
+    ifmap, tile, parts = schedule.grid
+    _save_json(path, _SCHEDULE_FIELDS, layer_name, mode, schedule.beta, ifmap, tile,
+               [{"filters": part} for part in parts], header=_SCHEDULE_HEADER)
 
 
 def load_schedule(path) -> tuple[str, str, TileSchedule]:
-    data = _load_json(path, _SCHEDULE_FIELDS)
-    rounds = tuple(RoundPlan(**_record(f"{path}: round {i}", record, _ROUND_FIELDS))
-                   for i, record in enumerate(data["rounds"]))
+    data = _load_json(path, _SCHEDULE_FIELDS, header=_SCHEDULE_HEADER)
+    parts = tuple(_record(f"{path}: part {i}", record, _PART_FIELDS)["filters"]
+                  for i, record in enumerate(data["parts"]))
     try:
-        schedule = TileSchedule(data["beta"], rounds)
+        schedule = TileSchedule(data["beta"], grid=TileGrid(data["ifmap"], data["tile"], parts))
     except ValueError as exc:
         raise SpecValidationError(f"{path}: {exc}")
     return data["layer"], data["mode"], schedule

@@ -166,18 +166,10 @@ class TileGrid(NamedTuple):
 
     def shapes(self) -> list[tuple[tuple[int, ...], int]]:
         """Distinct clipped tile shapes over the origin grid, with multiplicities."""
-        per_axis = []
-        for extent, t in zip(self.ifmap, self.tile):
-            options = []
-            if extent // t:
-                options.append((t, extent // t))
-            if extent % t:
-                options.append((extent % t, 1))
-            per_axis.append(options)
-        return [
-            (tuple(c[0] for c in combo), math.prod(c[1] for c in combo))
-            for combo in itertools.product(*per_axis)
-        ]
+        per_axis = [[(s, n) for s, n in ((t, e // t), (e % t, 1)) if s and n]
+                    for e, t in zip(self.ifmap, self.tile)]
+        return [(tuple(s for s, _ in combo), math.prod(n for _, n in combo))
+                for combo in itertools.product(*per_axis)]
 
     def round_counts(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
         """How many rounds run each distinct (clipped tile shape, part)."""
@@ -198,10 +190,10 @@ class TileGrid(NamedTuple):
 class TileSchedule:
     """Ordered rounds covering a layer, plus the per-layer reuse order beta.
 
-    Given as explicit `rounds`, or as a `grid` (what the scheduler
-    builds): then `grid` is kept, validation and pricing work once per
-    distinct (clipped tile shape, part), and `rounds` is expanded on
-    first read. Schedules with equal beta and rounds are equal.
+    Given as a `grid` (what the scheduler builds and a schedule file
+    holds): then `grid` is kept, validation and pricing never expand it,
+    and `rounds` is expanded on first read. Or given as explicit `rounds`.
+    Schedules with equal beta and rounds are equal.
     """
 
     def __init__(
@@ -211,8 +203,8 @@ class TileSchedule:
         *,
         grid: TileGrid | None = None,
     ) -> None:
-        if beta not in (0, 1):
-            raise ValueError(f"beta must be 0 or 1, got {beta}")
+        if type(beta) is not int or beta not in (0, 1):  # a bool or 1.0 would save as no int
+            raise ValueError(f"beta must be the int 0 or 1, got {beta!r}")
         if (rounds is None) == (grid is None):
             raise ValueError("a schedule takes either rounds or a grid")
         self.beta = beta
@@ -448,24 +440,43 @@ class RoundPricer:
             yield compute, math.ceil((traffic + self._ofmap_floor) / hw.bandwidth), tile
 
 
-def _grid_holds(grid: TileGrid, layer: LayerSpec, hw: HardwareConfig, price: RoundPricer) -> bool:
-    """Whether every round of `grid` passes validate_schedule on `layer`.
+def _check_round(where: str, tile, filters, price: RoundPricer, usable: int) -> None:
+    """Raise InfeasibleScheduleError led by `where` unless `tile` is rank-many positive extents,
+    `filters` a non-negative count per filter group, and the round fits `usable` elements."""
+    rank, n_groups = price.layer.rank, len(price.groups)
+    if len(tile) != rank or any(t < 1 for t in tile):
+        raise InfeasibleScheduleError(f"{where}: tile {tile} is not {rank} positive extents")
+    if len(filters) != n_groups or any(c < 0 for c in filters):
+        raise InfeasibleScheduleError(f"{where}: filters {filters} are not {n_groups} "
+                                      f"non-negative filter counts")
+    need = price(tile, filters).occupancy
+    if need > usable:
+        raise InfeasibleScheduleError(f"{where}: buffer capacity constraint violated "
+                                      f"({need} elements, usable {usable})")
 
-    Its tiles are positive and inside the ifmap, every part is a
-    non-negative count per filter group, each group's parts sum to
-    out_channels, and every (clipped tile shape, part) fits the buffer.
+
+def _check_grid(grid: TileGrid, layer: LayerSpec, usable: int, price: RoundPricer) -> None:
+    """Raise InfeasibleScheduleError naming what makes `grid` no schedule of `layer`.
+
+    In order: its ifmap must be the layer's, each distinct part must pass
+    _check_round beside the tile at origin 0, and each group's parts must
+    sum to out_channels. Such a grid runs one tile per origin and covers
+    the ifmap once by construction; the tile at origin 0 is its largest
+    clipped shape and occupancy grows with the tile, so every round fits.
     """
-    n_groups = len(price.groups)
-    parts = set(grid.parts)
-    if (grid.ifmap != layer.ifmap or len(grid.tile) != layer.rank
-            or any(t < 1 for t in grid.tile)
-            or any(len(p) != n_groups or any(c < 0 for c in p) for p in parts)
-            or any(sum(p[k] for p in grid.parts) != layer.out_channels
-                   for k in range(n_groups))):
-        return False
-    usable = hw.usable_buffer
-    return all(price(shape, part).occupancy <= usable
-               for shape, _ in grid.shapes() for part in parts)
+    where = f"layer {layer.name} grid"
+    if grid.ifmap != layer.ifmap:
+        raise InfeasibleScheduleError(f"{where}: ifmap {grid.ifmap} differs from the layer's "
+                                      f"ifmap {layer.ifmap}")
+    # the tile at origin 0 clipped to the ifmap; one of the wrong rank as it stands
+    first = tuple(map(min, grid.tile, grid.ifmap)) if len(grid.tile) == layer.rank else grid.tile
+    for part in dict.fromkeys(grid.parts):
+        _check_round(f"{where}, tile {first} with part {part}", first, part, price, usable)
+    for k in range(len(price.groups)):
+        total = sum(p[k] for p in grid.parts)
+        if total != layer.out_channels:
+            raise InfeasibleScheduleError(f"{where}: filter coverage constraint violated for group "
+                                          f"{k} ({total} scheduled, {layer.out_channels} required)")
 
 
 def validate_schedule(
@@ -477,43 +488,23 @@ def validate_schedule(
 ) -> None:
     """Raise InfeasibleScheduleError naming the violated constraint, if any.
 
-    Checks that every round has rank-many positive tile extents and a
-    non-negative count per filter group and fits the buffer, and that
-    every origin lies on the ifmap with its tile inside it. Grouping
-    rounds by origin, it checks that all rounds at an origin share one
-    tile shape, that each filter group is scheduled exactly out_channels
-    times per origin, and that the origins' tiles cover every ifmap
-    element exactly once.
-
-    The rounds of a grid schedule over the layer's own ifmap share one
-    tile per origin and cover every element once by construction, so the
-    grid is checked once per distinct (clipped tile shape, part); a grid
-    that fails is checked round by round, which names the first failing
-    round.
+    A grid schedule is checked by _check_grid, once per distinct part,
+    without expanding its rounds. Explicit rounds are checked one by one:
+    each round must pass _check_round, and every origin must lie on the
+    ifmap with its tile inside it. Grouping rounds by origin, it checks
+    that all rounds at an origin share one tile shape, that each filter
+    group is scheduled exactly out_channels times per origin, and that the
+    origins' tiles cover every ifmap element exactly once.
     """
     price = RoundPricer(layer, include_input_channels)
-    if schedule.grid is not None and _grid_holds(schedule.grid, layer, hw, price):
-        return
+    if schedule.grid is not None:
+        return _check_grid(schedule.grid, layer, hw.usable_buffer, price)
     n_groups, rank = len(price.groups), layer.rank
     fits: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     coverage: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
     for i, (origin, tile, filters) in enumerate(schedule.rounds):
         if (tile, filters) not in fits:  # depends on the pair alone: check each once
-            if len(tile) != rank or any(t < 1 for t in tile):
-                raise InfeasibleScheduleError(
-                    f"layer {layer.name} round {i}: tile {tile} is not {rank} positive extents"
-                )
-            if len(filters) != n_groups or any(c < 0 for c in filters):
-                raise InfeasibleScheduleError(
-                    f"layer {layer.name} round {i}: filters {filters} are not {n_groups} "
-                    f"non-negative filter counts"
-                )
-            need = price(tile, filters).occupancy
-            if need > hw.usable_buffer:
-                raise InfeasibleScheduleError(
-                    f"layer {layer.name} round {i}: buffer capacity constraint violated "
-                    f"({need} elements, usable {hw.usable_buffer})"
-                )
+            _check_round(f"layer {layer.name} round {i}", tile, filters, price, hw.usable_buffer)
             fits.add((tile, filters))
         entry = coverage.get(origin)
         if entry is None:  # the origin's first round: later ones must share its tile

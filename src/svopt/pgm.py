@@ -93,10 +93,12 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
 
 
 def write_pgm(path, raster: np.ndarray, maxval: int) -> None:
-    """Write a (h, w) integer raster as a binary P5 PGM."""
+    """Write a (h, w) integer raster as a binary P5 PGM; maxval is an int in 1..65535."""
     raster = np.asarray(raster)
-    if raster.ndim != 2:
-        raise ValueError("raster must be 2-d")
+    if raster.ndim != 2 or raster.dtype.kind not in "iu":
+        raise ValueError(f"raster must be a 2-d integer array, got {raster.ndim}-d {raster.dtype}")
+    if type(maxval) is not int or not 0 < maxval < 65536:
+        raise ValueError(f"maxval must be an int in 1..65535, got {maxval!r}")
     if raster.min(initial=0) < 0 or raster.max(initial=0) > maxval:
         raise ValueError(f"raster values must lie in [0, {maxval}]")
     height, width = raster.shape

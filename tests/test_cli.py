@@ -45,8 +45,8 @@ HARDWARE = {"format_version": 1, "pe_array": [8, 8], "buffer_capacity": 8192, "b
 # one well-formed file of each kind that names its records
 VALID = {
     "network": NETWORK,
-    "schedule": {"format_version": 1, "layer": "up1", "mode": "ilar", "beta": 1, "rounds": [
-        {"origin": [0, 0], "tile": [12, 12], "filters": [4, 4, 4, 4]}]},
+    "schedule": {"format_version": 2, "layer": "up1", "mode": "ilar", "beta": 1,
+                 "ifmap": [12, 12], "tile": [12, 12], "parts": [{"filters": [4, 4, 4, 4]}]},
     "sequence": {"format_version": 1, "pw": 2, "frames": [
         {"left": "l0.pgm", "right": "r0.pgm", "key_disparity": "k0.pgm"}]},
 }
@@ -152,9 +152,11 @@ class TestIngest:
         ("sequence", None, "format_version", "1"),
         ("schedule", None, "beta", 0.7),
         ("schedule", None, "layer", 5),
-        ("schedule", 0, "origin", [0.5, 0]),
+        ("schedule", None, "format_version", 1),
+        ("schedule", None, "tile", [0.5, 12]),
+        ("schedule", None, "ifmap", 12),
         ("schedule", 0, "filters", [True, 1, 1, 1]),
-        ("schedule", None, "rounds", {}),
+        ("schedule", None, "parts", {}),
         ("sequence", None, "pw", 2.9),
         ("sequence", None, "pw", "3"),
         ("sequence", None, "frames", 5),
@@ -163,7 +165,7 @@ class TestIngest:
     ])
     def test_field_of_wrong_json_type_rejected(self, tmp_path, hw_path, kind, at, field, value):
         doc = json.loads(json.dumps(VALID[kind]))
-        records = {"network": "layers", "schedule": "rounds", "sequence": "frames"}[kind]
+        records = {"network": "layers", "schedule": "parts", "sequence": "frames"}[kind]
         (doc if at is None else doc[records][at])[field] = value
         path = write_json(tmp_path / f"{kind}.json", doc)
         loader, command = {
@@ -228,6 +230,13 @@ class TestScheduleAndModel:
             assert layer_name == name
             assert mode == "ilar"
             assert schedule.n_rounds >= 1
+
+    def test_round_list_schedule_file_is_rejected_naming_its_version(self, tmp_path):
+        old = {"format_version": 1, "layer": "up1", "mode": "ilar", "beta": 1, "rounds": [
+            {"origin": [0, 0], "tile": [12, 12], "filters": [4, 4, 4, 4]}]}
+        path = write_json(tmp_path / "old.json", old)
+        with pytest.raises(SpecValidationError, match="field 'format_version' must be 2, got 1"):
+            load_schedule(path)
 
     def test_byte_identical_reruns(self, tmp_path, net_path, hw_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -624,29 +633,29 @@ class TestPinnedOutputs:
             "report_baseline.csv":
                 "c43cda173248274018ef38a28e247250038d7b0daf4d1275a8bd634442fd1c11",
             "schedule_conv1_baseline.json":
-                "d1190286875ca7781825151e93e4cd847a8243abd92cc0d0fc5e63ae6fbbbc76",
+                "908dd9896dfdc0bc471b531b9fbee856a56bcb32801769c69d7140e066678c02",
             "schedule_up2d_baseline.json":
-                "8eff1a331119a2f0952a060c84678d68fb52e72fc149201c2c9bd44873a8ef84",
+                "d6145904a3099e8679bb75b9421016ae908486810a6d6f55885e8e27217c7b23",
             "schedule_up3d_baseline.json":
-                "b7bbecb94d01c2ebc6999f939b0a8591851d37519a2e87e903ac6e5c136f3481",
+                "8d2b2a6df6c91f4036359fbcbd89574ce6e6d4be00af52d250e91b248ed40cfd",
         },
         "convr": {
             "report_convr.csv": "0147700856638ea758deedcf9bed2358eb9abe949b9e33e7ae7f00ed9bb61279",
             "schedule_conv1_convr.json":
-                "096889161c6a7d9a94f370b974c26691d6b1c8e3904ca93b184caf335ed807e6",
+                "ab573667f935d74b276c74f9328acaca5a4ca790872c3d37cfe45c909dbc4988",
             "schedule_up2d_convr.json":
-                "3dd32b23c7ad05c1ff47a440443ff910cb42e2a37ce64e6c7e01aae195d46125",
+                "1459f33b6f04bcb66fe041fec62799af303a12bca02ef7529bc46906b38c46eb",
             "schedule_up3d_convr.json":
-                "0e9a9d4a0f7e461327b168268a8430df969be26477c3b2461ed615a6b06be169",
+                "59e7bd402cd0461a6f89c40f9d5d09f807289cbef57801e7580aec8f97a6696a",
         },
         "ilar": {
             "report_ilar.csv": "5346778bdf9b2c33dbb9a72da4fdac801c32418cfa2be0331e540fecebeaba6c",
             "schedule_conv1_ilar.json":
-                "73e500e2a4e329e77abae33ec516af6d17f025f2a676416fe1617598d0313859",
+                "cf18a3e89d114f8048b59b3fb07824ab8f02a5a70d33a3bb0fb82b134834fc40",
             "schedule_up2d_ilar.json":
-                "b89080e7605f388326a7e49e80db0d98e60f0c4c16ee56d0250e99e72a38d4cc",
+                "44dc7e5b3abd8d6da5f47c68df77a647f6f9dff7e5a519fcb822820fcf61ddaa",
             "schedule_up3d_ilar.json":
-                "cdc397ca7b9656c3194251eedae96e13e3f410a13c4828502f581114a9af7720",
+                "7929c4d23af3da1281fd3ec4253d5087d7729200cb5f575d4a3fc184a6eb3baa",
         },
     }
 
@@ -685,6 +694,6 @@ class TestPinnedOutputs:
 
         monkeypatch.setattr(RoundPlan, "__new__", refuse)
         assert self.run(tmp_path, "model", mode)[0] == 0
-        # writing a schedule file does expand the rounds, so the patch is in force
-        assert self.run(tmp_path, "schedule", mode)[0] == 4
-        assert "built a RoundPlan" in capsys.readouterr().err
+        # a schedule file holds the tile grid, so writing one expands no round either
+        assert self.run(tmp_path, "schedule", mode)[0] == 0
+        assert capsys.readouterr().err == ""

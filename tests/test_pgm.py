@@ -82,6 +82,23 @@ def test_disparity_the_raster_cannot_hold_rejected(tmp_path, d, match):
     assert not path.exists() and not sidecar_path(path).exists()
 
 
+@pytest.mark.parametrize("raster, maxval, match", [
+    # 70000 would wrap to a 16-bit 4464 under a maxval read_pgm rejects
+    ([[70000, 1]], 70000, r"maxval must be an int in 1\.\.65535, got 70000"),
+    ([[0, 0]], 0, r"maxval must be an int in 1\.\.65535, got 0"),
+    ([[1, 2]], 255.0, r"maxval must be an int in 1\.\.65535, got 255\.0"),
+    # a float raster would be truncated to [[0, 1]]
+    ([[0.7, 1.2]], 255, r"raster must be a 2-d integer array, got 2-d float64"),
+    ([[True, False]], 255, r"raster must be a 2-d integer array, got 2-d bool"),
+])
+def test_raster_or_maxval_a_pgm_cannot_hold_rejected_before_writing(tmp_path, raster, maxval,
+                                                                     match):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match=match):
+        write_pgm(path, np.array(raster), maxval)
+    assert not path.exists()
+
+
 def test_truncated_body_rejected(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from svopt.cli import build_parser
-from svopt.formats import load_hardware, load_network, load_sequence
+from svopt.cli import build_parser, main
+from svopt.formats import load_hardware, load_network, load_schedule, load_sequence
+from svopt.perfmodel import validate_schedule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -62,6 +63,17 @@ def test_hardware_file_loads_strictly(readme_file):
     hw = load_hardware(readme_file("Hardware file"), strict=True)
     assert (hw.pe_count, hw.buffer_capacity, hw.bandwidth, hw.double_buffered) == (
         576, 786432, 16.0, True)
+
+
+def test_schedule_file_is_what_svopt_schedule_writes(tmp_path, readme_file):
+    net, hw = readme_file("Network file"), readme_file("Hardware file")
+    name, mode, schedule = load_schedule(readme_file("Schedule file"))
+    layer, = (layer for layer in load_network(net) if layer.name == name)
+    assert (name, mode, schedule.n_rounds) == ("up1", "convr", 32)
+    validate_schedule(schedule, layer, load_hardware(hw))
+    assert main(["schedule", "--network", str(net), "--hardware", str(hw), "--mode", mode,
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert load_schedule(tmp_path / "out" / "schedule_up1_convr.json") == (name, mode, schedule)
 
 
 def test_sequence_manifest_loads_strictly(readme_file):

@@ -18,6 +18,7 @@ from svopt.perfmodel import (
     LayerSpec,
     RoundPlan,
     RoundPricer,
+    TileGrid,
     TileSchedule,
     filter_group_dims,
     total_latency,
@@ -469,6 +470,59 @@ class TestValidateRoundValues:
             validate_schedule(schedule, self.layer, self.hw)
 
 
+class TestValidateGrid:
+    """A grid that is no schedule of its layer fails naming what is wrong, no round built."""
+
+    layer = deconv_layer(out_ch=4, in_ch=2, ifmap=(8, 8))
+    hw = HardwareConfig(4, 4, 10**6, 4.0)
+    parts = ((4, 4, 4, 4),)
+
+    @pytest.fixture(autouse=True)
+    def no_rounds(self, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("built a RoundPlan")
+
+        monkeypatch.setattr(RoundPlan, "__new__", refuse)
+
+    def validate(self, ifmap, tile, parts, hw=hw):
+        validate_schedule(TileSchedule(1, grid=TileGrid(ifmap, tile, parts)), self.layer, hw)
+
+    def test_a_grid_over_the_whole_ifmap_is_valid(self):
+        self.validate((8, 8), (3, 8), self.parts)
+
+    @pytest.mark.parametrize("ifmap, tile, parts, match", [
+        ((8, 9), (4, 4), parts, r": ifmap \(8, 9\) differs from the layer's ifmap \(8, 8\)"),
+        ((8, 8), (8,), parts, r"tile \(8,\) is not 2 positive extents"),
+        ((8, 8), (4, 0), parts, r"tile \(4, 0\) is not 2 positive extents"),
+        ((8, 8), (4, -2), parts, r"tile \(4, -2\) is not 2 positive extents"),
+        ((8, 8), (4, 4), ((4, 4, 4),), r"filters \(4, 4, 4\) are not 4 non-negative"),
+        ((8, 8), (4, 4), ((5, 4, 4, 4), (-1, 0, 0, 0)),
+         r"filters \(-1, 0, 0, 0\) are not 4 non-negative"),
+        ((8, 8), (4, 4), ((4, 4, 3, 4),),
+         r": filter coverage constraint violated for group 2 \(3 scheduled, 4 required\)"),
+    ])
+    def test_rejected_naming_what_is_wrong(self, ifmap, tile, parts, match):
+        with pytest.raises(InfeasibleScheduleError, match=rf"^layer d grid.*{match}"):
+            self.validate(ifmap, tile, parts)
+
+    def test_overflow_names_the_clipped_tile_and_the_part(self):
+        # the tile at origin 0 is clipped to 8 rows; only the second part overflows
+        parts = ((1, 0, 0, 0), (3, 4, 4, 4))
+        need = RoundPricer(self.layer)((8, 2), parts[1]).occupancy
+        hw = HardwareConfig(4, 4, 2 * (need - 1), 4.0)
+        assert RoundPricer(self.layer)((8, 2), parts[0]).occupancy < need - 1
+        match = (r"layer d grid, tile \(8, 2\) with part \(3, 4, 4, 4\): buffer capacity "
+                 rf"constraint violated \({need} elements, usable {need - 1}\)")
+        with pytest.raises(InfeasibleScheduleError, match=match):
+            self.validate((8, 8), (12, 2), parts, hw)
+
+
+@pytest.mark.parametrize("beta", [True, 1.0, 2, -1])
+def test_beta_is_the_int_0_or_1(beta):
+    with pytest.raises(ValueError, match="beta must be the int 0 or 1"):
+        TileSchedule(beta, grid=TileGrid((8, 8), (8, 8), ((4, 4, 4, 4),)))
+
+
 class TestCompareModes:
     @staticmethod
     def both_modes(layer, kernel_set, hw):
@@ -626,10 +680,14 @@ def _verdict(schedule, layer, hw, iaware):
 
 @pytest.mark.parametrize("search", ["solve", "exhaustive"])
 def test_grid_schedules_agree_with_their_explicit_rounds(tmp_path, search):
-    """A grid schedule validates, prices, compares and saves as its expanded rounds do.
+    """A grid schedule validates, prices and compares as its expanded rounds do.
 
     The explicit TileSchedule(beta, rounds) is checked round by round and
-    is the reference; corrupted grids must fail with the same message.
+    is the reference: a corrupted grid and its twin both fail, the grid
+    naming the (tile at origin 0, part) that overflows, the group whose
+    parts fall short, or its ifmap. A grid written to a schedule file
+    reads back as an equal schedule with an equal report; its twin cannot
+    be written.
     """
     rng = random.Random(f"grid-{search}")
     bound = {"max_candidates": 3000} if search == "exhaustive" else {}
@@ -648,37 +706,73 @@ def test_grid_schedules_agree_with_their_explicit_rounds(tmp_path, search):
         need = max(price(*pair).occupancy for pair in grid.round_counts())
         # one element short for the largest round: a part overflows the buffer
         tight = dataclasses.replace(hw, buffer_capacity=(need - 1) * (1 + hw.double_buffered))
+        first = sched.rounds[0].tile
+        over = next(p for p in grid.parts if price(first, p).occupancy == need)
         g = max(k for k, c in enumerate(grid.parts[-1]) if c)
         short = tuple(c - (k == g) for k, c in enumerate(grid.parts[-1]))
         cases = [
-            (sched, hw),
-            (sched, tight),
+            (sched, hw, None),
+            (sched, tight, f"grid, tile {first} with part {over}: buffer capacity"),
             # one filter of group g missing
-            (TileSchedule(sched.beta, grid=grid._replace(parts=(*grid.parts[:-1], short))), hw),
+            (TileSchedule(sched.beta, grid=grid._replace(parts=(*grid.parts[:-1], short))), hw,
+             f"grid: filter coverage constraint violated for group {g} "),
             # a grid over a larger ifmap than the layer's
             (TileSchedule(sched.beta, grid=grid._replace(ifmap=(layer.ifmap[0] + 1,
-                                                                 *layer.ifmap[1:]))), hw),
+                                                                 *layer.ifmap[1:]))), hw,
+             f"grid: ifmap ({layer.ifmap[0] + 1}, "),
         ]
-        for i, (candidate, on) in enumerate(cases):
+        for candidate, on, named in cases:
             twin = TileSchedule(candidate.beta, tuple(candidate.rounds))
             assert candidate == twin and twin.grid is None
             assert candidate.n_rounds == twin.n_rounds
             found = _verdict(candidate, layer, on, iaware)
-            assert found == _verdict(twin, layer, on, iaware), (layer, on, mode, iaware)
-            assert (found is None) == (i == 0)
+            assert (found is None) == (named is None) == (_verdict(twin, layer, on, iaware)
+                                                          is None), (layer, on, mode, iaware)
+            assert named is None or f"layer {layer.name} {named}" in found, found
         twin = TileSchedule(sched.beta, tuple(sched.rounds))
         report = total_latency(sched, layer, ks_, hw, include_input_channels=iaware)
         assert report == total_latency(twin, layer, ks_, hw, include_input_channels=iaware)
         assert len(report.rounds) == sched.n_rounds
-        paths = tmp_path / "grid.json", tmp_path / "twin.json"
-        for path, schedule in zip(paths, (sched, twin)):
-            save_schedule(path, layer.name, mode.value, schedule)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert load_schedule(paths[0]) == (layer.name, mode.value, sched)
+        path = tmp_path / "grid.json"
+        save_schedule(path, layer.name, mode.value, sched)
+        name, mode_back, back = load_schedule(path)
+        assert (name, mode_back, back) == (layer.name, mode.value, sched)
+        assert back.grid == grid
+        assert total_latency(back, layer, ks_, hw, include_input_channels=iaware) == report
+        with pytest.raises(ValueError, match="not explicit rounds"):
+            save_schedule(tmp_path / "twin.json", layer.name, mode.value, twin)
         regimes |= {("kind", layer.kind), ("rank", layer.rank), ("iaware", iaware)}
         checked += 1
     assert checked >= 60
     assert len(regimes) == 6
+
+
+def test_random_grids_hold_exactly_when_their_rounds_do():
+    """A grid is checked on the tile at origin 0 alone, so a grid whose tile reaches past
+    the ifmap or whose parts differ in size must still pass exactly when its rounds do."""
+    rng = random.Random("random-grids")
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        layer, _, hw, _, iaware = guard_case(rng, small=True)
+        n_groups = len(filter_group_dims(layer))
+        tile = tuple(rng.randint(1, e + 2) for e in layer.ifmap)
+        n_parts = rng.randint(1, 3)
+        # each group's out_channels filters cut into n_parts counts at random
+        cuts = [sorted(rng.randint(0, layer.out_channels) for _ in range(n_parts - 1))
+                for _ in range(n_groups)]
+        parts = tuple(zip(*([b - a for a, b in zip([0, *c], [*c, layer.out_channels])]
+                            for c in cuts)))
+        grid = TileSchedule(rng.randint(0, 1), grid=TileGrid(layer.ifmap, tile, parts))
+        twin = TileSchedule(grid.beta, tuple(grid.rounds))
+        # a buffer within two elements of what the largest round needs
+        price = RoundPricer(layer, iaware)
+        need = max(price(*pair).occupancy for pair in grid.round_counts())
+        usable = max(1, need + rng.randint(-2, 1))
+        hw = dataclasses.replace(hw, buffer_capacity=usable * (1 + hw.double_buffered))
+        holds = _verdict(grid, layer, hw, iaware) is None
+        assert holds == (_verdict(twin, layer, hw, iaware) is None), (layer, hw, grid)
+        verdicts[holds] += 1
+    assert min(verdicts.values()) > 100
 
 
 def test_model_schedules_exactly_the_sub_convolutions_the_transform_runs(monkeypatch):
