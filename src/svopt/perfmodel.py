@@ -16,6 +16,10 @@ scheduler's knapsack classes all derive from it, as does the exhaustive
 schedule oracle in tests/schedule_oracle.py. One call of the same pricer
 bounds the cycles of every candidate tile of the scheduler's search from
 per-group factors and per-axis extents (`candidate_floors`).
+
+A schedule is checked as a tile grid: explicit rounds pass only as the
+expansion of the grid they spell (tests/schedule_oracle.py checks any
+round list round by round, as the reference).
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .deconv import SubKernelSet, deconv_output_dims, phases
 from .tensor import ShapeError, upsampled_dims, valid_dims
@@ -143,7 +145,7 @@ class LayerSpec:
 class RoundPlan(NamedTuple):
     """One buffer round: an ifmap tile plus per-sub-kernel filter counts.
 
-    A plain record of int tuples; validate_schedule checks its values.
+    A plain record of int tuples; validate_schedule checks it against its grid.
     """
 
     origin: tuple[int, ...]
@@ -192,8 +194,9 @@ class TileSchedule:
 
     Given as a `grid` (what the scheduler builds and a schedule file
     holds): then `grid` is kept, validation and pricing never expand it,
-    and `rounds` is expanded on first read. Or given as explicit `rounds`.
-    Schedules with equal beta and rounds are equal.
+    and `rounds` is expanded on first read. Or given as explicit `rounds`,
+    which validate only as the expansion of one grid. Schedules with equal
+    beta and rounds are equal; equal grids tell so without expanding.
     """
 
     def __init__(
@@ -229,7 +232,9 @@ class TileSchedule:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TileSchedule):
             return NotImplemented
-        return self.beta == other.beta and self.rounds == other.rounds
+        if self.beta != other.beta:
+            return False
+        return (self.grid is not None and self.grid == other.grid) or self.rounds == other.rounds
 
     def __repr__(self) -> str:
         body = f"grid={self.grid!r}" if self.grid is not None else f"rounds={self.rounds!r}"
@@ -440,39 +445,33 @@ class RoundPricer:
             yield compute, math.ceil((traffic + self._ofmap_floor) / hw.bandwidth), tile
 
 
-def _check_round(where: str, tile, filters, price: RoundPricer, usable: int) -> None:
-    """Raise InfeasibleScheduleError led by `where` unless `tile` is rank-many positive extents,
-    `filters` a non-negative count per filter group, and the round fits `usable` elements."""
-    rank, n_groups = price.layer.rank, len(price.groups)
-    if len(tile) != rank or any(t < 1 for t in tile):
-        raise InfeasibleScheduleError(f"{where}: tile {tile} is not {rank} positive extents")
-    if len(filters) != n_groups or any(c < 0 for c in filters):
-        raise InfeasibleScheduleError(f"{where}: filters {filters} are not {n_groups} "
-                                      f"non-negative filter counts")
-    need = price(tile, filters).occupancy
-    if need > usable:
-        raise InfeasibleScheduleError(f"{where}: buffer capacity constraint violated "
-                                      f"({need} elements, usable {usable})")
-
-
 def _check_grid(grid: TileGrid, layer: LayerSpec, usable: int, price: RoundPricer) -> None:
     """Raise InfeasibleScheduleError naming what makes `grid` no schedule of `layer`.
 
-    In order: its ifmap must be the layer's, each distinct part must pass
-    _check_round beside the tile at origin 0, and each group's parts must
-    sum to out_channels. Such a grid runs one tile per origin and covers
-    the ifmap once by construction; the tile at origin 0 is its largest
-    clipped shape and occupancy grows with the tile, so every round fits.
+    In order: its ifmap must be the layer's, its tile rank-many positive
+    extents, each distinct part a non-negative count per filter group that
+    fits `usable` elements beside the tile at origin 0 (the largest clipped
+    shape, so every round fits), and each group's parts must sum to
+    out_channels. Such a grid covers the ifmap once by construction.
     """
     where = f"layer {layer.name} grid"
     if grid.ifmap != layer.ifmap:
         raise InfeasibleScheduleError(f"{where}: ifmap {grid.ifmap} differs from the layer's "
                                       f"ifmap {layer.ifmap}")
-    # the tile at origin 0 clipped to the ifmap; one of the wrong rank as it stands
-    first = tuple(map(min, grid.tile, grid.ifmap)) if len(grid.tile) == layer.rank else grid.tile
+    rank, n_groups = layer.rank, len(price.groups)
+    if len(grid.tile) != rank or any(t < 1 for t in grid.tile):
+        raise InfeasibleScheduleError(f"{where}: tile {grid.tile} is not {rank} positive extents")
+    first = tuple(map(min, grid.tile, grid.ifmap))  # the tile at origin 0, clipped
     for part in dict.fromkeys(grid.parts):
-        _check_round(f"{where}, tile {first} with part {part}", first, part, price, usable)
-    for k in range(len(price.groups)):
+        if len(part) != n_groups or any(c < 0 for c in part):
+            raise InfeasibleScheduleError(f"{where}: filters {part} are not {n_groups} "
+                                          f"non-negative filter counts")
+        need = price(first, part).occupancy
+        if need > usable:
+            raise InfeasibleScheduleError(f"{where}, tile {first} with part {part}: buffer "
+                                          f"capacity constraint violated ({need} elements, "
+                                          f"usable {usable})")
+    for k in range(n_groups):
         total = sum(p[k] for p in grid.parts)
         if total != layer.out_channels:
             raise InfeasibleScheduleError(f"{where}: filter coverage constraint violated for group "
@@ -489,61 +488,32 @@ def validate_schedule(
     """Raise InfeasibleScheduleError naming the violated constraint, if any.
 
     A grid schedule is checked by _check_grid, once per distinct part,
-    without expanding its rounds. Explicit rounds are checked one by one:
-    each round must pass _check_round, and every origin must lie on the
-    ifmap with its tile inside it. Grouping rounds by origin, it checks
-    that all rounds at an origin share one tile shape, that each filter
-    group is scheduled exactly out_channels times per origin, and that the
-    origins' tiles cover every ifmap element exactly once.
+    without expanding its rounds. Explicit rounds must be the expansion of
+    the grid they spell: the layer's ifmap, round 0's tile, and as parts
+    the filters of the leading rounds at round 0's origin. That grid is
+    checked first, then its rounds are compared with the given ones in
+    order, and the first round that departs from it is named.
     """
     price = RoundPricer(layer, include_input_channels)
     if schedule.grid is not None:
         return _check_grid(schedule.grid, layer, hw.usable_buffer, price)
-    n_groups, rank = len(price.groups), layer.rank
-    fits: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    coverage: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
-    for i, (origin, tile, filters) in enumerate(schedule.rounds):
-        if (tile, filters) not in fits:  # depends on the pair alone: check each once
-            _check_round(f"layer {layer.name} round {i}", tile, filters, price, hw.usable_buffer)
-            fits.add((tile, filters))
-        entry = coverage.get(origin)
-        if entry is None:  # the origin's first round: later ones must share its tile
-            if len(origin) != rank or any(o < 0 for o in origin):
-                raise InfeasibleScheduleError(
-                    f"layer {layer.name} round {i}: origin {origin} is not {rank} "
-                    f"non-negative coordinates"
-                )
-            if any(o + t > e for o, t, e in zip(origin, tile, layer.ifmap)):
-                raise InfeasibleScheduleError(
-                    f"layer {layer.name} round {i}: tile {tile} at origin {origin} "
-                    f"exceeds ifmap {layer.ifmap}"
-                )
-            entry = coverage[origin] = (tile, [0] * n_groups)
-        elif tile != entry[0]:
-            raise InfeasibleScheduleError(
-                f"layer {layer.name} round {i}: tile {tile} at origin {origin} differs "
-                f"from tile {entry[0]} of an earlier round there"
-            )
-        tally = entry[1]
-        for k, c in enumerate(filters):
-            tally[k] += c
-    covered = np.zeros(layer.ifmap, np.int32)
-    for origin, (tile, tally) in coverage.items():
-        for k, total in enumerate(tally):
-            if total != layer.out_channels:
-                raise InfeasibleScheduleError(
-                    f"layer {layer.name}: filter coverage constraint violated for "
-                    f"group {k} at origin {origin} ({total} scheduled, "
-                    f"{layer.out_channels} required)"
-                )
-        covered[tuple(slice(o, o + t) for o, t in zip(origin, tile))] += 1
-    wrong = np.flatnonzero(covered != 1)
-    if wrong.size:
-        element = tuple(int(i) for i in np.unravel_index(wrong[0], covered.shape))
-        raise InfeasibleScheduleError(
-            f"layer {layer.name}: tile coverage constraint violated at ifmap element "
-            f"{element} ({int(covered[element])} tiles cover it, 1 required)"
-        )
+    given = schedule.rounds
+    if not given:
+        raise InfeasibleScheduleError(f"layer {layer.name}: no rounds")
+    origin, tile, _ = given[0]
+    parts = tuple(r.filters for r in itertools.takewhile(lambda r: r.origin == origin, given))
+    grid = TileGrid(layer.ifmap, tile, parts)
+    _check_grid(grid, layer, hw.usable_buffer, price)
+    spelled = grid.rounds()
+    n = min(len(given), len(spelled))
+    i = next((i for i in range(n) if given[i] != spelled[i]), n)
+    where = f"layer {layer.name} round {i}"
+    if i < n:
+        raise InfeasibleScheduleError(f"{where}: {given[i]} where the grid runs {spelled[i]}")
+    if i < len(spelled):
+        raise InfeasibleScheduleError(f"{where}: missing, where the grid runs {spelled[i]}")
+    if i < len(given):
+        raise InfeasibleScheduleError(f"{where}: {given[i]} is extra, the grid runs {i} rounds")
 
 
 def total_latency(

@@ -14,12 +14,17 @@ order and stops early, must return its schedule.
 `tile_floors` prices the two lower bounds of one tile from scratch,
 clipped shape by clipped shape, as `RoundPricer.candidate_floors` must
 price them for every candidate at once.
+
+`validate_rounds` checks any round list one round at a time: whatever it
+rejects, `validate_schedule` (grid expansions only) must reject too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 from svopt.deconv import SubKernelSet
 from svopt.perfmodel import (
@@ -203,3 +208,82 @@ def every_tile(
         raise InfeasibleScheduleError(f"layer {layer.name}: no candidate tile packs")
     _, tile, parts, beta = best
     return TileSchedule(beta, grid=TileGrid(layer.ifmap, tile, tuple(parts)))
+
+
+def _check_round(where: str, tile, filters, price: RoundPricer, usable: int) -> None:
+    """Raise InfeasibleScheduleError led by `where` unless `tile` is rank-many positive extents,
+    `filters` a non-negative count per filter group, and the round fits `usable` elements."""
+    rank, n_groups = price.layer.rank, len(price.groups)
+    if len(tile) != rank or any(t < 1 for t in tile):
+        raise InfeasibleScheduleError(f"{where}: tile {tile} is not {rank} positive extents")
+    if len(filters) != n_groups or any(c < 0 for c in filters):
+        raise InfeasibleScheduleError(f"{where}: filters {filters} are not {n_groups} "
+                                      f"non-negative filter counts")
+    need = price(tile, filters).occupancy
+    if need > usable:
+        raise InfeasibleScheduleError(f"{where}: buffer capacity constraint violated "
+                                      f"({need} elements, usable {usable})")
+
+
+def validate_rounds(
+    schedule: TileSchedule,
+    layer: LayerSpec,
+    hw: HardwareConfig,
+    *,
+    include_input_channels: bool = False,
+) -> None:
+    """Raise InfeasibleScheduleError naming the violated constraint, if any.
+
+    Checks `schedule.rounds` one by one, in any order: each round must pass
+    _check_round, and every origin must lie on the ifmap with its tile
+    inside it. Grouping rounds by origin, it checks that all rounds at an
+    origin share one tile shape, that each filter group is scheduled
+    exactly out_channels times per origin, and that the origins' tiles
+    cover every ifmap element exactly once.
+    """
+    price = RoundPricer(layer, include_input_channels)
+    n_groups, rank = len(price.groups), layer.rank
+    fits: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    coverage: dict[tuple[int, ...], tuple[tuple[int, ...], list[int]]] = {}
+    for i, (origin, tile, filters) in enumerate(schedule.rounds):
+        if (tile, filters) not in fits:  # depends on the pair alone: check each once
+            _check_round(f"layer {layer.name} round {i}", tile, filters, price, hw.usable_buffer)
+            fits.add((tile, filters))
+        entry = coverage.get(origin)
+        if entry is None:  # the origin's first round: later ones must share its tile
+            if len(origin) != rank or any(o < 0 for o in origin):
+                raise InfeasibleScheduleError(
+                    f"layer {layer.name} round {i}: origin {origin} is not {rank} "
+                    f"non-negative coordinates"
+                )
+            if any(o + t > e for o, t, e in zip(origin, tile, layer.ifmap)):
+                raise InfeasibleScheduleError(
+                    f"layer {layer.name} round {i}: tile {tile} at origin {origin} "
+                    f"exceeds ifmap {layer.ifmap}"
+                )
+            entry = coverage[origin] = (tile, [0] * n_groups)
+        elif tile != entry[0]:
+            raise InfeasibleScheduleError(
+                f"layer {layer.name} round {i}: tile {tile} at origin {origin} differs "
+                f"from tile {entry[0]} of an earlier round there"
+            )
+        tally = entry[1]
+        for k, c in enumerate(filters):
+            tally[k] += c
+    covered = np.zeros(layer.ifmap, np.int32)
+    for origin, (tile, tally) in coverage.items():
+        for k, total in enumerate(tally):
+            if total != layer.out_channels:
+                raise InfeasibleScheduleError(
+                    f"layer {layer.name}: filter coverage constraint violated for "
+                    f"group {k} at origin {origin} ({total} scheduled, "
+                    f"{layer.out_channels} required)"
+                )
+        covered[tuple(slice(o, o + t) for o, t in zip(origin, tile))] += 1
+    wrong = np.flatnonzero(covered != 1)
+    if wrong.size:
+        element = tuple(int(i) for i in np.unravel_index(wrong[0], covered.shape))
+        raise InfeasibleScheduleError(
+            f"layer {layer.name}: tile coverage constraint violated at ifmap element "
+            f"{element} ({int(covered[element])} tiles cover it, 1 required)"
+        )

@@ -27,6 +27,7 @@ from svopt.tensor import (
     upsample_zero,
     upsampled_dims,
 )
+from schedule_oracle import validate_rounds
 
 
 def deconv_layer(kernel=(3, 3), in_ch=3, out_ch=4, ifmap=(8, 8)):
@@ -303,6 +304,13 @@ class TestTotalLatency:
         hw = HardwareConfig(4, 4, 10**7, 4.0)
         bad = TileSchedule(1, (RoundPlan((4, 4), (8, 8), (1, 1, 1, 1)),))
         with pytest.raises(InfeasibleScheduleError, match="exceeds ifmap"):
+            validate_rounds(bad, layer, hw)
+        # the grid its round 0 spells starts at origin (0, 0)
+        named = (r"^layer d round 0: RoundPlan\(origin=\(4, 4\).* "
+                 r"where the grid runs RoundPlan\(origin=\(0, 0\)")
+        with pytest.raises(InfeasibleScheduleError, match=named):
+            validate_schedule(bad, layer, hw)
+        with pytest.raises(InfeasibleScheduleError, match=named):
             total_latency(bad, layer, kset, hw)
 
 

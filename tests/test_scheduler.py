@@ -36,7 +36,13 @@ from svopt.scheduler import (
 )
 from svopt.tensor import Tensor, deconv_reference
 import schedule_oracle
-from schedule_oracle import SearchSpaceExceeded, every_tile, exhaustive, tile_floors
+from schedule_oracle import (
+    SearchSpaceExceeded,
+    every_tile,
+    exhaustive,
+    tile_floors,
+    validate_rounds,
+)
 
 SEARCHES = {"solve": solve, "exhaustive": exhaustive}
 
@@ -406,6 +412,16 @@ class TestExhaustive:
         validate_schedule(sched, layer, hw)  # checks per-round occupancy
 
 
+def assert_rejected(rounds, layer, hw, oracle, named):
+    """validate_rounds rejects the explicit rounds matching `oracle`, and
+    validate_schedule, which checks the grid they spell, rejects them matching `named`."""
+    schedule = TileSchedule(1, tuple(RoundPlan(*r) for r in rounds))
+    with pytest.raises(InfeasibleScheduleError, match=oracle):
+        validate_rounds(schedule, layer, hw)
+    with pytest.raises(InfeasibleScheduleError, match=named):
+        validate_schedule(schedule, layer, hw)
+
+
 class TestValidateCoverage:
     """The tiles of a schedule's origins must cover the ifmap exactly once."""
 
@@ -422,25 +438,27 @@ class TestValidateCoverage:
         sched = self.solved(mode)
         gone = sched.rounds[-1].origin
         kept = tuple(r for r in sched.rounds if r.origin != gone)
-        with pytest.raises(InfeasibleScheduleError, match=rf"element {re.escape(str(gone))}"):
-            validate_schedule(TileSchedule(sched.beta, kept), self.layer, self.hw)
+        assert_rejected(kept, self.layer, self.hw, rf"element {re.escape(str(gone))}",
+                        rf"^layer d round {len(kept)}: missing, where the grid runs "
+                        rf"RoundPlan\(origin={re.escape(str(gone))}")
 
     def test_overlapping_origins_name_a_doubly_covered_element(self):
         sched = self.solved(ScheduleMode.ILAR)
         first = [r for r in sched.rounds if r.origin == (0, 0)]
         shifted = tuple(RoundPlan((0, 1), r.tile, r.filters) for r in first)
-        with pytest.raises(InfeasibleScheduleError, match=r"element \(0, 1\) \(2 tiles"):
-            validate_schedule(
-                TileSchedule(sched.beta, sched.rounds + shifted), self.layer, self.hw
-            )
+        assert_rejected(sched.rounds + shifted, self.layer, self.hw,
+                        r"element \(0, 1\) \(2 tiles",
+                        rf"^layer d round {len(sched.rounds)}: RoundPlan\(origin=\(0, 1\).* "
+                        rf"is extra, the grid runs {len(sched.rounds)} rounds$")
 
     def test_tile_shape_must_agree_within_an_origin(self):
         sched = self.solved(ScheduleMode.CONV_R)
         r0, *rest = sched.rounds
         assert any(r.origin == r0.origin for r in rest)
         odd = RoundPlan(r0.origin, (1, 2), r0.filters)
-        with pytest.raises(InfeasibleScheduleError, match="differs from tile"):
-            validate_schedule(TileSchedule(sched.beta, (*rest, odd)), self.layer, self.hw)
+        # the grid spelled by the rounds at the first origin lacks r0's filters
+        assert_rejected((*rest, odd), self.layer, self.hw, "differs from tile",
+                        r"^layer d grid: filter coverage constraint violated")
 
 
 class TestValidateRoundValues:
@@ -451,23 +469,39 @@ class TestValidateRoundValues:
     whole = ((0, 0), (8, 8), (4, 4, 4, 4))
 
     def test_one_round_over_the_whole_ifmap_is_valid(self):
-        validate_schedule(TileSchedule(1, (RoundPlan(*self.whole),)), self.layer, self.hw)
+        schedule = TileSchedule(1, (RoundPlan(*self.whole),))
+        validate_rounds(schedule, self.layer, self.hw)
+        validate_schedule(schedule, self.layer, self.hw)
 
-    @pytest.mark.parametrize("rounds, match", [
+    @pytest.mark.parametrize("rounds, oracle, named", [
         # a tile of zero rows beyond the ifmap's edge covers nothing
-        ([whole, ((0, 8), (8, 0), (4, 4, 4, 4))], r"round 1: tile \(8, 0\) is not 2 positive"),
+        ([whole, ((0, 8), (8, 0), (4, 4, 4, 4))], r"round 1: tile \(8, 0\) is not 2 positive",
+         r"^layer d round 1: RoundPlan\(origin=\(0, 8\), tile=\(8, 0\).* is extra"),
         # a negative origin's slice is empty, so it covers nothing either
-        ([whole, ((-1, 0), (1, 8), (4, 4, 4, 4))], r"round 1: origin \(-1, 0\) is not 2 non-neg"),
+        ([whole, ((-1, 0), (1, 8), (4, 4, 4, 4))], r"round 1: origin \(-1, 0\) is not 2 non-neg",
+         r"^layer d round 1: RoundPlan\(origin=\(-1, 0\).* is extra"),
         # counts O+1 and -1 at one origin tally to O
         ([((0, 0), (8, 8), (5, 4, 4, 4)), ((0, 0), (8, 8), (-1, 0, 0, 0))],
-         r"round 1: filters \(-1, 0, 0, 0\) are not 4 non-negative"),
+         r"round 1: filters \(-1, 0, 0, 0\) are not 4 non-negative",
+         r"^layer d grid: filters \(-1, 0, 0, 0\) are not 4 non-negative"),
         # a rank-1 round over a rank-2 layer covers whole rows
-        ([((0,), (8,), (4, 4, 4, 4))], r"round 0: tile \(8,\) is not 2 positive"),
+        ([((0,), (8,), (4, 4, 4, 4))], r"round 0: tile \(8,\) is not 2 positive",
+         r"^layer d grid: tile \(8,\) is not 2 positive extents"),
+        # no rounds, and a zero extent in round 0's tile, which the grid would step by
+        ([], r"element \(0, 0\) \(0 tiles", r"^layer d: no rounds$"),
+        ([((0, 0), (4, 0), (4, 4, 4, 4))], r"round 0: tile \(4, 0\) is not 2 positive",
+         r"^layer d grid: tile \(4, 0\) is not 2 positive extents"),
     ])
-    def test_rejected_naming_the_round(self, rounds, match):
-        schedule = TileSchedule(1, tuple(RoundPlan(*r) for r in rounds))
-        with pytest.raises(InfeasibleScheduleError, match=match):
-            validate_schedule(schedule, self.layer, self.hw)
+    def test_rejected_naming_the_round(self, rounds, oracle, named):
+        assert_rejected(rounds, self.layer, self.hw, oracle, named)
+
+
+def refuse_round_plans(monkeypatch):
+    """Fail the test wherever a RoundPlan is built."""
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("built a RoundPlan")
+
+    monkeypatch.setattr(RoundPlan, "__new__", refuse)
 
 
 class TestValidateGrid:
@@ -479,10 +513,7 @@ class TestValidateGrid:
 
     @pytest.fixture(autouse=True)
     def no_rounds(self, monkeypatch):
-        def refuse(cls, *args, **kwargs):
-            raise AssertionError("built a RoundPlan")
-
-        monkeypatch.setattr(RoundPlan, "__new__", refuse)
+        refuse_round_plans(monkeypatch)
 
     def validate(self, ifmap, tile, parts, hw=hw):
         validate_schedule(TileSchedule(1, grid=TileGrid(ifmap, tile, parts)), self.layer, hw)
@@ -521,6 +552,17 @@ class TestValidateGrid:
 def test_beta_is_the_int_0_or_1(beta):
     with pytest.raises(ValueError, match="beta must be the int 0 or 1"):
         TileSchedule(beta, grid=TileGrid((8, 8), (8, 8), ((4, 4, 4, 4),)))
+
+
+def test_equal_grids_compare_without_expanding(tmp_path, monkeypatch):
+    layer = deconv_layer(out_ch=4, in_ch=2, ifmap=(8, 8))
+    schedule = solve(layer, kset((3, 3)), HardwareConfig(4, 4, 300, 4.0), ScheduleMode.ILAR)
+    assert any(map(int.__lt__, schedule.grid.tile, layer.ifmap))  # more than one origin
+    path = tmp_path / "schedule.json"
+    save_schedule(path, layer.name, "ilar", schedule)
+    refuse_round_plans(monkeypatch)
+    assert load_schedule(path) == (layer.name, "ilar", schedule)
+    assert TileSchedule(1 - schedule.beta, grid=schedule.grid) != schedule
 
 
 class TestCompareModes:
@@ -670,9 +712,9 @@ class TestSearchCostMatchesReport:
         }
 
 
-def _verdict(schedule, layer, hw, iaware):
+def _verdict(schedule, layer, hw, iaware, check=validate_schedule):
     try:
-        validate_schedule(schedule, layer, hw, include_input_channels=iaware)
+        check(schedule, layer, hw, include_input_channels=iaware)
     except InfeasibleScheduleError as exc:
         return str(exc)
     return None
@@ -682,12 +724,12 @@ def _verdict(schedule, layer, hw, iaware):
 def test_grid_schedules_agree_with_their_explicit_rounds(tmp_path, search):
     """A grid schedule validates, prices and compares as its expanded rounds do.
 
-    The explicit TileSchedule(beta, rounds) is checked round by round and
-    is the reference: a corrupted grid and its twin both fail, the grid
-    naming the (tile at origin 0, part) that overflows, the group whose
-    parts fall short, or its ifmap. A grid written to a schedule file
-    reads back as an equal schedule with an equal report; its twin cannot
-    be written.
+    validate_rounds, which checks the expanded rounds one by one, is the
+    reference: a corrupted grid and its explicit twin TileSchedule(beta,
+    rounds) fail exactly when it does, the grid naming the (tile at origin
+    0, part) that overflows, the group whose parts fall short, or its
+    ifmap. A grid written to a schedule file reads back as an equal
+    schedule with an equal report; its twin cannot be written.
     """
     rng = random.Random(f"grid-{search}")
     bound = {"max_candidates": 3000} if search == "exhaustive" else {}
@@ -726,8 +768,9 @@ def test_grid_schedules_agree_with_their_explicit_rounds(tmp_path, search):
             assert candidate == twin and twin.grid is None
             assert candidate.n_rounds == twin.n_rounds
             found = _verdict(candidate, layer, on, iaware)
-            assert (found is None) == (named is None) == (_verdict(twin, layer, on, iaware)
-                                                          is None), (layer, on, mode, iaware)
+            reference = _verdict(candidate, layer, on, iaware, validate_rounds)
+            assert ((found is None) == (named is None) == (reference is None)
+                    == (_verdict(twin, layer, on, iaware) is None)), (layer, on, mode, iaware)
             assert named is None or f"layer {layer.name} {named}" in found, found
         twin = TileSchedule(sched.beta, tuple(sched.rounds))
         report = total_latency(sched, layer, ks_, hw, include_input_channels=iaware)
@@ -747,32 +790,93 @@ def test_grid_schedules_agree_with_their_explicit_rounds(tmp_path, search):
     assert len(regimes) == 6
 
 
+def random_grid(rng):
+    """A random layer's grid schedule, its tile up to 2 past the ifmap and its parts
+    of random sizes, on hardware whose buffer is within two elements of what the
+    grid's largest round needs; with the layer, the hardware and the weight model."""
+    layer, _, hw, _, iaware = guard_case(rng, small=True)
+    n_groups = len(filter_group_dims(layer))
+    tile = tuple(rng.randint(1, e + 2) for e in layer.ifmap)
+    n_parts = rng.randint(1, 3)
+    # each group's out_channels filters cut into n_parts counts at random
+    cuts = [sorted(rng.randint(0, layer.out_channels) for _ in range(n_parts - 1))
+            for _ in range(n_groups)]
+    parts = tuple(zip(*([b - a for a, b in zip([0, *c], [*c, layer.out_channels])]
+                        for c in cuts)))
+    grid = TileSchedule(rng.randint(0, 1), grid=TileGrid(layer.ifmap, tile, parts))
+    price = RoundPricer(layer, iaware)
+    need = max(price(*pair).occupancy for pair in grid.round_counts())
+    usable = max(1, need + rng.randint(-2, 1))
+    hw = dataclasses.replace(hw, buffer_capacity=usable * (1 + hw.double_buffered))
+    return grid, layer, hw, iaware
+
+
 def test_random_grids_hold_exactly_when_their_rounds_do():
     """A grid is checked on the tile at origin 0 alone, so a grid whose tile reaches past
-    the ifmap or whose parts differ in size must still pass exactly when its rounds do."""
+    the ifmap or whose parts differ in size must still pass exactly when validate_rounds
+    passes its rounds, and so must its explicit twin."""
     rng = random.Random("random-grids")
     verdicts = {True: 0, False: 0}
     for _ in range(400):
-        layer, _, hw, _, iaware = guard_case(rng, small=True)
-        n_groups = len(filter_group_dims(layer))
-        tile = tuple(rng.randint(1, e + 2) for e in layer.ifmap)
-        n_parts = rng.randint(1, 3)
-        # each group's out_channels filters cut into n_parts counts at random
-        cuts = [sorted(rng.randint(0, layer.out_channels) for _ in range(n_parts - 1))
-                for _ in range(n_groups)]
-        parts = tuple(zip(*([b - a for a, b in zip([0, *c], [*c, layer.out_channels])]
-                            for c in cuts)))
-        grid = TileSchedule(rng.randint(0, 1), grid=TileGrid(layer.ifmap, tile, parts))
+        grid, layer, hw, iaware = random_grid(rng)
         twin = TileSchedule(grid.beta, tuple(grid.rounds))
-        # a buffer within two elements of what the largest round needs
-        price = RoundPricer(layer, iaware)
-        need = max(price(*pair).occupancy for pair in grid.round_counts())
-        usable = max(1, need + rng.randint(-2, 1))
-        hw = dataclasses.replace(hw, buffer_capacity=usable * (1 + hw.double_buffered))
         holds = _verdict(grid, layer, hw, iaware) is None
-        assert holds == (_verdict(twin, layer, hw, iaware) is None), (layer, hw, grid)
+        assert (holds == (_verdict(grid, layer, hw, iaware, validate_rounds) is None)
+                == (_verdict(twin, layer, hw, iaware) is None)), (layer, hw, grid)
         verdicts[holds] += 1
     assert min(verdicts.values()) > 100
+
+
+def perturbed(rounds, kind, rng):
+    """`rounds` with one round dropped, duplicated, swapped with another, or with one
+    coordinate of its origin, one extent of its tile or one filter count moved by 1."""
+    rounds = list(rounds)
+    i = rng.randrange(len(rounds))
+    if kind == "drop":
+        del rounds[i]
+    elif kind == "duplicate":
+        rounds.insert(i, rounds[i])
+    elif kind == "swap":
+        j = rng.choice([j for j in range(len(rounds)) if j != i] or [i])
+        rounds[i], rounds[j] = rounds[j], rounds[i]
+    else:
+        values = getattr(rounds[i], kind)
+        k, step = rng.randrange(len(values)), rng.choice((-1, 1))
+        moved = tuple(v + step * (a == k) for a, v in enumerate(values))
+        rounds[i] = rounds[i]._replace(**{kind: moved})
+    return TileSchedule(1, rounds)
+
+
+def test_validate_schedule_rejects_what_the_round_oracle_rejects():
+    """On a grid's expansion validate_schedule and validate_rounds agree. With one round
+    perturbed, whatever validate_rounds rejects validate_schedule rejects too, naming a
+    round or the grid. It also rejects two rounds swapped past the first origin, whose
+    rounds spell the grid, though validate_rounds takes rounds in any order."""
+    rng = random.Random("perturbed-rounds")
+    kinds = ("drop", "duplicate", "swap", "origin", "tile", "filters")
+    verdicts = {True: 0, False: 0}
+    rejected = dict.fromkeys(kinds, 0)
+    reordered = 0
+    for _ in range(400):
+        grid, layer, hw, iaware = random_grid(rng)
+        rounds, lead = grid.rounds, len(grid.grid.parts)
+        holds = _verdict(TileSchedule(1, rounds), layer, hw, iaware) is None
+        assert holds == (_verdict(grid, layer, hw, iaware, validate_rounds) is None), grid
+        verdicts[holds] += 1
+        for kind in kinds:
+            schedule = perturbed(rounds, kind, rng)
+            found = _verdict(schedule, layer, hw, iaware)
+            if _verdict(schedule, layer, hw, iaware, validate_rounds) is not None:
+                assert found is not None, (kind, schedule.rounds, layer, hw)
+            if found is not None:
+                assert re.match(r"layer g( round \d+| grid|: no rounds)", found), found
+                rejected[kind] += holds  # a perturbation of a schedule that held
+            if (kind == "swap" and schedule.rounds != rounds
+                    and schedule.rounds[:lead] == rounds[:lead]):
+                assert found is not None, (schedule.rounds, grid)
+                reordered += 1
+    assert min(verdicts.values()) > 100
+    assert min(rejected.values()) > 0 and reordered > 50, (rejected, reordered)
 
 
 def test_model_schedules_exactly_the_sub_convolutions_the_transform_runs(monkeypatch):
