@@ -38,7 +38,8 @@ print("estimated camera motion between frames 0 and 1 "
       f"(actual {-PAN_X:+d}, {-PAN_Y:+d})\n")
 
 key_disparity = {t: gt for t in range(0, 6, 2)}
-maps = ism_run(frames, key_disparity, pw=2)
+maps = []  # ism_run hands each map over as soon as it is made
+ism_run(frames, key_disparity, 2, maps.append)
 
 print(f"{'frame':>5} {'source':>12} {'three-pixel error':>18}")
 for t, dmap in enumerate(maps):

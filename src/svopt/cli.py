@@ -35,7 +35,7 @@ from .perfmodel import (
     dense_equivalent,
     total_latency,
 )
-from .pgm import frame_from_pgm, read_disparity, write_disparity
+from .pgm import frame_from_pgm, read_disparity, read_pgm_header, read_sidecar, write_disparity
 from .scheduler import ScheduleMode, solve
 from .tensor import Tensor
 
@@ -140,44 +140,66 @@ def cmd_model(args) -> int:
     return 0
 
 
-def cmd_ism(args) -> int:
-    sequence = load_sequence(args.sequence, strict=args.strict)
-    pw = args.pw if args.pw is not None else sequence.pw
-    if pw < 2:
-        raise SpecValidationError(f"propagation window must be >= 2, got {pw}")
-    frames = []
-    key_disp = {}
-    gt = {}
+def _check_sequence(sequence, pw: int) -> None:
+    """Raise SpecValidationError for a sequence `cmd_ism` would stop on, before any sample is read.
+
+    Every key frame must have a key map and every disparity map a good
+    sidecar (`read_sidecar`). From the PGM headers, every raster must be
+    as large as its frame's left raster, and every left raster as frame 0's.
+    """
+    def same_size(path, size, j, want):
+        if size != want:
+            (w, h), (lw, lh) = size, want
+            raise SpecValidationError(f"{path}: raster is {w}x{h}, but frame {j}'s left raster "
+                                      f"{sequence.frames[j].left} is {lw}x{lh}")
+
+    first = None  # frame 0's left raster size
     for i, entry in enumerate(sequence.frames):
-        left, right = frame_from_pgm(entry.left), frame_from_pgm(entry.right)
-        frames.append((left, right))
-        # each raster as (path, raster, the frame whose left raster it must match)
-        rasters = [(entry.left, left.luma, 0), (entry.right, right.luma, i)]
+        maps = [] if entry.gt_disparity is None else [entry.gt_disparity]
         if i % pw == 0:
             if entry.key_disparity is None:
                 raise SpecValidationError(
                     f"frame {i} is a key frame (pw={pw}) but has no key_disparity"
                 )
-            key_disp[i] = read_disparity(entry.key_disparity)
-            rasters.append((entry.key_disparity, key_disp[i].d, i))
-        if entry.gt_disparity is not None:
-            gt[i] = read_disparity(entry.gt_disparity)
-            rasters.append((entry.gt_disparity, gt[i].d, i))
-        for path, raster, j in rasters:
-            if raster.shape != frames[j][0].luma.shape:
-                (h, w), (lh, lw) = raster.shape, frames[j][0].luma.shape
-                raise SpecValidationError(
-                    f"{path}: raster is {w}x{h}, but frame {j}'s left raster "
-                    f"{sequence.frames[j].left} is {lw}x{lh}"
-                )
-    maps = ism_run(frames, key_disp, pw)
+            maps.insert(0, entry.key_disparity)
+        for path in maps:
+            read_sidecar(path)
+        left = read_pgm_header(entry.left)[:2]
+        first = first or left
+        same_size(entry.left, left, 0, first)
+        for path in [entry.right, *maps]:
+            same_size(path, read_pgm_header(path)[:2], i, left)
+
+
+def cmd_ism(args) -> int:
+    sequence = load_sequence(args.sequence, strict=args.strict)
+    pw = args.pw if args.pw is not None else sequence.pw
+    if pw < 2:
+        raise SpecValidationError(f"propagation window must be >= 2, got {pw}")
+    _check_sequence(sequence, pw)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    key_disp = {}  # the key map of the frame last handed over, read just before it
+
+    def frames():
+        for i, entry in enumerate(sequence.frames):
+            left, right = frame_from_pgm(entry.left), frame_from_pgm(entry.right)
+            key_disp.clear()
+            if i % pw == 0:
+                key_disp[i] = read_disparity(entry.key_disparity)
+            yield left, right
+
     rows = []
-    for i, dmap in enumerate(maps):
+
+    def emit(dmap):
+        i = len(rows)
         write_disparity(out_dir / f"disparity_{i:04d}.pgm", dmap)
-        err = f"{three_pixel_error(dmap, gt[i]):.4f}" if i in gt else ""
+        gt = sequence.frames[i].gt_disparity
+        err = "" if gt is None else f"{three_pixel_error(dmap, read_disparity(gt)):.4f}"
         rows.append([str(i), "1" if i % pw == 0 else "0", err])
+
+    ism_run(frames(), key_disp, pw, emit)
+    # written last, so a run stopped by a bad input leaves no metrics.csv
     write_csv(out_dir / "metrics.csv", ["frame", "is_key", "three_pixel_error_pct"], rows)
     return 0
 

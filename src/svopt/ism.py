@@ -11,7 +11,7 @@ disparities are whole pixels; x_right = x_left + d with d >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -74,7 +74,10 @@ class Frame:
 
 @dataclass(frozen=True, eq=False)
 class DisparityMap:
-    """Per-pixel integer disparity; INVALID_DISPARITY marks holes."""
+    """Per-pixel integer disparity; INVALID_DISPARITY marks holes.
+
+    An int32 array is kept as given, not copied, as a Frame keeps its luma.
+    """
 
     d: np.ndarray
 
@@ -82,7 +85,7 @@ class DisparityMap:
         arr = np.asarray(self.d)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"disparity map needs a non-empty 2-d array, got shape {arr.shape}")
-        object.__setattr__(self, "d", arr.astype(np.int32))
+        object.__setattr__(self, "d", np.asarray(arr, dtype=np.int32))
 
     @property
     def width(self) -> int:
@@ -162,6 +165,10 @@ def _inside(xs: np.ndarray, ys: np.ndarray, height: int, width: int) -> np.ndarr
     return (xs.view(np.uint32) < width) & (ys.view(np.uint32) < height)
 
 
+# pairs that `propagate` moves at once, which bounds its temporaries
+PAIR_CHUNK = 1 << 16
+
+
 def propagate(
     cs: CorrespondenceSet, mf_left: MotionField, mf_right: MotionField
 ) -> CorrespondenceSet:
@@ -170,6 +177,7 @@ def propagate(
     Each side moves by the motion at its pixel, rounded to the nearest
     whole pixel (halves to even); pairs that leave the frame on either
     side are dropped. Every pair must start inside the motion fields.
+    Pairs are moved PAIR_CHUNK at a time into the kept pairs' arrays.
     """
     h, w = mf_left.dx.shape
     if mf_right.dx.shape != (h, w):
@@ -179,15 +187,28 @@ def propagate(
         raise ValueError(f"{outside} of {len(cs)} pairs start outside the {h}x{w} motion field")
 
     def _move(xs, ys, mf):
-        at = ys * w + xs
-        nx = xs + np.rint(mf.dx.ravel().take(at)).astype(np.int32)
-        ny = ys + np.rint(mf.dy.ravel().take(at)).astype(np.int32)
+        at = ys * w
+        at += xs
+        step = mf.dx.ravel().take(at)
+        nx = np.rint(step, out=step).astype(np.int32)
+        nx += xs
+        mf.dy.ravel().take(at, out=step)
+        ny = np.rint(step, out=step).astype(np.int32)
+        ny += ys
         return nx, ny, _inside(nx, ny, h, w)
 
-    xl, yl, in_l = _move(cs.xl, cs.yl, mf_left)
-    xr, yr, in_r = _move(cs.xr, cs.yr, mf_right)
-    keep = in_l & in_r
-    return CorrespondenceSet(xl[keep], yl[keep], xr[keep], yr[keep])
+    out = np.empty((4, len(cs)), np.int32)  # xl, yl, xr, yr of the kept pairs
+    n = 0
+    for i in range(0, len(cs), PAIR_CHUNK):
+        part = slice(i, i + PAIR_CHUNK)
+        xl, yl, in_l = _move(cs.xl[part], cs.yl[part], mf_left)
+        xr, yr, in_r = _move(cs.xr[part], cs.yr[part], mf_right)
+        keep = np.logical_and(in_l, in_r, out=in_l)
+        kept = np.count_nonzero(keep)
+        for row, moved in zip(out, (xl, yl, xr, yr)):
+            np.compress(keep, moved, out=row[n : n + kept])
+        n += kept
+    return CorrespondenceSet(*out[:, :n])
 
 
 def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
@@ -277,69 +298,69 @@ def _offsets(radius: int) -> list[tuple[int, int]]:
 MOTION_BAND = 64
 
 
-def _search_offsets(p: np.ndarray, warped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel residual (dy, dx) whose block SAD between p and warped is least.
+def _search_band(p: np.ndarray, warped: np.ndarray, lo: int, y0: int,
+                 rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel residual (dy, dx) whose block SAD between p and the warped frame is least.
 
-    Offsets are tried in `_offsets` order and only a strictly smaller SAD
-    replaces the best so far, so ties keep the earlier offset. The frame
-    is searched in bands of MOTION_BAND rows, whose buffers stay in cache.
+    For p's rows [y0, y0 + rows). `warped` holds the warped frame's rows
+    from `lo` on, every row within MOTION_RADIUS + MOTION_BLOCK // 2 of
+    the band that lies in the frame. Offsets are tried in `_offsets`
+    order and only a strictly smaller SAD replaces the best so far, so
+    ties keep the earlier offset.
 
-    Both frames are padded to one row stride, so that a band's rows lie
+    The rows are padded to one row stride, so that the band's rows lie
     end to end in flat buffers, one per dy, and each dx is a flat offset:
     the subtract, the box sums and the running best each sweep one
     contiguous buffer. Sums over p's NaN border columns are junk, but the
     edge padding of the diff takes its edge columns' sums, and the best
-    offset is cropped to the frame once per band.
+    offset is cropped to the frame.
     """
     h, w = p.shape
     r, half = MOTION_RADIUS, MOTION_BLOCK // 2
     border = max(r, half)
     stride = w + 2 * border
     offsets = _offsets(r)
-    # with `warped` edge-padded by the search radius every clamped shift is a flat offset
-    src = np.pad(warped, ((r, r), (border, border)), mode="edge")
-    best = np.empty((h, w), np.min_scalar_type(len(offsets)))
-    for y0 in range(0, h, MOTION_BAND):
-        rows = min(MOTION_BAND, h - y0)
-        # band rows plus a `half` halo, clamped: the edge padding of the diff image
-        cy = np.clip(np.arange(y0 - half, y0 + rows + half), 0, h - 1)
-        # NaN, unlike an edge value, takes part in no arithmetic that warns
-        p_rows = np.pad(p[cy], ((0, 0), (border, border)), constant_values=np.nan).ravel()
-        src_rows = {dy: src[r + dy + cy].ravel() for dy in range(-r, r + 1)}
-        n, m = p_rows.size, rows * stride
-        # the band's sweep buffers, which every offset reuses
-        diff = np.zeros(n, np.float32)
-        inner = diff[border : n - border]
-        cols = np.empty(m, np.float32)
-        cost = np.empty(m - 2 * half, np.float32)
-        less = np.empty(cost.size, bool)
-        less_k = np.empty(cost.size, best.dtype)
-        # the flat index in `cost` of the band's pixel (y, x)
-        crop = np.arange(0, m, stride)[:, None] + np.arange(border - half, border - half + w)
-        for k, (dy, dx) in enumerate(offsets):
-            np.subtract(p_rows[border : n - border],
-                        src_rows[dy][border + dx : n - border + dx], out=inner)
-            np.abs(inner, out=inner)
-            # MOTION_BLOCK rows top to bottom, then the column sums: `_box_cost`'s order
-            _sum_terms([diff[i * stride : i * stride + m] for i in range(MOTION_BLOCK)], cols)
-            # a border column of the edge-padded diff sums to its edge column's sum
-            grid = cols.reshape(rows, stride)
-            grid[:, border - half : border] = grid[:, border : border + 1]
-            grid[:, border + w : border + w + half] = grid[:, border + w - 1 : border + w]
-            _sum_terms([cols[j : m - 2 * half + j] for j in range(MOTION_BLOCK)], cost)
-            if k == 0:
-                # nothing is below a NaN, so such a pixel keeps the first offset:
-                # -inf stands in for it, which nothing is below either
-                best_cost = np.where(np.isnan(cost), -np.inf, cost).astype(np.float32)
-                best_k = np.zeros(cost.shape, best.dtype)
-                continue
-            # k only grows, so "k where the SAD is less" is the larger of the two
-            np.less(cost, best_cost, out=less)
-            np.maximum(best_k, np.multiply(less, best.dtype.type(k), out=less_k), out=best_k)
-            # the same as taking cost where it is less: an equal SAD has equal bits
-            # (none is -0.0), and fmin keeps best_cost against a NaN cost
-            np.fmin(best_cost, cost, out=best_cost)
-        best[y0 : y0 + rows] = best_k[crop]
+    # band rows plus a `half` halo, clamped: the edge padding of the diff image
+    cy = np.clip(np.arange(y0 - half, y0 + rows + half), 0, h - 1)
+    # NaN, unlike an edge value, takes part in no arithmetic that warns
+    p_rows = np.pad(p[cy], ((0, 0), (border, border)), constant_values=np.nan).ravel()
+    # the warped frame edge-padded: a clamped shift by (dy, dx) is a row pick and a flat offset
+    src = np.pad(warped, ((0, 0), (border, border)), mode="edge")
+    src_rows = {dy: src[np.clip(cy + dy, 0, h - 1) - lo].ravel() for dy in range(-r, r + 1)}
+    n, m = p_rows.size, rows * stride
+    # the band's sweep buffers, which every offset reuses
+    diff = np.zeros(n, np.float32)
+    inner = diff[border : n - border]
+    cols = np.empty(m, np.float32)
+    cost = np.empty(m - 2 * half, np.float32)
+    less = np.empty(cost.size, bool)
+    best_k = np.zeros(cost.size, np.min_scalar_type(len(offsets)))
+    less_k = np.empty(cost.size, best_k.dtype)
+    for k, (dy, dx) in enumerate(offsets):
+        np.subtract(p_rows[border : n - border],
+                    src_rows[dy][border + dx : n - border + dx], out=inner)
+        np.abs(inner, out=inner)
+        # MOTION_BLOCK rows top to bottom, then the column sums: `_box_cost`'s order
+        _sum_terms([diff[i * stride : i * stride + m] for i in range(MOTION_BLOCK)], cols)
+        # a border column of the edge-padded diff sums to its edge column's sum
+        grid = cols.reshape(rows, stride)
+        grid[:, border - half : border] = grid[:, border : border + 1]
+        grid[:, border + w : border + w + half] = grid[:, border + w - 1 : border + w]
+        _sum_terms([cols[j : m - 2 * half + j] for j in range(MOTION_BLOCK)], cost)
+        if k == 0:
+            # nothing is below a NaN, so such a pixel keeps the first offset:
+            # -inf stands in for it, which nothing is below either
+            best_cost = np.where(np.isnan(cost), -np.inf, cost).astype(np.float32)
+            continue
+        # k only grows, so "k where the SAD is less" is the larger of the two
+        np.less(cost, best_cost, out=less)
+        np.maximum(best_k, np.multiply(less, best_k.dtype.type(k), out=less_k), out=best_k)
+        # the same as taking cost where it is less: an equal SAD has equal bits
+        # (none is -0.0), and fmin keeps best_cost against a NaN cost
+        np.fmin(best_cost, cost, out=best_cost)
+    # the flat index in `cost` of the band's pixel (y, x)
+    crop = np.arange(0, m, stride)[:, None] + np.arange(border - half, border - half + w)
+    best = best_k[crop]
     dys, dxs = (np.array(axis, np.int32) for axis in zip(*offsets))
     return dys.take(best), dxs.take(best)
 
@@ -364,26 +385,38 @@ def estimate_motion(prev: list[np.ndarray], cur: list[np.ndarray]) -> MotionFiel
     updates every pixel, and the field is clamped to stay inside the
     frame. Integer flow. A frame's pyramid can serve as `cur` for one
     field and as `prev` for the next.
+
+    Each level is warped and searched in bands of MOTION_BAND rows, whose
+    buffers stay in cache; only each level's field is frame-sized.
     """
     if [p.shape for p in prev] != [c.shape for c in cur]:
         raise ValueError("pyramids must share their levels and extents")
-    fx = fy = np.zeros(prev[-1].shape, np.int32)
+    # rows of the warped frame that a band's search reads beyond the band
+    halo = MOTION_RADIUS + MOTION_BLOCK // 2
+    flow = None  # the (dx, dy) field of the coarser level
     for p, c in zip(prev[::-1], cur[::-1]):
         h, w = p.shape
-        if fx.shape != (h, w):
-            fx = np.repeat(np.repeat(fx * 2, 2, axis=0), 2, axis=1)[:h, :w]
-            fy = np.repeat(np.repeat(fy * 2, 2, axis=0), 2, axis=1)[:h, :w]
-        # the flow is carried as the in-frame pixel it points at
         xs = np.arange(w, dtype=np.int32)
-        ys = np.arange(h, dtype=np.int32)[:, None]
-        tx = np.clip(xs + fx, 0, w - 1)
-        ty = np.clip(ys + fy, 0, h - 1)
-        dy, dx = _search_offsets(p, c.ravel().take(ty * w + tx))
-        tx += dx
-        ty += dy
-        fx = np.clip(tx, 0, w - 1, out=tx) - xs
-        fy = np.clip(ty, 0, h - 1, out=ty) - ys
-    return MotionField(fx.astype(np.float32), fy.astype(np.float32))
+        field = np.empty((2, h, w), np.float32)
+        for y0 in range(0, h, MOTION_BAND):
+            rows = min(MOTION_BAND, h - y0)
+            lo, hi = max(y0 - halo, 0), min(y0 + rows + halo, h)
+            ys = np.arange(lo, hi, dtype=np.int32)[:, None]
+            # the flow carried up to rows lo..hi, as the in-frame pixel it points at
+            if flow is None:
+                fx, fy = np.zeros((2, hi - lo, w), np.int32)
+            elif flow.shape[1:] == (h, w):
+                fx, fy = flow[:, lo:hi].astype(np.int32)
+            else:
+                fx, fy = flow[:, ys // 2, xs // 2].astype(np.int32) * 2
+            tx = np.clip(xs + fx, 0, w - 1)
+            ty = np.clip(ys + fy, 0, h - 1)
+            dy, dx = _search_band(p, c.ravel().take(ty * w + tx), lo, y0, rows)
+            band = slice(y0 - lo, y0 - lo + rows)
+            field[0, y0 : y0 + rows] = np.clip(tx[band] + dx, 0, w - 1) - xs
+            field[1, y0 : y0 + rows] = np.clip(ty[band] + dy, 0, h - 1) - ys[band]
+        flow = field
+    return MotionField(*flow)
 
 
 REFINE_TILE = 64
@@ -416,15 +449,15 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
         raise ValueError("left, right, and init must share their extents")
     h, w = left.luma.shape
     half = REFINE_BLOCK // 2
-    xs = np.arange(w)[None, :]
-    max_d = w - 1 - xs
+    max_d = w - 1 - np.arange(w, dtype=np.int32)[None, :]
     usable = init.valid_mask()
-    guess = np.where(usable, init.d, 0).astype(np.int32)
-    reach = np.where(usable, REFINE_RADIUS, 2 * REFINE_RADIUS).astype(np.int32)
+    guess = np.where(usable, init.d, np.int32(0))
+    reach = np.where(usable, np.int32(REFINE_RADIUS), np.int32(2 * REFINE_RADIUS))
     lo = np.maximum(guess - reach, 0)
     hi = np.minimum(guess + reach, max_d)
     # |d - g| <= reach exactly where the rank |4(d - g) + 1| below is <= 4 * reach + 1
-    top_rank = 4 * reach + 1
+    top_rank = np.multiply(reach, 4, out=reach)
+    top_rank += 1
     best_d = np.zeros((h, w), np.int32)
     for y0 in range(0, h, REFINE_TILE):
         ty = slice(y0, min(y0 + REFINE_TILE, h))
@@ -482,9 +515,9 @@ def scatter_pairs(cs: CorrespondenceSet, height: int, width: int) -> DisparityMa
     return DisparityMap(d.reshape(height, width))
 
 
-def ism_run(frames: Sequence[tuple[Frame, Frame]], key_disp: Mapping[int, DisparityMap],
-            pw: int) -> list[DisparityMap]:
-    """Disparity for every frame of a stereo sequence.
+def ism_run(frames: Iterable[tuple[Frame, Frame]], key_disp: Mapping[int, DisparityMap],
+            pw: int, emit: Callable[[DisparityMap], object]) -> None:
+    """Disparity for every frame of a stereo sequence, handed to `emit` in frame order.
 
     Frames at indices divisible by `pw` emit their supplied key disparity
     unchanged. Every other frame chains forward from the previous emitted
@@ -494,11 +527,16 @@ def ism_run(frames: Sequence[tuple[Frame, Frame]], key_disp: Mapping[int, Dispar
     falls back to its zero guess), and refine with block matching. Each view
     of a frame gets one motion pyramid, which the next frame reuses as its
     previous one; a key frame's is built only when the frame after needs it.
+
+    `frames` is consumed one frame at a time, and `key_disp[t]` is read
+    only once frame t has been taken from it. Each map goes to `emit` as
+    soon as it is made, before the next frame is taken, and only the
+    previous frame's views, pyramids and map are kept, so memory does not
+    grow with the sequence.
     """
     if pw < 2:
         raise ValueError(f"propagation window must be >= 2, got {pw}")
-    out: list[DisparityMap] = []
-    pyramids = None  # the previous frame's (left, right) motion pyramids
+    views = pyramids = dmap = None  # the previous frame's
     for t, (left, right) in enumerate(frames):
         if t % pw == 0:
             if t not in key_disp:
@@ -506,19 +544,20 @@ def ism_run(frames: Sequence[tuple[Frame, Frame]], key_disp: Mapping[int, Dispar
             dmap = key_disp[t]
             if dmap.d.shape != left.luma.shape:
                 raise ValueError(f"key disparity for frame {t} does not match the frame")
-            out.append(dmap)
             pyramids = None
-            continue
-        if pyramids is None:
-            pyramids = [motion_pyramid(view) for view in frames[t - 1]]
-        cur = [motion_pyramid(view) for view in (left, right)]
-        fields = [estimate_motion(p, c) for p, c in zip(pyramids, cur)]
-        pyramids = cur
-        guess = scatter_pairs(propagate(reconstruct(out[-1]), *fields), left.height, left.width)
-        del fields  # refine runs with no motion field, pair or old pyramid alive
-        np.copyto(guess.d, out[-1].d, where=guess.d < 0)  # a hole keeps the last map's value
-        out.append(refine(left, right, guess))
-    return out
+        else:
+            if pyramids is None:
+                pyramids = [motion_pyramid(view) for view in views]
+            cur = [motion_pyramid(view) for view in (left, right)]
+            fields = [estimate_motion(p, c) for p, c in zip(pyramids, cur)]
+            pyramids = cur
+            guess = scatter_pairs(propagate(reconstruct(dmap), *fields), left.height, left.width)
+            del fields  # refine runs with no motion field, pair or old pyramid alive
+            np.copyto(guess.d, dmap.d, where=guess.d < 0)  # a hole keeps the last map's value
+            dmap = refine(left, right, guess)
+        emit(dmap)
+        # a key frame's views wait for the frame after it to build their pyramids
+        views = (left, right) if pyramids is None else None
 
 
 def three_pixel_error(pred: DisparityMap, gt: DisparityMap) -> float:

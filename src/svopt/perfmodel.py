@@ -28,7 +28,7 @@ import enum
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -179,14 +179,13 @@ class TileGrid(NamedTuple):
         return {(shape, part): mult * n
                 for shape, mult in self.shapes() for part, n in repeats.items()}
 
-    def rounds(self) -> tuple[RoundPlan, ...]:
-        """Every round: origins in itertools.product order, then parts in order."""
-        rounds = []
+    def rounds(self) -> Iterator[RoundPlan]:
+        """Every round, one at a time: origins in itertools.product order, then parts in order."""
         axes = [range(0, extent, t) for extent, t in zip(self.ifmap, self.tile)]
         for origin in itertools.product(*axes):
             shape = tuple(min(t, e - o) for o, t, e in zip(origin, self.tile, self.ifmap))
-            rounds.extend(RoundPlan(origin, shape, part) for part in self.parts)
-        return tuple(rounds)
+            for part in self.parts:
+                yield RoundPlan(origin, shape, part)
 
 
 class TileSchedule:
@@ -217,7 +216,7 @@ class TileSchedule:
 
     @cached_property
     def rounds(self) -> tuple[RoundPlan, ...]:
-        return self.grid.rounds()
+        return tuple(self.grid.rounds())
 
     @property
     def n_rounds(self) -> int:
@@ -257,7 +256,9 @@ class LatencyReport:
 
     `rounds`, each round's cost in schedule order, is expanded on first
     read from the schedule and the cost of each of its distinct
-    (tile, filters) pairs. Reports with equal fields and rounds are equal.
+    (tile, filters) pairs. Reports with equal fields and rounds are equal;
+    reports of equal grid schedules tell so by their costs, without
+    expanding their rounds.
     """
 
     total_cycles: int
@@ -283,7 +284,13 @@ class LatencyReport:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatencyReport):
             return NotImplemented
-        return self._totals() == other._totals() and self.rounds == other.rounds
+        if self._totals() != other._totals():
+            return False
+        grid = self._schedule.grid
+        if grid is not None and grid == other._schedule.grid:
+            # every key of `_costs` runs somewhere in the grid, so equal costs mean equal rounds
+            return self._costs == other._costs
+        return self.rounds == other.rounds
 
 
 @cache
@@ -504,16 +511,16 @@ def validate_schedule(
     parts = tuple(r.filters for r in itertools.takewhile(lambda r: r.origin == origin, given))
     grid = TileGrid(layer.ifmap, tile, parts)
     _check_grid(grid, layer, hw.usable_buffer, price)
-    spelled = grid.rounds()
-    n = min(len(given), len(spelled))
-    i = next((i for i in range(n) if given[i] != spelled[i]), n)
-    where = f"layer {layer.name} round {i}"
-    if i < n:
-        raise InfeasibleScheduleError(f"{where}: {given[i]} where the grid runs {spelled[i]}")
-    if i < len(spelled):
-        raise InfeasibleScheduleError(f"{where}: missing, where the grid runs {spelled[i]}")
-    if i < len(given):
-        raise InfeasibleScheduleError(f"{where}: {given[i]} is extra, the grid runs {i} rounds")
+    # the grid's rounds are spelled only up to the first one that departs
+    for i, (round_, spelled) in enumerate(itertools.zip_longest(given, grid.rounds())):
+        if round_ == spelled:
+            continue
+        where = f"layer {layer.name} round {i}"
+        if round_ is None:
+            raise InfeasibleScheduleError(f"{where}: missing, where the grid runs {spelled}")
+        if spelled is None:
+            raise InfeasibleScheduleError(f"{where}: {round_} is extra, the grid runs {i} rounds")
+        raise InfeasibleScheduleError(f"{where}: {round_} where the grid runs {spelled}")
 
 
 def total_latency(

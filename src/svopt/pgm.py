@@ -21,6 +21,8 @@ __all__ = [
     "frame_to_pgm",
     "read_disparity",
     "read_pgm",
+    "read_pgm_header",
+    "read_sidecar",
     "sidecar_path",
     "write_disparity",
     "write_pgm",
@@ -63,16 +65,45 @@ def _read_tokens(path, raw: bytes, count: int) -> tuple[list[int], int]:
     return _integers(path, tokens).tolist(), pos
 
 
-def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a P2 or P5 PGM; returns (raster of shape (h, w), maxval)."""
-    raw = Path(path).read_bytes()
+def _header(path, raw: bytes) -> tuple[bytes, int, int, int, int]:
+    """Magic, width, height, maxval, and the offset of the whitespace after maxval."""
     if raw[:2] not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a PGM file (magic {raw[:2]!r})")
-    magic = raw[:2]
     (width, height, maxval), pos = _read_tokens(path, raw[2:], 3)
-    pos += 2
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad PGM geometry {width}x{height} maxval {maxval}")
+    return raw[:2], width, height, maxval, pos + 2
+
+
+def read_pgm_header(path) -> tuple[int, int, int]:
+    """(width, height, maxval) of a P2 or P5 PGM, read without its samples.
+
+    The file is read in growing chunks until the header is whole: maxval
+    must be followed by a byte, or the chunk must end the file.
+    """
+    raw = b""
+    with open(path, "rb") as f:
+        while True:
+            chunk = f.read(max(len(raw), 256))
+            raw += chunk
+            try:
+                _, width, height, maxval, pos = _header(path, raw)
+            except ValueError:
+                if not chunk:
+                    raise
+                continue
+            if pos < len(raw) or not chunk:
+                return width, height, maxval
+
+
+def read_pgm(path) -> tuple[np.ndarray, int]:
+    """Read a P2 or P5 PGM; returns (raster of shape (h, w), maxval).
+
+    P2 samples come back as int64, P5 samples at their stored width: a
+    read-only array of uint8, or of big-endian uint16 when maxval > 255.
+    """
+    raw = Path(path).read_bytes()
+    magic, width, height, maxval, pos = _header(path, raw)
     count = width * height
     if magic == b"P2":
         values = _integers(path, raw[pos:].split()[:count])
@@ -83,10 +114,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     else:
         pos += 1  # single whitespace byte after maxval
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        body = raw[pos : pos + count * dtype.itemsize]
-        if len(body) != count * dtype.itemsize:
+        if len(raw) - pos < count * dtype.itemsize:
             raise ValueError(f"{path}: truncated P5 body")
-        values = np.frombuffer(body, dtype=dtype).astype(np.int64)
+        values = np.frombuffer(raw, dtype, count, pos)
     if values.max(initial=0) > maxval:
         raise ValueError(f"{path}: sample exceeds declared maxval {maxval}")
     return values.reshape(height, width), maxval
@@ -103,14 +133,17 @@ def write_pgm(path, raster: np.ndarray, maxval: int) -> None:
         raise ValueError(f"raster values must lie in [0, {maxval}]")
     height, width = raster.shape
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + raster.astype(dtype).tobytes())
+    with open(path, "wb") as f:
+        f.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        f.write(np.ascontiguousarray(raster.astype(dtype, copy=False)))
 
 
 def frame_from_pgm(path) -> Frame:
     """Load a PGM as a luma frame normalized to [0, 1]."""
     raster, maxval = read_pgm(path)
-    return Frame(raster.astype(np.float32) / np.float32(maxval))
+    luma = raster.astype(np.float32)
+    luma /= np.float32(maxval)
+    return Frame(luma)
 
 
 def frame_to_pgm(path, frame: Frame, maxval: int = 255) -> None:
@@ -134,40 +167,48 @@ def write_disparity(path, dmap: DisparityMap) -> None:
     a ValueError is raised, before anything is written, if a valid d does
     not lie below the sentinel.
     """
-    raw = dmap.d.astype(np.int64)
-    invalid = dmap.d < 0
-    if raw[~invalid].max(initial=0) > _SENTINEL:
+    d = dmap.d
+    # an invalid pixel is negative, so the largest value is the largest valid d
+    top = d.max(initial=0)
+    if top > _SENTINEL:
         raise ValueError(f"disparity exceeds maxval {_SENTINEL}")
-    if (raw[~invalid] == _SENTINEL).any():
+    if top == _SENTINEL:
         raise ValueError(f"disparity {_SENTINEL} is the invalid sentinel, "
                          f"so it would read back invalid")
-    raw[invalid] = _SENTINEL
+    raw = d.astype(">u2")
+    raw[d < 0] = _SENTINEL
     write_pgm(path, raw, _SENTINEL)
     _save_json(sidecar_path(path), _SIDECAR_FIELDS, 1, _SENTINEL)
 
 
-def read_disparity(path) -> DisparityMap:
-    """Load a disparity raster, applying its sidecar's scale and sentinel.
+def read_sidecar(path) -> tuple[int, int | None]:
+    """The (scale, invalid raw value) of a disparity raster's sidecar.
 
     The sidecar, if present, is a format-version-1 JSON object whose
     optional `scale` is an integer >= 1 and `invalid` an integer; anything
-    else raises SpecValidationError naming the file and the field.
+    else raises SpecValidationError naming the file and the field. A
+    raster without a sidecar reads as (1, None).
     """
-    raster, _ = read_pgm(path)
     side = sidecar_path(path)
     # a raster without a sidecar reads as one whose sidecar leaves out every field
     meta = _load_json(side, _SIDECAR_FIELDS) if side.exists() else _record("", {}, _SIDECAR_FIELDS)
-    scale, invalid_raw = meta["scale"], meta["invalid"]
-    if scale < 1:
-        raise SpecValidationError(f"{side}: field 'scale' must be >= 1, got {scale}")
-    d = raster.copy()
-    invalid = np.zeros(d.shape, dtype=bool)
-    if invalid_raw is not None:
-        invalid = d == invalid_raw
+    if meta["scale"] < 1:
+        raise SpecValidationError(f"{side}: field 'scale' must be >= 1, got {meta['scale']}")
+    return meta["scale"], meta["invalid"]
+
+
+def read_disparity(path) -> DisparityMap:
+    """Load a disparity raster, applying its sidecar's scale and sentinel (`read_sidecar`)."""
+    raster, _ = read_pgm(path)
+    scale, invalid_raw = read_sidecar(path)
+    invalid = None if invalid_raw is None else raster == invalid_raw
+    d = raster
     if scale != 1:
-        remainder = d[~invalid] % scale
-        if remainder.any():
+        d = raster.astype(np.int64)  # a scale may not fit the stored sample width
+        valid = d if invalid is None else d[~invalid]
+        if (valid % scale).any():
             raise ValueError(f"{path}: raster values are not multiples of scale {scale}")
-        d = d // scale
-    d[invalid] = INVALID_DISPARITY
+        d //= scale
+    if invalid is not None:
+        d = np.where(invalid, np.int32(INVALID_DISPARITY), d)
     return DisparityMap(d)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svopt.ism import DisparityMap, Frame, gaussian_blur
+from svopt.ism import DisparityMap, Frame, gaussian_blur, ism_run
 
 
 @pytest.fixture(scope="session")
@@ -10,6 +10,13 @@ def panorama():
     rng = np.random.default_rng(3)
     raw = Frame(rng.random((200, 400)).astype(np.float32))
     return gaussian_blur(raw, 1.2, 2).luma
+
+
+def ism_maps(frames, key_disp, pw):
+    """Every map `ism_run` emits, in frame order."""
+    maps = []
+    ism_run(frames, key_disp, pw, maps.append)
+    return maps
 
 
 def make_sequence(panorama, n_frames, height, width, disparity, motion=(0, 0), origin=(40, 60)):

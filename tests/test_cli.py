@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 from xml.dom import minidom
 
@@ -452,11 +453,54 @@ class TestIsmCommand:
         assert f"{manifest}: frame 2: field '{field}' names a directory ({tmp_path / 'sub'})" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["k0.pgm", "k2.pgm", "g3.pgm"])
     @pytest.mark.parametrize("meta", [{"format_version": 1, "scale": 0}, [1]])
-    def test_bad_disparity_sidecar_is_input_error(self, tmp_path, panorama, meta):
+    def test_bad_disparity_sidecar_is_input_error(self, tmp_path, panorama, capsys, meta, name):
+        # a later frame's sidecar, too, stops the run before anything is written
         manifest, _ = self.build_sequence(tmp_path, panorama)
-        write_json(tmp_path / "k0.pgm.json", meta)
-        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
+        write_json(tmp_path / f"{name}.json", meta)
+        out = tmp_path / "o"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
+        assert f"{tmp_path / name}.json: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_body_mid_sequence_keeps_the_maps_written(self, tmp_path, panorama,
+                                                                 capsys):
+        # frame 2's left view is cut short: its header passes the check before the run,
+        # so frames 0 and 1 are written, and metrics.csv, written last, is not
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        whole = tmp_path / "whole"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(whole)]) == 0
+        left = tmp_path / "l2.pgm"
+        left.write_bytes(left.read_bytes()[:-1])
+        out = tmp_path / "out"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
+        assert f"{left}: truncated P5 body" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "disparity_0000.pgm", "disparity_0000.pgm.json",
+            "disparity_0001.pgm", "disparity_0001.pgm.json"]
+        for path in out.iterdir():
+            assert path.read_bytes() == (whole / path.name).read_bytes()
+
+    def test_memory_does_not_grow_with_the_sequence(self, tmp_path, panorama):
+        # the four frames repeated to 8 and to 64: every frame is read when it comes
+        # up and its map written at once, so each added frame adds to the traced peak
+        # only its manifest record, not its rasters (a float32 view alone is 12 KiB)
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        records = json.loads(manifest.read_text())["frames"]
+        view_bytes = 4 * 48 * 64
+        peaks = []
+        for n in (8, 64):
+            doc = {"format_version": 1, "pw": 2, "frames": [records[i % 4] for i in range(n)]}
+            path = write_json(tmp_path / f"seq{n}.json", doc)
+            tracemalloc.start()
+            try:
+                assert main(["ism", "--sequence", path, "--out-dir", str(tmp_path / f"o{n}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(list((tmp_path / f"o{n}").glob("*.pgm"))) == n
+        assert (peaks[1] - peaks[0]) / (64 - 8) < view_bytes, peaks
 
     def test_negative_pgm_sample_is_input_error(self, tmp_path, panorama, capsys):
         manifest, _ = self.build_sequence(tmp_path, panorama)

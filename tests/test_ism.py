@@ -25,7 +25,7 @@ from svopt.ism import (
 )
 from svopt.tensor import Tensor, conv_valid
 import ism_oracle as oracle
-from conftest import make_sequence, make_two_plane, make_two_plane_sequence
+from conftest import ism_maps, make_sequence, make_two_plane, make_two_plane_sequence
 
 BUMBLEBEE_LIKE = CameraRig(baseline_m=0.12, focal_length_m=0.0025, pixel_pitch_m=7.4e-6)
 
@@ -322,7 +322,7 @@ class TestScatterPairs:
 class TestIsmRun:
     def test_static_scene_exact_on_valid_region(self, panorama):
         frames, gt = make_sequence(panorama, 4, 64, 96, disparity=4)
-        maps = ism_run(frames, {0: gt, 2: gt}, 2)
+        maps = ism_maps(frames, {0: gt, 2: gt}, 2)
         valid = gt.valid_mask()
         for m in maps:
             assert np.array_equal(m.d[valid], gt.d[valid])
@@ -331,21 +331,34 @@ class TestIsmRun:
         # disparity 0 is valid at every pixel, so non-key frames must
         # reproduce the key map exactly, holes and all
         frames, gt = make_sequence(panorama, 4, 48, 64, disparity=0)
-        maps = ism_run(frames, {0: gt, 2: gt}, 2)
+        maps = ism_maps(frames, {0: gt, 2: gt}, 2)
         for m in maps:
             assert np.array_equal(m.d, gt.d)
 
     def test_pw4_key_frame_indices(self, panorama):
         frames, gt = make_sequence(panorama, 9, 48, 64, disparity=4)
         with pytest.raises(ValueError, match="missing key disparity"):
-            ism_run(frames, {0: gt, 4: gt}, 4)  # frame 8 is a key frame too
-        maps = ism_run(frames, {0: gt, 4: gt, 8: gt}, 4)
+            ism_maps(frames, {0: gt, 4: gt}, 4)  # frame 8 is a key frame too
+        maps = ism_maps(frames, {0: gt, 4: gt, 8: gt}, 4)
         for t in (0, 4, 8):
             assert maps[t] is gt
 
+    def test_each_map_is_emitted_before_the_next_frame_is_taken(self, panorama):
+        # the streaming contract: a frame's map leaves before the next frame is read
+        frames, gt = make_sequence(panorama, 5, 48, 64, disparity=4, motion=(1, 2))
+        events = []
+
+        def stream():
+            for views in frames:
+                events.append("take")
+                yield views
+
+        ism_run(stream(), {0: gt, 4: gt}, 4, lambda dmap: events.append("emit"))
+        assert events == ["take", "emit"] * 5
+
     def test_moving_scene_stays_close(self, panorama):
         frames, gt = make_sequence(panorama, 6, 96, 128, disparity=4, motion=(1, 2))
-        maps = ism_run(frames, {t: gt for t in (0, 2, 4)}, 2)
+        maps = ism_maps(frames, {t: gt for t in (0, 2, 4)}, 2)
         for m in maps:
             assert three_pixel_error(m, gt) >= 98.0
 
@@ -361,7 +374,7 @@ class TestIsmRun:
             return blur(frame, sigma, radius)
 
         monkeypatch.setattr(ism, "gaussian_blur", counting_blur)
-        ism_run(frames, {0: gt, 4: gt}, 4)
+        ism_maps(frames, {0: gt, 4: gt}, 4)
         assert blurred == [(48, 64), (24, 32), (12, 16)] * 8
 
     def test_search_constants_keep_the_box_sums_bit_exact(self):
@@ -376,7 +389,7 @@ class TestIsmRun:
         # (0, 4) px: the box uncovers and hides wall, and the scattered guess has holes
         frames, truths = make_two_plane_sequence(
             panorama, 5, 192, 256, 16, 48, (40, 60, 150, 170), (1, 2), (0, 4))
-        maps = ism_run(frames, {0: truths[0], 4: truths[4]}, 4)
+        maps = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4)
         scores = [three_pixel_error(m, gt) for m, gt in zip(maps, truths)]
         # each propagated frame loses a few points to wrong motion vectors, which put
         # pairs more than the search radius off (95.7, 92.1 and 88.3 % here)
@@ -388,14 +401,14 @@ class TestIsmRun:
         # blur, the motion search or the refinement moves these bits
         frames, truths = make_two_plane_sequence(
             panorama, 5, 192, 256, 16, 48, (40, 60, 150, 170), (1, 2), (0, 4))
-        maps = ism_run(frames, {0: truths[0], 4: truths[4]}, 4)
+        maps = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4)
         got = hashlib.sha256(b"".join(m.d.tobytes() for m in maps)).hexdigest()
         assert got == "9734185635e8997ea1c652879a9d8f1e0d60cf75b3cb73ced133ce7db206450f"
 
     def test_pw_below_two_rejected(self, panorama):
         frames, gt = make_sequence(panorama, 2, 48, 64, disparity=4)
         with pytest.raises(ValueError):
-            ism_run(frames, {0: gt}, 1)
+            ism_maps(frames, {0: gt}, 1)
 
     def test_operation_count_order_of_magnitude(self):
         ops = nonkey_operation_count(960, 540)

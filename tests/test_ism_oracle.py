@@ -201,7 +201,9 @@ def test_ism_run_matches_oracle(panorama, scene):
         frames, truths = make_two_plane_sequence(
             panorama, 7, 64, 96, 8, 20, (20, 20, 44, 50), (1, 2), (0, 3), origin=(20, 60))
     keys = {t: truths[t] for t in (0, 3, 6)}
-    fast = ism.ism_run(frames, keys, 3)
+    # the maps as they are emitted, from frames that can be iterated only once
+    fast = []
+    ism.ism_run(iter(frames), keys, 3, fast.append)
     slow = oracle.ism_run(frames, keys, 3)
     assert len(fast) == len(slow) == 7
     for f, s in zip(fast, slow):

@@ -314,6 +314,27 @@ class TestTotalLatency:
             total_latency(bad, layer, kset, hw)
 
 
+    def test_short_round_list_is_rejected_at_its_first_departure(self, monkeypatch):
+        # one 1x1x1 round over GC-Net's 24x68x120 deconvolution, whose grid runs
+        # 195,840 origins: the grid's rounds are spelled only up to the missing one
+        layer = LayerSpec("gc3", LayerKind.DECONV, (3, 3, 3), 64, 32, (24, 68, 120), 2)
+        parts = (32,) * len(filter_group_dims(layer))
+        one = TileSchedule(1, (RoundPlan((0, 0, 0), (1, 1, 1), parts),))
+        built = []
+        new = RoundPlan.__new__
+
+        def counting(cls, *args):
+            built.append(args)
+            return new(cls, *args)
+
+        monkeypatch.setattr(RoundPlan, "__new__", counting)
+        named = (r"^layer gc3 round 1: missing, where the grid runs "
+                 r"RoundPlan\(origin=\(0, 0, 1\), tile=\(1, 1, 1\)")
+        with pytest.raises(InfeasibleScheduleError, match=named):
+            validate_schedule(one, layer, HardwareConfig(24, 24, 786432, 16.0))
+        assert len(built) == 2  # the grid's rounds 0 and 1
+
+
 class TestDenseEquivalent:
     def test_upsampled_extents(self):
         layer = deconv_layer((5, 5), ifmap=(16, 12))

@@ -556,13 +556,20 @@ def test_beta_is_the_int_0_or_1(beta):
 
 def test_equal_grids_compare_without_expanding(tmp_path, monkeypatch):
     layer = deconv_layer(out_ch=4, in_ch=2, ifmap=(8, 8))
-    schedule = solve(layer, kset((3, 3)), HardwareConfig(4, 4, 300, 4.0), ScheduleMode.ILAR)
+    ks_, hw = kset((3, 3)), HardwareConfig(4, 4, 300, 4.0)
+    schedule = solve(layer, ks_, hw, ScheduleMode.ILAR)
     assert any(map(int.__lt__, schedule.grid.tile, layer.ifmap))  # more than one origin
     path = tmp_path / "schedule.json"
     save_schedule(path, layer.name, "ilar", schedule)
+    report = total_latency(schedule, layer, ks_, hw)
     refuse_round_plans(monkeypatch)
-    assert load_schedule(path) == (layer.name, "ilar", schedule)
-    assert TileSchedule(1 - schedule.beta, grid=schedule.grid) != schedule
+    name, mode, back = load_schedule(path)
+    assert (name, mode, back) == (layer.name, "ilar", schedule)
+    flipped = TileSchedule(1 - schedule.beta, grid=schedule.grid)
+    assert flipped != schedule
+    # and so do the reports priced from them
+    assert total_latency(back, layer, ks_, hw) == report
+    assert total_latency(flipped, layer, ks_, hw) != report
 
 
 class TestCompareModes:
