@@ -145,7 +145,8 @@ def _check_sequence(sequence, pw: int) -> None:
 
     Every key frame must have a key map and every disparity map a good
     sidecar (`read_sidecar`). From the PGM headers, every raster must be
-    as large as its frame's left raster, and every left raster as frame 0's.
+    as large as its frame's left raster, and every left raster as frame 0's;
+    every view must share frame 0's left maxval, as SADs compare raw samples.
     """
     def same_size(path, size, j, want):
         if size != want:
@@ -153,7 +154,7 @@ def _check_sequence(sequence, pw: int) -> None:
             raise SpecValidationError(f"{path}: raster is {w}x{h}, but frame {j}'s left raster "
                                       f"{sequence.frames[j].left} is {lw}x{lh}")
 
-    first = None  # frame 0's left raster size
+    first = None  # frame 0's left raster header
     for i, entry in enumerate(sequence.frames):
         maps = [] if entry.gt_disparity is None else [entry.gt_disparity]
         if i % pw == 0:
@@ -164,11 +165,17 @@ def _check_sequence(sequence, pw: int) -> None:
             maps.insert(0, entry.key_disparity)
         for path in maps:
             read_sidecar(path)
-        left = read_pgm_header(entry.left)[:2]
+        left, right = read_pgm_header(entry.left), read_pgm_header(entry.right)
         first = first or left
-        same_size(entry.left, left, 0, first)
-        for path in [entry.right, *maps]:
-            same_size(path, read_pgm_header(path)[:2], i, left)
+        same_size(entry.left, left[:2], 0, first[:2])
+        same_size(entry.right, right[:2], i, left[:2])
+        for path in maps:
+            same_size(path, read_pgm_header(path)[:2], i, left[:2])
+        for path, (_, _, maxval) in ((entry.left, left), (entry.right, right)):
+            if maxval != first[2]:
+                raise SpecValidationError(
+                    f"{path}: maxval is {maxval}, but frame 0's left raster "
+                    f"{sequence.frames[0].left} has maxval {first[2]}")
 
 
 def cmd_ism(args) -> int:

@@ -53,12 +53,18 @@ class CameraRig:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Single grayscale image, luma in [0, 1], shape (height, width)."""
+    """Single grayscale image of integer samples, shape (height, width).
+
+    The samples are kept as given. The int32 SADs of `estimate_motion`
+    and `refine` hold those of samples of up to 16 bits, as a PGM stores.
+    """
 
     luma: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.luma, dtype=np.float32)
+        arr = np.asarray(self.luma)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"frame needs integer samples, got {arr.dtype}")
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"frame needs a non-empty 2-d luma array, got shape {arr.shape}")
         object.__setattr__(self, "luma", arr)
@@ -217,7 +223,9 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
     The 2*radius+1 taps are normalized to sum to one, so constant frames
     pass through unchanged. Each axis is edge-padded in turn and its taps
     are multiplied and added left to right in float32, so the result is
-    the same bit for bit on every CPU.
+    the same bit for bit on every CPU; it is rounded (halves to even) back
+    to the frame's integer dtype. Samples must be below 2**24, which
+    float32 holds exactly.
     """
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -226,7 +234,7 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
     taps = (taps / taps.sum()).astype(np.float32)
-    out = frame.luma
+    out = frame.luma.astype(np.float32)
     for axis in (0, 1):
         pad = [(0, 0), (0, 0)]
         pad[axis] = (radius, radius)
@@ -236,7 +244,7 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
         term = np.empty_like(out)
         for i in range(1, 2 * radius + 1):
             out += np.multiply(windows[..., i], taps[i], out=term)
-    return Frame(out)
+    return Frame(np.rint(out, out=out).astype(frame.luma.dtype))
 
 
 # the pyramid block-matching motion estimator: pyramid levels, SAD block
@@ -252,12 +260,7 @@ REFINE_RADIUS = 2
 
 
 def _sum_terms(terms: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays, added left to right (into `out` if given).
-
-    Below eight terms this is the order in which `np.add.reduce` adds a
-    contiguous float axis; from eight on numpy sums pairwise. So every
-    block side summed here must be below eight.
-    """
+    """Elementwise sum of equal-shape arrays (into `out` if given)."""
     acc = np.add(terms[0], terms[1], out=out)
     for t in terms[2:]:
         acc += t
@@ -269,18 +272,11 @@ def _box_cost(padded: np.ndarray) -> np.ndarray:
 
     `padded` carries a REFINE_BLOCK // 2 border on its last two axes (the
     frame edge-clamped, as `np.pad(mode="edge")` makes it); the result
-    drops it. The float32 adds run in a fixed order: REFINE_BLOCK rows are
-    summed top to bottom, then that many column sums left to right. That
-    is the order of a sliding-window `sum` along axis 0 and then axis 1,
-    so every SAD is the same bit for bit and exact ties between candidates
-    fall where they always did. A cumulative-sum box filter would round
-    differently and move the ties.
+    drops it. REFINE_BLOCK rows are summed, then that many column sums.
     """
     h = padded.shape[-2] - REFINE_BLOCK + 1
     w = padded.shape[-1] - REFINE_BLOCK + 1
-    rows = padded[..., 0:h, :] + padded[..., 1 : 1 + h, :]
-    for i in range(2, REFINE_BLOCK):
-        rows += padded[..., i : i + h, :]
+    rows = _sum_terms([padded[..., i : i + h, :] for i in range(REFINE_BLOCK)])
     return _sum_terms([rows[..., j : j + w] for j in range(REFINE_BLOCK)])
 
 
@@ -311,9 +307,9 @@ def _search_band(p: np.ndarray, warped: np.ndarray, lo: int, y0: int,
     The rows are padded to one row stride, so that the band's rows lie
     end to end in flat buffers, one per dy, and each dx is a flat offset:
     the subtract, the box sums and the running best each sweep one
-    contiguous buffer. Sums over p's NaN border columns are junk, but the
-    edge padding of the diff takes its edge columns' sums, and the best
-    offset is cropped to the frame.
+    contiguous buffer. Every SAD is an exact int32 sum. Sums over p's
+    zero border columns are junk, but the edge padding of the diff takes
+    its edge columns' sums, and the best offset is cropped to the frame.
     """
     h, w = p.shape
     r, half = MOTION_RADIUS, MOTION_BLOCK // 2
@@ -322,17 +318,16 @@ def _search_band(p: np.ndarray, warped: np.ndarray, lo: int, y0: int,
     offsets = _offsets(r)
     # band rows plus a `half` halo, clamped: the edge padding of the diff image
     cy = np.clip(np.arange(y0 - half, y0 + rows + half), 0, h - 1)
-    # NaN, unlike an edge value, takes part in no arithmetic that warns
-    p_rows = np.pad(p[cy], ((0, 0), (border, border)), constant_values=np.nan).ravel()
+    p_rows = np.pad(p[cy], ((0, 0), (border, border))).ravel()
     # the warped frame edge-padded: a clamped shift by (dy, dx) is a row pick and a flat offset
     src = np.pad(warped, ((0, 0), (border, border)), mode="edge")
     src_rows = {dy: src[np.clip(cy + dy, 0, h - 1) - lo].ravel() for dy in range(-r, r + 1)}
     n, m = p_rows.size, rows * stride
     # the band's sweep buffers, which every offset reuses
-    diff = np.zeros(n, np.float32)
+    diff = np.zeros(n, np.int32)
     inner = diff[border : n - border]
-    cols = np.empty(m, np.float32)
-    cost = np.empty(m - 2 * half, np.float32)
+    cols = np.empty(m, np.int32)
+    cost = np.empty(m - 2 * half, np.int32)
     less = np.empty(cost.size, bool)
     best_k = np.zeros(cost.size, np.min_scalar_type(len(offsets)))
     less_k = np.empty(cost.size, best_k.dtype)
@@ -340,7 +335,6 @@ def _search_band(p: np.ndarray, warped: np.ndarray, lo: int, y0: int,
         np.subtract(p_rows[border : n - border],
                     src_rows[dy][border + dx : n - border + dx], out=inner)
         np.abs(inner, out=inner)
-        # MOTION_BLOCK rows top to bottom, then the column sums: `_box_cost`'s order
         _sum_terms([diff[i * stride : i * stride + m] for i in range(MOTION_BLOCK)], cols)
         # a border column of the edge-padded diff sums to its edge column's sum
         grid = cols.reshape(rows, stride)
@@ -348,16 +342,12 @@ def _search_band(p: np.ndarray, warped: np.ndarray, lo: int, y0: int,
         grid[:, border + w : border + w + half] = grid[:, border + w - 1 : border + w]
         _sum_terms([cols[j : m - 2 * half + j] for j in range(MOTION_BLOCK)], cost)
         if k == 0:
-            # nothing is below a NaN, so such a pixel keeps the first offset:
-            # -inf stands in for it, which nothing is below either
-            best_cost = np.where(np.isnan(cost), -np.inf, cost).astype(np.float32)
+            best_cost = cost.copy()
             continue
         # k only grows, so "k where the SAD is less" is the larger of the two
         np.less(cost, best_cost, out=less)
         np.maximum(best_k, np.multiply(less, best_k.dtype.type(k), out=less_k), out=best_k)
-        # the same as taking cost where it is less: an equal SAD has equal bits
-        # (none is -0.0), and fmin keeps best_cost against a NaN cost
-        np.fmin(best_cost, cost, out=best_cost)
+        np.minimum(best_cost, cost, out=best_cost)
     # the flat index in `cost` of the band's pixel (y, x)
     crop = np.arange(0, m, stride)[:, None] + np.arange(border - half, border - half + w)
     best = best_k[crop]
@@ -366,12 +356,14 @@ def _search_band(p: np.ndarray, warped: np.ndarray, lo: int, y0: int,
 
 
 def motion_pyramid(frame: Frame) -> list[np.ndarray]:
-    """The levels `estimate_motion` searches, finest first.
+    """The levels `estimate_motion` searches, finest first, in 1/16 of a grey level.
 
-    The Gaussian-blurred luma, then each blurred half-size level while it
-    stays two blocks wide, up to MOTION_LEVELS levels.
+    The Gaussian-blurred 16x samples as int32, then each blurred half-size
+    level while it stays two blocks wide, up to MOTION_LEVELS levels. The
+    blur rounds each level to a whole sixteenth, not a whole grey level.
     """
-    levels = [gaussian_blur(frame, BLUR_SIGMA, BLUR_RADIUS).luma]
+    levels = [gaussian_blur(Frame(np.multiply(frame.luma, 16, dtype=np.int32)),
+                            BLUR_SIGMA, BLUR_RADIUS).luma]
     while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * MOTION_BLOCK:
         levels.append(gaussian_blur(Frame(levels[-1][::2, ::2]), BLUR_SIGMA, BLUR_RADIUS).luma)
     return levels
@@ -438,12 +430,12 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
     the distinct offsets that one of its pixels may take, so the work per
     pixel is the number of distinct candidates in its tile
     (2*REFINE_RADIUS+1 on a smooth guess map), not the largest disparity
-    in the frame. A first pass takes each pixel's least float32 SAD over
-    its own [lo, hi] (an offset outside it scores NaN, which `np.fmin`
-    passes over), a second the offset with that SAD nearest the guess, or
-    below it on a tie: the choice of trying the offsets in increasing
+    in the frame. Each pixel takes the offset in its own [lo, hi], which
+    holds the guess or 0, with the least int32 key SAD << rank_bits | rank,
+    where the rank orders the offsets by their distance from the guess,
+    the one below first: the choice of trying the offsets in increasing
     order and keeping a strictly smaller SAD, or an equal SAD nearer the
-    guess.
+    guess. The exact SAD of 16-bit samples leaves int32 room for the rank.
     """
     if left.luma.shape != right.luma.shape or left.luma.shape != init.d.shape:
         raise ValueError("left, right, and init must share their extents")
@@ -458,6 +450,7 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
     # |d - g| <= reach exactly where the rank |4(d - g) + 1| below is <= 4 * reach + 1
     top_rank = np.multiply(reach, 4, out=reach)
     top_rank += 1
+    rank_bits = (8 * REFINE_RADIUS + 1).bit_length()  # hold the largest top_rank
     best_d = np.zeros((h, w), np.int32)
     for y0 in range(0, h, REFINE_TILE):
         ty = slice(y0, min(y0 + REFINE_TILE, h))
@@ -475,28 +468,27 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
             )
             cands = np.flatnonzero(open_ > 0).astype(np.int32)
             left_crop = left.luma[cy[:, None], cx]
-            costs = np.empty(cands.shape + t_guess.shape, np.float32)
+            costs = np.empty(cands.shape + t_guess.shape, np.int32)
             for k0 in range(0, cands.size, REFINE_CHUNK):
                 ds = cands[k0 : k0 + REFINE_CHUNK, None]
                 right_crop = right_rows[:, np.clip(cx + ds, 0, w - 1)].swapaxes(0, 1)
-                costs[k0 : k0 + ds.size] = _box_cost(np.abs(left_crop - right_crop))
+                diff = np.subtract(left_crop, right_crop, dtype=np.int32)
+                costs[k0 : k0 + ds.size] = _box_cost(np.abs(diff, out=diff))
             ds = cands[:, None, None]
             # rank |4(d - g) + 1| orders g, g - 1, g + 1, g - 2, ...
             rank = np.subtract(4 * ds, 4 * t_guess - 1)
             np.abs(rank, out=rank)
+            # the least key SAD << rank_bits | rank has the least SAD, then the least rank
+            costs <<= rank_bits
+            costs += rank
             # d lies outside [lo, hi] where it is out of reach of the guess or x + d
             # leaves the frame (d >= 0 always holds)
             mask = rank > top_rank[ty, tx]
             mask |= ds > max_d[:, tx]
-            np.copyto(costs, np.nan, where=mask)
-            least = np.fmin.reduce(costs, axis=0)
-            # 2**30 added where the SAD is above the least keeps the least rank
-            # among the least SADs
-            rank += np.not_equal(costs, least, out=mask) * np.int32(1 << 30)
-            rank = rank.min(axis=0)
+            np.copyto(costs, np.iinfo(np.int32).max, where=mask)
+            rank = costs.min(axis=0) & ((1 << rank_bits) - 1)
             step = (rank + 1) >> 2
-            best_d[ty, tx] = np.where(
-                np.isnan(least), 0, np.where(rank & 2, t_guess - step, t_guess + step))
+            best_d[ty, tx] = np.where(rank & 2, t_guess - step, t_guess + step)
     return DisparityMap(best_d)
 
 
@@ -586,7 +578,7 @@ def nonkey_operation_count(width: int, height: int) -> int:
     (difference, absolute value, two incremental box-sum updates, compare
     and select), the cost of a running-sum box filter. The code spends
     more per candidate: its box sums add 2 * (REFINE_BLOCK - 1) terms
-    directly, in a fixed order that keeps ties bit-exact (see `_box_cost`).
+    directly.
 
     Refinement is charged 2 * REFINE_RADIUS + 1 candidates per pixel, the
     search window of a usable guess. `refine` scores the distinct

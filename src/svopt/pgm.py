@@ -139,16 +139,14 @@ def write_pgm(path, raster: np.ndarray, maxval: int) -> None:
 
 
 def frame_from_pgm(path) -> Frame:
-    """Load a PGM as a luma frame normalized to [0, 1]."""
+    """Load a PGM as a frame of its samples: uint8, or uint16 when maxval > 255."""
     raster, maxval = read_pgm(path)
-    luma = raster.astype(np.float32)
-    luma /= np.float32(maxval)
-    return Frame(luma)
+    return Frame(raster.astype(np.uint16 if maxval > 255 else np.uint8, copy=False))
 
 
 def frame_to_pgm(path, frame: Frame, maxval: int = 255) -> None:
-    raster = np.rint(np.clip(frame.luma, 0.0, 1.0) * maxval).astype(np.int64)
-    write_pgm(path, raster, maxval)
+    """Write a frame's samples as they are (`write_pgm`): each must lie in [0, maxval]."""
+    write_pgm(path, frame.luma, maxval)
 
 
 def sidecar_path(path) -> Path:

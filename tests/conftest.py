@@ -6,10 +6,14 @@ from svopt.ism import DisparityMap, Frame, gaussian_blur, ism_run
 
 @pytest.fixture(scope="session")
 def panorama():
-    """Smoothed random texture large enough to crop panning windows from."""
+    """Smoothed random 8-bit texture large enough to crop panning windows from.
+
+    The texture is blurred at 16 bits and then stored at 8, so it is
+    rounded to 8 bits once.
+    """
     rng = np.random.default_rng(3)
-    raw = Frame(rng.random((200, 400)).astype(np.float32))
-    return gaussian_blur(raw, 1.2, 2).luma
+    raw = Frame(np.rint(rng.random((200, 400)) * 65535).astype(np.uint16))
+    return np.rint(gaussian_blur(raw, 1.2, 2).luma / 257).astype(np.uint8)
 
 
 def ism_maps(frames, key_disp, pw):

@@ -4,9 +4,11 @@ These are the straightforward whole-frame versions that `svopt.ism` used
 before its tiled and in-place rewrite: `refine` scores every disparity
 from 0 to the largest upper bound over the whole frame, `_box_cost` sums
 sliding windows, and `estimate_motion` allocates fresh arrays for every
-search offset. They stay here, unchanged, so tests can require the fast
-versions to produce the same arrays bit for bit. `ism_run` chains them
-the plain way, building both pyramids afresh for every motion field.
+search offset. Every sample, pyramid level and SAD is an int64, so no
+sum can overflow or depend on its order. They stay here so tests can
+require the fast versions to produce the same arrays bit for bit.
+`ism_run` chains them the plain way, building both pyramids afresh for
+every motion field.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ from svopt.ism import (
 
 
 def _box_cost(diff: np.ndarray, block: int) -> np.ndarray:
-    """Per-pixel SAD over a block x block patch, borders edge-clamped."""
-    half = block // 2
-    padded = np.pad(diff, half, mode="edge")
-    rows = np.lib.stride_tricks.sliding_window_view(padded, block, axis=0).sum(axis=-1)
-    return np.lib.stride_tricks.sliding_window_view(rows, block, axis=1).sum(axis=-1)
+    """Per-pixel SAD over a block x block patch, borders edge-clamped, as int64."""
+    padded = np.pad(diff.astype(np.int64), block // 2, mode="edge")
+    return np.lib.stride_tricks.sliding_window_view(padded, (block, block)).sum(axis=(-2, -1))
 
 
 def _shift_clamped(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
@@ -57,35 +57,26 @@ def _offsets(radius: int) -> list[tuple[int, int]]:
     return offs
 
 
+def motion_pyramid(frame: Frame) -> list[np.ndarray]:
+    """Gaussian-blurred 16x samples as int64, then each blurred half-size level."""
+    levels = [gaussian_blur(Frame(frame.luma.astype(np.int64) * 16), BLUR_SIGMA,
+                            BLUR_RADIUS).luma]
+    while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * MOTION_BLOCK:
+        levels.append(gaussian_blur(Frame(levels[-1][::2, ::2]), BLUR_SIGMA, BLUR_RADIUS).luma)
+    return levels
+
+
 def estimate_motion(prev: Frame, cur: Frame) -> MotionField:
     """Dense per-pixel motion from `prev` to `cur`.
 
-    Coarse-to-fine image pyramid of Gaussian-blurred frames; at each
-    level the flow carried up from the coarser level warps `cur`, a
-    block-SAD search over a small residual window updates every pixel,
-    and the field is clamped to stay inside the frame. Integer flow.
+    Coarse-to-fine `motion_pyramid`s; at each level the flow carried up
+    from the coarser level warps `cur`, a block-SAD search over a small
+    residual window updates every pixel, and the field is clamped to
+    stay inside the frame. Integer flow.
     """
     if prev.luma.shape != cur.luma.shape:
         raise ValueError("frames must share their extents")
-    min_extent = 2 * MOTION_BLOCK
-    pyramid = [
-        (
-            gaussian_blur(prev, BLUR_SIGMA, BLUR_RADIUS).luma,
-            gaussian_blur(cur, BLUR_SIGMA, BLUR_RADIUS).luma,
-        )
-    ]
-    for _ in range(MOTION_LEVELS - 1):
-        p, c = pyramid[-1]
-        if min(p.shape) // 2 < min_extent:
-            break
-        down_p = Frame(p[::2, ::2])
-        down_c = Frame(c[::2, ::2])
-        pyramid.append(
-            (
-                gaussian_blur(down_p, BLUR_SIGMA, BLUR_RADIUS).luma,
-                gaussian_blur(down_c, BLUR_SIGMA, BLUR_RADIUS).luma,
-            )
-        )
+    pyramid = list(zip(motion_pyramid(prev), motion_pyramid(cur)))
     h0, w0 = pyramid[-1][0].shape
     fx = np.zeros((h0, w0), np.int32)
     fy = np.zeros((h0, w0), np.int32)
@@ -149,11 +140,12 @@ def refine(
     reach = np.where(usable, radius, 2 * radius).astype(np.int32)
     lo = np.maximum(guess - reach, 0)
     hi = np.minimum(guess + reach, max_d)
-    best_cost = np.full((h, w), np.inf, dtype=np.float64)
+    best_cost = np.full((h, w), np.iinfo(np.int64).max)
     best_d = np.zeros((h, w), np.int32)
     best_dist = np.full((h, w), np.iinfo(np.int32).max, dtype=np.int32)
     for d in range(0, int(hi.max()) + 1):
-        cost = _box_cost(np.abs(left.luma - _shift_clamped(right.luma, 0, d)), block)
+        diff = left.luma.astype(np.int64) - _shift_clamped(right.luma, 0, d)
+        cost = _box_cost(np.abs(diff), block)
         allowed = (d >= lo) & (d <= hi)
         dist = np.abs(d - guess)
         better = allowed & (

@@ -325,8 +325,8 @@ class TestIsmCommand:
         records = []
         for i, (left, right) in enumerate(frames):
             lp, rp = tmp_path / f"l{i}.pgm", tmp_path / f"r{i}.pgm"
-            frame_to_pgm(lp, left, maxval=65535)
-            frame_to_pgm(rp, right, maxval=65535)
+            frame_to_pgm(lp, left)
+            frame_to_pgm(rp, right)
             record = {"left": lp.name, "right": rp.name}
             gt_path = tmp_path / f"g{i}.pgm"
             write_disparity(gt_path, gt)
@@ -370,7 +370,8 @@ class TestIsmCommand:
         manifest = write_json(tmp_path / "seq.json", {"format_version": 1, "pw": 2, "frames": records})
         out = tmp_path / "out"
         assert main(["ism", "--sequence", manifest, "--out-dir", str(out), "--pw", "3"]) == 0
-        # the oracle sees the frames as the CLI reads them back, quantized to 16 bits
+        # the oracle sees the frames as the CLI reads them back: 16-bit rasters of 8-bit
+        # samples, as uint16
         read = [(frame_from_pgm(tmp_path / r["left"]), frame_from_pgm(tmp_path / r["right"]))
                 for r in records]
         expected = ism_oracle.ism_run(read, {0: truths[0], 3: truths[3]}, 3)
@@ -402,7 +403,7 @@ class TestIsmCommand:
         manifest, _ = self.build_sequence(tmp_path, panorama)
         path = tmp_path / name
         if name.startswith("r"):
-            frame_to_pgm(path, Frame(np.zeros((48, 65))))
+            frame_to_pgm(path, Frame(np.zeros((48, 65), np.uint8)))
         else:
             write_disparity(path, DisparityMap(np.zeros((48, 65))))
         out = tmp_path / "out"
@@ -417,7 +418,7 @@ class TestIsmCommand:
         # frame 2 is consistent in itself but four columns narrower than frame 0
         manifest, gt = self.build_sequence(tmp_path, panorama)
         for name in ("l2.pgm", "r2.pgm"):
-            frame_to_pgm(tmp_path / name, Frame(np.zeros((48, 60))))
+            frame_to_pgm(tmp_path / name, Frame(np.zeros((48, 60), np.uint8)))
         for name in ("k2.pgm", "g2.pgm"):
             write_disparity(tmp_path / name, DisparityMap(gt.d[:, :60]))
         out = tmp_path / "out"
@@ -425,6 +426,21 @@ class TestIsmCommand:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'l2.pgm'}: raster is 60x48" in err
         assert f"frame 0's left raster {tmp_path / 'l0.pgm'} is 64x48" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["r0.pgm", "l2.pgm", "r3.pgm"])
+    def test_view_of_another_bit_depth_rejected_before_propagation(self, tmp_path, panorama,
+                                                                    capsys, name):
+        # SADs compare raw samples, so a 16-bit view beside 8-bit ones would be
+        # compared unscaled; the 16-bit key and ground-truth maps are not views
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        path = tmp_path / name
+        frame_to_pgm(path, frame_from_pgm(path), maxval=65535)
+        out = tmp_path / "out"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"{path}: maxval is 65535, but frame 0's left raster {tmp_path / 'l0.pgm'} "
+                f"has maxval 255") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["left", "right", "key_disparity", "gt_disparity"])
@@ -485,7 +501,8 @@ class TestIsmCommand:
     def test_memory_does_not_grow_with_the_sequence(self, tmp_path, panorama):
         # the four frames repeated to 8 and to 64: every frame is read when it comes
         # up and its map written at once, so each added frame adds to the traced peak
-        # only its manifest record, not its rasters (a float32 view alone is 12 KiB)
+        # only its manifest record, not its rasters (a view's finest int32 pyramid
+        # level alone is 12 KiB)
         manifest, _ = self.build_sequence(tmp_path, panorama)
         records = json.loads(manifest.read_text())["frames"]
         view_bytes = 4 * 48 * 64
@@ -512,7 +529,7 @@ class TestIsmCommand:
     def test_non_integer_pgm_token_is_input_error(self, tmp_path, panorama, capsys):
         manifest, _ = self.build_sequence(tmp_path, panorama)
         left = tmp_path / "l1.pgm"
-        left.write_text("P2\n64 48\n65535\n" + " ".join(["1.5"] * 64 * 48) + "\n")
+        left.write_text("P2\n64 48\n255\n" + " ".join(["1.5"] * 64 * 48) + "\n")
         assert main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o")]) == 2
         assert f"{left}: PGM token '1.5' is not" in capsys.readouterr().err
 

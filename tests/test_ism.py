@@ -52,6 +52,17 @@ class TestTriangulate:
             triangulate(0, BUMBLEBEE_LIKE)
 
 
+class TestFrame:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool])
+    def test_non_integer_samples_rejected_naming_the_dtype(self, dtype):
+        with pytest.raises(ValueError, match=f"integer samples, got {np.dtype(dtype)}"):
+            Frame(np.zeros((2, 3), dtype))
+
+    def test_integer_samples_kept_as_given(self):
+        luma = np.arange(6, dtype=np.uint16).reshape(2, 3)
+        assert Frame(luma).luma is luma
+
+
 class TestReconstruct:
     def test_zero_disparity_pairs_pixel_with_itself(self):
         cs = reconstruct(DisparityMap(np.zeros((3, 4), np.int32)))
@@ -129,37 +140,39 @@ class TestPropagate:
 
 class TestGaussianBlur:
     def test_constant_frame_unchanged(self):
-        frame = Frame(np.full((6, 7), 0.4, np.float32))
+        frame = Frame(np.full((6, 7), 102, np.uint8))
         out = gaussian_blur(frame, 1.0, 2)
-        assert np.allclose(out.luma, 0.4, atol=1e-6)
+        assert out.luma.dtype == np.uint8
+        assert np.array_equal(out.luma, frame.luma)
 
     def test_impulse_reproduces_kernel(self):
-        frame = np.zeros((9, 9), np.float32)
-        frame[4, 4] = 1.0
+        frame = np.zeros((9, 9), np.int32)
+        frame[4, 4] = 1 << 16
         out = gaussian_blur(Frame(frame), 1.0, 2).luma
         offsets = np.arange(-2, 3)
         taps = np.exp(-(offsets.astype(np.float64) ** 2) / 2.0)
         taps /= taps.sum()
-        want = np.outer(taps, taps)
-        assert np.allclose(out[2:7, 2:7], want, atol=1e-6)
-        assert out[0, 0] == 0.0
+        want = np.outer(taps, taps) * (1 << 16)
+        # rounded to whole samples
+        assert np.abs(out[2:7, 2:7] - want).max() <= 0.5 + 1e-3
+        assert out[0, 0] == 0
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
-            gaussian_blur(Frame(np.ones((4, 4), np.float32)), sigma, 2)
+            gaussian_blur(Frame(np.ones((4, 4), np.uint8)), sigma, 2)
 
     def test_matches_dense_conv_oracle(self):
         rng = np.random.default_rng(6)
-        luma = rng.random((8, 10)).astype(np.float32)
+        luma = rng.integers(0, 256, (8, 10), dtype=np.uint8)
         sigma, radius = 1.3, 2
         out = gaussian_blur(Frame(luma), sigma, radius).luma
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         taps = np.exp(-(offsets**2) / (2 * sigma * sigma))
         taps = (taps / taps.sum()).astype(np.float32)
-        padded = np.pad(luma, radius, mode="edge")
+        padded = np.pad(luma.astype(np.float32), radius, mode="edge")
         want = conv_valid(Tensor(padded), Tensor(np.outer(taps, taps))).array
-        assert np.allclose(out, want, atol=1e-5)
+        assert np.abs(out - want).max() <= 0.5 + 1e-3
 
     @pytest.mark.parametrize("radius", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (3, 4), (540, 960)],
@@ -167,12 +180,12 @@ class TestGaussianBlur:
     def test_sums_each_axis_left_to_right_in_float32(self, shape, radius):
         # the same bits on every CPU: no BLAS call, whose summation order varies
         rng = np.random.default_rng(shape[0] * 10 + radius)
-        luma = rng.random(shape, dtype=np.float32)
+        luma = rng.integers(0, 1 << 16, shape, dtype=np.uint16)
         sigma = 0.6 + 0.4 * radius
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         taps = np.exp(-(offsets**2) / (2 * sigma * sigma))
         taps = (taps / taps.sum()).astype(np.float32)
-        want = luma
+        want = luma.astype(np.float32)
         for _ in range(2):  # down the columns, then down the transposed rows
             padded = np.pad(want, ((radius, radius), (0, 0)), mode="edge")
             n = want.shape[0]
@@ -181,16 +194,19 @@ class TestGaussianBlur:
                 acc = acc + padded[i : i + n] * taps[i]
             want = acc.T
         assert want.dtype == np.float32
-        assert np.array_equal(gaussian_blur(Frame(luma), sigma, radius).luma, want)
+        got = gaussian_blur(Frame(luma), sigma, radius).luma
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, np.rint(want))
 
     def test_motion_pyramid_bits_are_pinned(self):
         # a BLAS tap sum would give other bits on some CPUs; CI reruns this under two
         # OpenBLAS kernels
         rng = np.random.default_rng(7)
-        levels = motion_pyramid(Frame(rng.random((540, 960), dtype=np.float32)))
+        levels = motion_pyramid(Frame(rng.integers(0, 256, (540, 960), dtype=np.uint8)))
         assert [lv.shape for lv in levels] == [(540, 960), (270, 480), (135, 240)]
+        assert [lv.dtype for lv in levels] == [np.int32] * 3
         got = hashlib.sha256(b"".join(lv.tobytes() for lv in levels)).hexdigest()
-        assert got == "c1aa6f0b48a25babcc0f0365e3ee69f5122a04e3cf25f450434a5af97ab52478"
+        assert got == "9cfef7de5fa8ef518d6bbad4890430c33d089437090633ce4b7f22dad1c6e3c2"
 
 
 def motion(prev, cur):
@@ -252,7 +268,7 @@ class TestRefine:
         assert np.all(out.d[valid] == 4)
 
     def test_constant_region_tie_returns_init(self):
-        flat = Frame(np.full((10, 20), 0.5, np.float32))
+        flat = Frame(np.full((10, 20), 128, np.uint8))
         init = DisparityMap(np.full((10, 20), 3, np.int32))
         out = refine(flat, flat, init)
         assert np.all(out.d[:, : 20 - 3] == 3)
@@ -377,13 +393,6 @@ class TestIsmRun:
         ism_maps(frames, {0: gt, 4: gt}, 4)
         assert blurred == [(48, 64), (24, 32), (12, 16)] * 8
 
-    def test_search_constants_keep_the_box_sums_bit_exact(self):
-        # `_sum_terms` adds a block's column sums left to right, which is the
-        # order numpy's sliding-window sums use only below eight terms
-        for block in (ism.MOTION_BLOCK, ism.REFINE_BLOCK):
-            assert block % 2 == 1 and 3 <= block < 8
-        assert ism.REFINE_RADIUS >= 1
-
     def test_moving_two_plane_scene_keeps_a_floor(self, panorama):
         # a D=16 wall whose window pans (1, 2) px per frame behind a D=48 box moving
         # (0, 4) px: the box uncovers and hides wall, and the scattered guess has holes
@@ -392,7 +401,7 @@ class TestIsmRun:
         maps = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4)
         scores = [three_pixel_error(m, gt) for m, gt in zip(maps, truths)]
         # each propagated frame loses a few points to wrong motion vectors, which put
-        # pairs more than the search radius off (95.7, 92.1 and 88.3 % here)
+        # pairs more than the search radius off (95.8, 92.1 and 88.2 % here)
         assert min(scores[1:4]) >= 85.0
         assert scores[1] >= 95.0
 
@@ -403,7 +412,7 @@ class TestIsmRun:
             panorama, 5, 192, 256, 16, 48, (40, 60, 150, 170), (1, 2), (0, 4))
         maps = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4)
         got = hashlib.sha256(b"".join(m.d.tobytes() for m in maps)).hexdigest()
-        assert got == "9734185635e8997ea1c652879a9d8f1e0d60cf75b3cb73ced133ce7db206450f"
+        assert got == "9a5570f8c4ef68aac35306dc34d2d76a2ca0e72e42b45e9e6f25249699128a19"
 
     def test_pw_below_two_rejected(self, panorama):
         frames, gt = make_sequence(panorama, 2, 48, 64, disparity=4)

@@ -43,13 +43,20 @@ def test_plain_pgm_with_comments(tmp_path):
     assert raster.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
-def test_frame_roundtrip_is_close(tmp_path):
+@pytest.mark.parametrize("maxval, dtype", [(255, np.uint8), (65535, np.uint16)])
+def test_frame_roundtrip_is_exact(tmp_path, maxval, dtype):
     rng = np.random.default_rng(1)
-    frame = Frame(rng.random((6, 9)).astype(np.float32))
+    frame = Frame(rng.integers(0, maxval + 1, (6, 9), dtype=dtype))
     path = tmp_path / "f.pgm"
-    frame_to_pgm(path, frame, maxval=65535)
-    got = frame_from_pgm(path)
-    assert np.abs(got.luma - frame.luma).max() <= 0.5 / 65535 + 1e-6
+    frame_to_pgm(path, frame, maxval=maxval)
+    assert read_pgm(path)[1] == maxval
+    # and the same samples from a plain P2 raster
+    rows = "\n".join(" ".join(str(v) for v in row) for row in frame.luma.tolist())
+    plain = tmp_path / "f2.pgm"
+    plain.write_text(f"P2\n9 6\n{maxval}\n{rows}\n")
+    for got in (frame_from_pgm(path), frame_from_pgm(plain)):
+        assert got.luma.dtype == dtype
+        assert np.array_equal(got.luma, frame.luma)
 
 
 def test_disparity_roundtrip_with_sidecar(tmp_path):
