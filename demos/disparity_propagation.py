@@ -14,8 +14,8 @@ from svopt.ism import estimate_motion, motion_pyramid, nonkey_operation_count
 
 rng = np.random.default_rng(1)
 # an 8-bit texture, blurred at 16 bits and rounded to 8 bits once
-texture = Frame(np.rint(rng.random((220, 420)) * 65535).astype(np.uint16))
-panorama = np.rint(gaussian_blur(texture, 1.2, 2).luma / 257).astype(np.uint8)
+texture = np.rint(rng.random((220, 420)) * 65535).astype(np.uint16)
+panorama = np.rint(gaussian_blur(texture, 1.2, 2) / 257).astype(np.uint8)
 
 HEIGHT, WIDTH, DISPARITY = 96, 128, 4
 PAN_Y, PAN_X = 1, 2  # camera motion per frame, pixels

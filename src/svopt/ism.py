@@ -53,18 +53,18 @@ class CameraRig:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Single grayscale image of integer samples, shape (height, width).
+    """Single grayscale image of a PGM's samples, shape (height, width).
 
-    The samples are kept as given. The int32 SADs of `estimate_motion`
-    and `refine` hold those of samples of up to 16 bits, as a PGM stores.
+    The samples are kept as given, uint8 or uint16; the int32 SADs of
+    `estimate_motion` and `refine` hold those of 16-bit samples exactly.
     """
 
     luma: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.luma)
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"frame needs integer samples, got {arr.dtype}")
+        if arr.dtype not in (np.uint8, np.uint16):
+            raise ValueError(f"frame needs uint8 or uint16 samples, got {arr.dtype}")
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"frame needs a non-empty 2-d luma array, got shape {arr.shape}")
         object.__setattr__(self, "luma", arr)
@@ -217,16 +217,17 @@ def propagate(
     return CorrespondenceSet(*out[:, :n])
 
 
-def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
-    """Separable Gaussian smoothing with edge-clamped borders; fixed-order, no BLAS.
+def gaussian_blur(luma: np.ndarray, sigma: float, radius: int) -> np.ndarray:
+    """Separable Gaussian smoothing of a 2-d integer array, edge-clamped; fixed-order, no BLAS.
 
-    The 2*radius+1 taps are normalized to sum to one, so constant frames
+    The 2*radius+1 taps are normalized to sum to one, so constant arrays
     pass through unchanged. Each axis is edge-padded in turn and its taps
     are multiplied and added left to right in float32, so the result is
     the same bit for bit on every CPU; it is rounded (halves to even) back
-    to the frame's integer dtype. Samples must be below 2**24, which
-    float32 holds exactly.
+    to the array's dtype.
     """
+    if luma.dtype.kind not in "iu":
+        raise ValueError(f"blur needs integer samples, got {luma.dtype}")
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if radius < 1:
@@ -234,7 +235,7 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     taps = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
     taps = (taps / taps.sum()).astype(np.float32)
-    out = frame.luma.astype(np.float32)
+    out = luma.astype(np.float32)
     for axis in (0, 1):
         pad = [(0, 0), (0, 0)]
         pad[axis] = (radius, radius)
@@ -244,7 +245,7 @@ def gaussian_blur(frame: Frame, sigma: float, radius: int) -> Frame:
         term = np.empty_like(out)
         for i in range(1, 2 * radius + 1):
             out += np.multiply(windows[..., i], taps[i], out=term)
-    return Frame(np.rint(out, out=out).astype(frame.luma.dtype))
+    return np.rint(out, out=out).astype(luma.dtype)
 
 
 # the pyramid block-matching motion estimator: pyramid levels, SAD block
@@ -362,10 +363,9 @@ def motion_pyramid(frame: Frame) -> list[np.ndarray]:
     level while it stays two blocks wide, up to MOTION_LEVELS levels. The
     blur rounds each level to a whole sixteenth, not a whole grey level.
     """
-    levels = [gaussian_blur(Frame(np.multiply(frame.luma, 16, dtype=np.int32)),
-                            BLUR_SIGMA, BLUR_RADIUS).luma]
+    levels = [gaussian_blur(np.multiply(frame.luma, 16, dtype=np.int32), BLUR_SIGMA, BLUR_RADIUS)]
     while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * MOTION_BLOCK:
-        levels.append(gaussian_blur(Frame(levels[-1][::2, ::2]), BLUR_SIGMA, BLUR_RADIUS).luma)
+        levels.append(gaussian_blur(levels[-1][::2, ::2], BLUR_SIGMA, BLUR_RADIUS))
     return levels
 
 

@@ -12,8 +12,8 @@ def panorama():
     rounded to 8 bits once.
     """
     rng = np.random.default_rng(3)
-    raw = Frame(np.rint(rng.random((200, 400)) * 65535).astype(np.uint16))
-    return np.rint(gaussian_blur(raw, 1.2, 2).luma / 257).astype(np.uint8)
+    raw = np.rint(rng.random((200, 400)) * 65535).astype(np.uint16)
+    return np.rint(gaussian_blur(raw, 1.2, 2) / 257).astype(np.uint8)
 
 
 def ism_maps(frames, key_disp, pw):

@@ -59,10 +59,9 @@ def _offsets(radius: int) -> list[tuple[int, int]]:
 
 def motion_pyramid(frame: Frame) -> list[np.ndarray]:
     """Gaussian-blurred 16x samples as int64, then each blurred half-size level."""
-    levels = [gaussian_blur(Frame(frame.luma.astype(np.int64) * 16), BLUR_SIGMA,
-                            BLUR_RADIUS).luma]
+    levels = [gaussian_blur(frame.luma.astype(np.int64) * 16, BLUR_SIGMA, BLUR_RADIUS)]
     while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * MOTION_BLOCK:
-        levels.append(gaussian_blur(Frame(levels[-1][::2, ::2]), BLUR_SIGMA, BLUR_RADIUS).luma)
+        levels.append(gaussian_blur(levels[-1][::2, ::2], BLUR_SIGMA, BLUR_RADIUS))
     return levels
 
 

@@ -320,8 +320,8 @@ class TestTransform:
 
 
 class TestIsmCommand:
-    def build_sequence(self, tmp_path, panorama, n_frames=4, motion=(0, 1)):
-        frames, gt = make_sequence(panorama, n_frames, 48, 64, disparity=4, motion=motion)
+    def build_sequence(self, tmp_path, panorama, n_frames=4, motion=(0, 1), shape=(48, 64)):
+        frames, gt = make_sequence(panorama, n_frames, *shape, disparity=4, motion=motion)
         records = []
         for i, (left, right) in enumerate(frames):
             lp, rp = tmp_path / f"l{i}.pgm", tmp_path / f"r{i}.pgm"
@@ -501,11 +501,11 @@ class TestIsmCommand:
     def test_memory_does_not_grow_with_the_sequence(self, tmp_path, panorama):
         # the four frames repeated to 8 and to 64: every frame is read when it comes
         # up and its map written at once, so each added frame adds to the traced peak
-        # only its manifest record, not its rasters (a view's finest int32 pyramid
-        # level alone is 12 KiB)
-        manifest, _ = self.build_sequence(tmp_path, panorama)
+        # only its manifest record, not its rasters (a uint8 view alone is 12 KiB); the
+        # views are 96x128 so that one is several times a record's 2-5 KiB of paths
+        manifest, _ = self.build_sequence(tmp_path, panorama, shape=(96, 128))
         records = json.loads(manifest.read_text())["frames"]
-        view_bytes = 4 * 48 * 64
+        view_bytes = np.dtype(np.uint8).itemsize * 96 * 128
         peaks = []
         for n in (8, 64):
             doc = {"format_version": 1, "pw": 2, "frames": [records[i % 4] for i in range(n)]}

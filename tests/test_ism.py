@@ -53,9 +53,10 @@ class TestTriangulate:
 
 
 class TestFrame:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool])
-    def test_non_integer_samples_rejected_naming_the_dtype(self, dtype):
-        with pytest.raises(ValueError, match=f"integer samples, got {np.dtype(dtype)}"):
+    # the int32 SADs are exact only for a PGM's 8- or 16-bit samples
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool, np.int32, np.int64, np.uint32])
+    def test_samples_other_than_uint8_or_uint16_rejected_naming_the_dtype(self, dtype):
+        with pytest.raises(ValueError, match=f"uint8 or uint16 samples, got {np.dtype(dtype)}"):
             Frame(np.zeros((2, 3), dtype))
 
     def test_integer_samples_kept_as_given(self):
@@ -140,15 +141,15 @@ class TestPropagate:
 
 class TestGaussianBlur:
     def test_constant_frame_unchanged(self):
-        frame = Frame(np.full((6, 7), 102, np.uint8))
-        out = gaussian_blur(frame, 1.0, 2)
-        assert out.luma.dtype == np.uint8
-        assert np.array_equal(out.luma, frame.luma)
+        luma = np.full((6, 7), 102, np.uint8)
+        out = gaussian_blur(luma, 1.0, 2)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, luma)
 
     def test_impulse_reproduces_kernel(self):
         frame = np.zeros((9, 9), np.int32)
         frame[4, 4] = 1 << 16
-        out = gaussian_blur(Frame(frame), 1.0, 2).luma
+        out = gaussian_blur(frame, 1.0, 2)
         offsets = np.arange(-2, 3)
         taps = np.exp(-(offsets.astype(np.float64) ** 2) / 2.0)
         taps /= taps.sum()
@@ -160,13 +161,18 @@ class TestGaussianBlur:
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
-            gaussian_blur(Frame(np.ones((4, 4), np.uint8)), sigma, 2)
+            gaussian_blur(np.ones((4, 4), np.uint8), sigma, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, bool])
+    def test_non_integer_samples_rejected_naming_the_dtype(self, dtype):
+        with pytest.raises(ValueError, match=f"integer samples, got {np.dtype(dtype)}"):
+            gaussian_blur(np.ones((4, 4), dtype), 1.0, 2)
 
     def test_matches_dense_conv_oracle(self):
         rng = np.random.default_rng(6)
         luma = rng.integers(0, 256, (8, 10), dtype=np.uint8)
         sigma, radius = 1.3, 2
-        out = gaussian_blur(Frame(luma), sigma, radius).luma
+        out = gaussian_blur(luma, sigma, radius)
         offsets = np.arange(-radius, radius + 1, dtype=np.float64)
         taps = np.exp(-(offsets**2) / (2 * sigma * sigma))
         taps = (taps / taps.sum()).astype(np.float32)
@@ -194,7 +200,7 @@ class TestGaussianBlur:
                 acc = acc + padded[i : i + n] * taps[i]
             want = acc.T
         assert want.dtype == np.float32
-        got = gaussian_blur(Frame(luma), sigma, radius).luma
+        got = gaussian_blur(luma, sigma, radius)
         assert got.dtype == np.uint16
         assert np.array_equal(got, np.rint(want))
 
@@ -385,9 +391,9 @@ class TestIsmRun:
         blurred = []
         blur = ism.gaussian_blur
 
-        def counting_blur(frame, sigma, radius):
-            blurred.append(frame.luma.shape)
-            return blur(frame, sigma, radius)
+        def counting_blur(luma, sigma, radius):
+            blurred.append(luma.shape)
+            return blur(luma, sigma, radius)
 
         monkeypatch.setattr(ism, "gaussian_blur", counting_blur)
         ism_maps(frames, {0: gt, 4: gt}, 4)
