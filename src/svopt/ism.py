@@ -109,20 +109,21 @@ class DisparityMap:
 
 @dataclass(frozen=True, eq=False)
 class MotionField:
-    """Dense per-pixel displacement (dx, dy) in pixels."""
+    """Dense per-pixel displacement (dx, dy) in whole pixels, kept as int32."""
 
     dx: np.ndarray
     dy: np.ndarray
 
     def __post_init__(self) -> None:
-        dx = np.asarray(self.dx, dtype=np.float32)
-        dy = np.asarray(self.dy, dtype=np.float32)
+        dx, dy = np.asarray(self.dx), np.asarray(self.dy)
         if dx.shape != dy.shape or dx.ndim != 2:
             raise ValueError("dx and dy must be equal-shape 2-d arrays")
-        if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
-            raise ValueError("motion components must be finite")
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
+        for name, arr in (("dx", dx), ("dy", dy)):
+            with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values fail the compare
+                whole = arr.astype(np.int32, copy=False)
+            if whole is not arr and not np.array_equal(whole, arr):
+                raise ValueError(f"motion {name} must hold whole pixels in int32 range")
+            object.__setattr__(self, name, whole)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +181,9 @@ def propagate(
 ) -> CorrespondenceSet:
     """Displace each side of every pair by its own motion vector.
 
-    Each side moves by the motion at its pixel, rounded to the nearest
-    whole pixel (halves to even); pairs that leave the frame on either
-    side are dropped. Every pair must start inside the motion fields.
-    Pairs are moved PAIR_CHUNK at a time into the kept pairs' arrays.
+    Each side moves by the motion at its pixel; pairs that leave the frame
+    on either side are dropped. Every pair must start inside the motion
+    fields. Pairs are moved PAIR_CHUNK at a time into the kept pairs' arrays.
     """
     h, w = mf_left.dx.shape
     if mf_right.dx.shape != (h, w):
@@ -195,11 +195,9 @@ def propagate(
     def _move(xs, ys, mf):
         at = ys * w
         at += xs
-        step = mf.dx.ravel().take(at)
-        nx = np.rint(step, out=step).astype(np.int32)
+        nx = mf.dx.ravel().take(at)
         nx += xs
-        mf.dy.ravel().take(at, out=step)
-        ny = np.rint(step, out=step).astype(np.int32)
+        ny = mf.dy.ravel().take(at)
         ny += ys
         return nx, ny, _inside(nx, ny, h, w)
 
@@ -255,30 +253,41 @@ MOTION_BLOCK = 5
 MOTION_RADIUS = 2
 BLUR_SIGMA = 1.0
 BLUR_RADIUS = 2
-# the refinement: SAD block side and search radius around the guess
+# the refinement: SAD block side and search radius around the guess. Both
+# blocks stay 5, the patch side `_box_cost` sums
 REFINE_BLOCK = 5
 REFINE_RADIUS = 2
 
 
-def _sum_terms(terms: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays (into `out` if given)."""
-    acc = np.add(terms[0], terms[1], out=out)
-    for t in terms[2:]:
-        acc += t
-    return acc
+def _sum5(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums of 5 consecutive entries along a's first axis, as (2 + 2) + 1.
 
-
-def _box_cost(padded: np.ndarray) -> np.ndarray:
-    """Per-pixel SAD over REFINE_BLOCK-square patches of an edge-padded |diff|.
-
-    `padded` carries a REFINE_BLOCK // 2 border on its last two axes (the
-    frame edge-clamped, as `np.pad(mode="edge")` makes it); the result
-    drops it. REFINE_BLOCK rows are summed, then that many column sums.
+    Adjacent entries are added once, then those pair sums two apart, then
+    the fifth entry: three adds where a running sum takes four.
     """
-    h = padded.shape[-2] - REFINE_BLOCK + 1
-    w = padded.shape[-1] - REFINE_BLOCK + 1
-    rows = _sum_terms([padded[..., i : i + h, :] for i in range(REFINE_BLOCK)])
-    return _sum_terms([rows[..., j : j + w] for j in range(REFINE_BLOCK)])
+    n = len(a) - 4
+    pair = np.add(a[: n + 2], a[1 : n + 3])
+    out = np.add(pair[:n], pair[2:], out=out)
+    out += a[4:]
+    return out
+
+
+def _box_cost(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-pixel SAD over 5-square patches of an edge-padded |diff|, into `out` if given.
+
+    `padded` is C-contiguous, shape (..., h + 4, W), with a 2-entry border
+    on its last two axes (the frame edge-clamped, as `np.pad(mode="edge")`
+    makes it). Rows are summed, then columns along the flat buffer, so
+    each add sweeps contiguous memory; both take `_sum5`'s three adds.
+    The result drops the border. `out`, if given, is C-contiguous of
+    shape (..., h, W): its entry [..., y, j] sums the patch over columns
+    j..j+4, and its last 4 columns are junk, sums that straddle two rows
+    or are never written.
+    """
+    rows = _sum5(padded.swapaxes(0, -2)).swapaxes(0, -2)
+    out = np.empty(rows.shape, rows.dtype) if out is None else out
+    _sum5(rows.ravel(), out.ravel()[:-4])
+    return out[..., :-4]
 
 
 def _offsets(radius: int) -> list[tuple[int, int]]:
@@ -301,57 +310,55 @@ def _search_band(p: np.ndarray, warped: np.ndarray, lo: int, y0: int,
 
     For p's rows [y0, y0 + rows). `warped` holds the warped frame's rows
     from `lo` on, every row within MOTION_RADIUS + MOTION_BLOCK // 2 of
-    the band that lies in the frame. Offsets are tried in `_offsets`
-    order and only a strictly smaller SAD replaces the best so far, so
-    ties keep the earlier offset.
+    the band that lies in the frame. Of equal SADs the earliest offset in
+    `_offsets` order wins.
+
+    Both frames are scaled once by 2**key_bits, key_bits being the bits of
+    the last offset index k, so offset k's sum comes out as SAD << key_bits
+    and adding k makes the key SAD << key_bits | k. One `np.minimum` per
+    offset keeps the least key: the least SAD, then the earliest offset,
+    whose k is the key's low bits. With 16-bit samples (16x in the pyramid) the
+    largest key, MOTION_BLOCK**2 * 16 * 65535 << key_bits plus k, is
+    838.8 M < 2**31 at MOTION_RADIUS 2 (25 offsets, key_bits 5); radius 4
+    (81 offsets, key_bits 7) would wrap the int32, and a test fails first.
 
     The rows are padded to one row stride, so that the band's rows lie
     end to end in flat buffers, one per dy, and each dx is a flat offset:
-    the subtract, the box sums and the running best each sweep one
-    contiguous buffer. Every SAD is an exact int32 sum. Sums over p's
-    zero border columns are junk, but the edge padding of the diff takes
-    its edge columns' sums, and the best offset is cropped to the frame.
+    the subtract sweeps one contiguous buffer. Its columns over p's zero
+    border are junk, so the diff's border columns take its edge columns'
+    values, as edge padding makes them, and `_box_cost` sums rows, then
+    columns, as (2 + 2) + 1 into the band's reused cost buffer.
     """
     h, w = p.shape
     r, half = MOTION_RADIUS, MOTION_BLOCK // 2
     border = max(r, half)
     stride = w + 2 * border
     offsets = _offsets(r)
+    key_bits = (len(offsets) - 1).bit_length()
     # band rows plus a `half` halo, clamped: the edge padding of the diff image
     cy = np.clip(np.arange(y0 - half, y0 + rows + half), 0, h - 1)
     p_rows = np.pad(p[cy], ((0, 0), (border, border))).ravel()
+    p_rows <<= key_bits
     # the warped frame edge-padded: a clamped shift by (dy, dx) is a row pick and a flat offset
     src = np.pad(warped, ((0, 0), (border, border)), mode="edge")
+    src <<= key_bits
     src_rows = {dy: src[np.clip(cy + dy, 0, h - 1) - lo].ravel() for dy in range(-r, r + 1)}
-    n, m = p_rows.size, rows * stride
+    n = p_rows.size
     # the band's sweep buffers, which every offset reuses
-    diff = np.zeros(n, np.int32)
-    inner = diff[border : n - border]
-    cols = np.empty(m, np.int32)
-    cost = np.empty(m - 2 * half, np.int32)
-    less = np.empty(cost.size, bool)
-    best_k = np.zeros(cost.size, np.min_scalar_type(len(offsets)))
-    less_k = np.empty(cost.size, best_k.dtype)
+    diff = np.zeros((len(cy), stride), np.int32)
+    inner = diff.ravel()[border : n - border]
+    cost = np.empty((rows, stride), np.int32)
+    best = np.full_like(cost, np.iinfo(np.int32).max)
     for k, (dy, dx) in enumerate(offsets):
         np.subtract(p_rows[border : n - border],
                     src_rows[dy][border + dx : n - border + dx], out=inner)
         np.abs(inner, out=inner)
-        _sum_terms([diff[i * stride : i * stride + m] for i in range(MOTION_BLOCK)], cols)
-        # a border column of the edge-padded diff sums to its edge column's sum
-        grid = cols.reshape(rows, stride)
-        grid[:, border - half : border] = grid[:, border : border + 1]
-        grid[:, border + w : border + w + half] = grid[:, border + w - 1 : border + w]
-        _sum_terms([cols[j : m - 2 * half + j] for j in range(MOTION_BLOCK)], cost)
-        if k == 0:
-            best_cost = cost.copy()
-            continue
-        # k only grows, so "k where the SAD is less" is the larger of the two
-        np.less(cost, best_cost, out=less)
-        np.maximum(best_k, np.multiply(less, best_k.dtype.type(k), out=less_k), out=best_k)
-        np.minimum(best_cost, cost, out=best_cost)
-    # the flat index in `cost` of the band's pixel (y, x)
-    crop = np.arange(0, m, stride)[:, None] + np.arange(border - half, border - half + w)
-    best = best_k[crop]
+        diff[:, border - half : border] = diff[:, border : border + 1]
+        diff[:, border + w : border + w + half] = diff[:, border + w - 1 : border + w]
+        _box_cost(diff, cost)
+        cost += k
+        np.minimum(best, cost, out=best)
+    best = best[:, border - half : border - half + w] & ((1 << key_bits) - 1)
     dys, dxs = (np.array(axis, np.int32) for axis in zip(*offsets))
     return dys.take(best), dxs.take(best)
 
@@ -375,11 +382,12 @@ def estimate_motion(prev: list[np.ndarray], cur: list[np.ndarray]) -> MotionFiel
     Coarse to fine: at each level the flow carried up from the coarser
     level warps `cur`, a block-SAD search over a small residual window
     updates every pixel, and the field is clamped to stay inside the
-    frame. Integer flow. A frame's pyramid can serve as `cur` for one
-    field and as `prev` for the next.
+    frame. The flow is int32, in whole pixels. A frame's pyramid can
+    serve as `cur` for one field and as `prev` for the next.
 
-    Each level is warped and searched in bands of MOTION_BAND rows, whose
-    buffers stay in cache; only each level's field is frame-sized.
+    Each level is warped and searched in bands of MOTION_BAND rows, each
+    taking the coarser level's flow for its own rows only; the bands'
+    buffers stay in cache, and only each level's field is frame-sized.
     """
     if [p.shape for p in prev] != [c.shape for c in cur]:
         raise ValueError("pyramids must share their levels and extents")
@@ -389,7 +397,7 @@ def estimate_motion(prev: list[np.ndarray], cur: list[np.ndarray]) -> MotionFiel
     for p, c in zip(prev[::-1], cur[::-1]):
         h, w = p.shape
         xs = np.arange(w, dtype=np.int32)
-        field = np.empty((2, h, w), np.float32)
+        field = np.empty((2, h, w), np.int32)
         for y0 in range(0, h, MOTION_BAND):
             rows = min(MOTION_BAND, h - y0)
             lo, hi = max(y0 - halo, 0), min(y0 + rows + halo, h)
@@ -397,10 +405,10 @@ def estimate_motion(prev: list[np.ndarray], cur: list[np.ndarray]) -> MotionFiel
             # the flow carried up to rows lo..hi, as the in-frame pixel it points at
             if flow is None:
                 fx, fy = np.zeros((2, hi - lo, w), np.int32)
-            elif flow.shape[1:] == (h, w):
-                fx, fy = flow[:, lo:hi].astype(np.int32)
             else:
-                fx, fy = flow[:, ys // 2, xs // 2].astype(np.int32) * 2
+                # pixel (y, x) takes the coarse flow at (y // 2, x // 2), doubled
+                up = (flow[:, lo // 2 : (hi + 1) // 2] * 2).repeat(2, axis=1)
+                fx, fy = up[:, lo % 2 : lo % 2 + hi - lo].repeat(2, axis=2)[..., :w]
             tx = np.clip(xs + fx, 0, w - 1)
             ty = np.clip(ys + fy, 0, h - 1)
             dy, dx = _search_band(p, c.ravel().take(ty * w + tx), lo, y0, rows)
@@ -577,8 +585,8 @@ def nonkey_operation_count(width: int, height: int) -> int:
     refinement. SAD costs are charged at 7 ops per pixel per candidate
     (difference, absolute value, two incremental box-sum updates, compare
     and select), the cost of a running-sum box filter. The code spends
-    more per candidate: its box sums add 2 * (REFINE_BLOCK - 1) terms
-    directly.
+    more per candidate: its box sums take three adds per axis, (2 + 2)
+    + 1, and the motion search keeps its best with an add and a minimum.
 
     Refinement is charged 2 * REFINE_RADIUS + 1 candidates per pixel, the
     search window of a usable guess. `refine` scores the distinct

@@ -90,3 +90,19 @@ def make_two_plane_sequence(panorama, n_frames, height, width, d_back, d_front, 
         frames.append(pair)
         truths.append(gt)
     return frames, truths
+
+
+def make_approaching_sequence(panorama, n_frames, height, width, d_back, d_front, box, growth):
+    """`make_two_plane` frames of a box that approaches the camera.
+
+    The box's disparity starts at `d_front` and grows by `growth` px per
+    frame; the box keeps its place in the left view and the wall stands
+    still, so only the right view's box moves. Returns the stereo frames
+    and each frame's ground truth.
+    """
+    frames, truths = [], []
+    for t in range(n_frames):
+        pair, gt = make_two_plane(panorama, height, width, d_back, d_front + growth * t, box)
+        frames.append(pair)
+        truths.append(gt)
+    return frames, truths

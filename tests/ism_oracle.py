@@ -106,7 +106,7 @@ def estimate_motion(prev: Frame, cur: Frame) -> MotionField:
                 best_dx = np.where(better, dx, best_dx)
         fx = np.clip(fx + best_dx, -xs, w - 1 - xs)
         fy = np.clip(fy + best_dy, -ys, h - 1 - ys)
-    return MotionField(fx.astype(np.float32), fy.astype(np.float32))
+    return MotionField(fx, fy)
 
 
 def refine(

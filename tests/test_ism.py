@@ -25,7 +25,8 @@ from svopt.ism import (
 )
 from svopt.tensor import Tensor, conv_valid
 import ism_oracle as oracle
-from conftest import ism_maps, make_sequence, make_two_plane, make_two_plane_sequence
+from conftest import (
+    ism_maps, make_approaching_sequence, make_sequence, make_two_plane, make_two_plane_sequence)
 
 BUMBLEBEE_LIKE = CameraRig(baseline_m=0.12, focal_length_m=0.0025, pixel_pitch_m=7.4e-6)
 
@@ -83,6 +84,24 @@ class TestReconstruct:
         d = rng.integers(-1, 6, (6, 8)).astype(np.int32)
         dmap = DisparityMap(d)
         assert len(reconstruct(dmap)) == int(dmap.valid_mask().sum())
+
+
+class TestMotionField:
+    @pytest.mark.parametrize("bad", [0.5, -1.5, np.nan, np.inf, 2.0**31])
+    def test_flow_that_is_not_a_whole_int32_rejected(self, bad):
+        # fractional flow is refused, not rounded
+        dx = np.zeros((2, 3))
+        dx[1, 2] = bad
+        with pytest.raises(ValueError, match="dx must hold whole pixels"):
+            MotionField(dx, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="dy must hold whole pixels"):
+            MotionField(np.zeros((2, 3)), dx)
+
+    def test_whole_valued_floats_kept_as_int32(self):
+        mf = MotionField(np.full((2, 3), -2.0, np.float32), np.full((2, 3), 3.0))
+        assert mf.dx.dtype == mf.dy.dtype == np.int32
+        assert mf.dx.tolist() == [[-2] * 3] * 2
+        assert mf.dy.tolist() == [[3] * 3] * 2
 
 
 class TestPropagate:
@@ -233,6 +252,10 @@ class TestEstimateMotion:
         interior = (slice(8, 40), slice(8, 56))
         assert abs(float(np.median(mf.dx[interior])) - 2.0) <= 0.5
         assert abs(float(np.median(mf.dy[interior]))) <= 0.5
+
+    def test_fields_are_int32(self, panorama):
+        mf = motion(Frame(panorama[20:68, 30:94].copy()), Frame(panorama[20:68, 28:92].copy()))
+        assert mf.dx.dtype == mf.dy.dtype == np.int32
 
     def test_field_covers_every_pixel(self, panorama):
         prev = Frame(panorama[:32, :40].copy())
@@ -419,6 +442,36 @@ class TestIsmRun:
         maps = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4)
         got = hashlib.sha256(b"".join(m.d.tobytes() for m in maps)).hexdigest()
         assert got == "9a5570f8c4ef68aac35306dc34d2d76a2ca0e72e42b45e9e6f25249699128a19"
+
+    # a box approaching the camera over a still D=8 wall: its disparity grows from 20
+    # by 1, 2 or 3 px per frame, so each pair's two sides move apart. Floors are the
+    # scores of the two-flow propagation that first ran this scene
+    APPROACHING = {1: (99.99, 99.94, 99.90), 2: (99.22, 98.62, 98.06), 3: (99.45, 98.88, 98.30)}
+
+    @pytest.fixture(scope="class")
+    def approaching(self, panorama):
+        """Each growth's emitted maps and ground truths."""
+        runs = {}
+        for growth in self.APPROACHING:
+            frames, truths = make_approaching_sequence(
+                panorama, 5, 120, 240, 8, 20, (30, 60, 90, 150), growth)
+            runs[growth] = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4), truths
+        return runs
+
+    @pytest.mark.parametrize("growth", sorted(APPROACHING))
+    def test_approaching_box_keeps_per_frame_floors(self, approaching, growth):
+        maps, truths = approaching[growth]
+        scores = [three_pixel_error(m, gt) for m, gt in zip(maps, truths)]
+        for score, floor in zip(scores[1:4], self.APPROACHING[growth]):
+            assert score >= floor
+
+    def test_approaching_box_output_is_pinned(self, approaching):
+        # the maps of all three growths: a scene with depth change, pinned as the
+        # moving two-plane scene is
+        got = hashlib.sha256()
+        for growth in sorted(approaching):
+            got.update(b"".join(m.d.tobytes() for m in approaching[growth][0]))
+        assert got.hexdigest() == "d5701a765788d440e29dbe79e508ee95e7618c2433c0a5a846e0140b09eb16ad"
 
     def test_pw_below_two_rejected(self, panorama):
         frames, gt = make_sequence(panorama, 2, 48, 64, disparity=4)

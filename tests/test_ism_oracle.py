@@ -11,7 +11,8 @@ import pytest
 import ism_oracle as oracle
 from svopt import ism
 from svopt.ism import (
-    INVALID_DISPARITY, MOTION_RADIUS, REFINE_BLOCK, REFINE_RADIUS, DisparityMap, Frame)
+    INVALID_DISPARITY, MOTION_BLOCK, MOTION_RADIUS, REFINE_BLOCK, REFINE_RADIUS, DisparityMap,
+    Frame)
 from conftest import make_sequence, make_two_plane_sequence
 
 # (129, 67): two motion bands and a 1-row remainder, one refine tile and a
@@ -171,6 +172,36 @@ def test_full_range_16_bit_frames_match_oracle(shape, texture):
     for init in (random_guesses(rng, shape), smooth_guesses(rng, shape)):
         fast, slow = refine_both(prev, cur, init)
         assert_same(fast.d, slow.d)
+
+
+@pytest.mark.parametrize("shape", [(40, 70), (129, 67)])
+@pytest.mark.parametrize("texture", ["white", "speckled"])
+@pytest.mark.parametrize("order", ["black_to_white", "white_to_black"])
+def test_black_against_white_16_bit_frames_match_oracle(shape, texture, order):
+    # the largest SADs a 16-bit frame allows, so the motion search's keys
+    # SAD << key_bits | k are at their largest too. Against plain white every offset
+    # ties; a third of the speckled frame's samples are black, so its SADs range
+    # around the key's top bit, where an int32 key that wraps would misorder them
+    rng = np.random.default_rng(shape[0])
+    lit = np.ones(shape, bool) if texture == "white" else rng.random(shape) >= 1 / 3
+    black, white = Frame(np.zeros(shape, np.uint16)), Frame((lit * 65535).astype(np.uint16))
+    prev, cur = (black, white) if order == "black_to_white" else (white, black)
+    fast = ism.estimate_motion(ism.motion_pyramid(prev), ism.motion_pyramid(cur))
+    slow = oracle.estimate_motion(prev, cur)
+    assert_same(fast.dx, slow.dx)
+    assert_same(fast.dy, slow.dy)
+    for init in (random_guesses(rng, shape), smooth_guesses(rng, shape)):
+        fast, slow = refine_both(prev, cur, init)
+        assert_same(fast.d, slow.d)
+
+
+def test_motion_key_fits_int32_with_16_bit_samples():
+    # `_search_band` keeps SAD << key_bits | k in int32, where key_bits holds the last
+    # offset index k; a wider search (radius 4 needs key_bits 7) would wrap it
+    offsets = (2 * MOTION_RADIUS + 1) ** 2
+    key_bits = (offsets - 1).bit_length()
+    largest_sad = MOTION_BLOCK**2 * 65535 * 16  # the pyramid holds 16x samples
+    assert (largest_sad << key_bits) + offsets - 1 < 2**31
 
 
 @pytest.mark.parametrize("scene", ["pan", "two_plane"])
