@@ -11,12 +11,13 @@ and DRAM time for that round.
 
 import math
 
+import numpy as np
+
 from svopt import (
     HardwareConfig,
     LayerKind,
     LayerSpec,
     ScheduleMode,
-    Tensor,
     dense_equivalent,
     solve,
     total_latency,
@@ -32,7 +33,7 @@ layer = LayerSpec(
     ifmap=(48, 27),
     stride=2,
 )
-kernel_set = decompose_nd(Tensor.zeros(layer.kernel))
+kernel_set = decompose_nd(np.zeros(layer.kernel))
 hw = HardwareConfig(pe_rows=16, pe_cols=16, buffer_capacity=131072, bandwidth=8.0)
 
 print(f"layer: {layer.ifmap} ifmap, {layer.kernel} kernel, "

@@ -9,9 +9,8 @@ the original input, and a gather interleaves their outputs.
 import numpy as np
 
 from svopt import (
-    Tensor,
     deconv_reference,
-    decompose_2d,
+    decompose_nd,
     redundant_mac_fraction,
     transformed_deconv,
     upsample_zero,
@@ -20,27 +19,27 @@ from svopt.deconv import transform_multiply_count
 
 rng = np.random.default_rng(0)
 
-kernel = Tensor(np.arange(1, 10, dtype=np.float32).reshape(3, 3))
+kernel = np.arange(1, 10, dtype=np.float32).reshape(3, 3)
 print("original 3x3 kernel:")
-print(kernel.array, end="\n\n")
+print(kernel, end="\n\n")
 
 print("parity slices (phase, offset bits, extents):")
-kernel_set = decompose_2d(kernel)
+kernel_set = decompose_nd(kernel)
 for sub in kernel_set.kernels:
     print(f"  phase {sub.phase_index}  delta={sub.delta}  dims={sub.dims}")
-    print(f"{sub.tensor.array}\n" if not sub.is_empty else "  (empty)\n")
+    print(f"{sub.array}\n" if not sub.is_empty else "  (empty)\n")
 
-ifmap = Tensor(rng.integers(-4, 5, (3, 3)).astype(np.float32))
+ifmap = rng.integers(-4, 5, (3, 3)).astype(np.float32)
 print("what the naive path convolves (3x3 input zero-upsampled to 7x7):")
-print(upsample_zero(ifmap).array, end="\n\n")
+print(upsample_zero(ifmap), end="\n\n")
 
 reference = deconv_reference(ifmap, kernel)
 transformed = transformed_deconv(ifmap, kernel)
 print("reference ofmap:")
-print(reference.array, end="\n\n")
+print(reference, end="\n\n")
 print("transformed ofmap (sub-convolutions + gather):")
-print(transformed.array, end="\n\n")
-assert np.array_equal(reference.array, transformed.array)
+print(transformed, end="\n\n")
+assert np.array_equal(reference, transformed)
 
 fraction = redundant_mac_fraction((3, 3), (3, 3))
 total_macs = reference.size * kernel.size

@@ -1,10 +1,10 @@
 """Deconvolution-to-convolution transformation, systolic-array schedule
 optimization, and stereo correspondence propagation."""
 
-from .tensor import ShapeError, Tensor, conv_valid, deconv_reference, \
-    redundant_mac_fraction, upsample_zero
-from .deconv import SubKernel, SubKernelSet, decompose_2d, decompose_nd, gather, \
-    transform_multiply_count, transformed_deconv
+from .tensor import ShapeError, conv_valid, deconv_reference, redundant_mac_fraction, \
+    upsample_zero
+from .deconv import SubKernel, SubKernelSet, decompose_nd, gather, transform_multiply_count, \
+    transformed_deconv
 from .perfmodel import (
     HardwareConfig,
     InfeasibleScheduleError,

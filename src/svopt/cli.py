@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .deconv import SubKernelSet, decompose_nd
 from .formats import (
     SpecValidationError,
@@ -37,7 +39,6 @@ from .perfmodel import (
 )
 from .pgm import frame_from_pgm, read_disparity, read_pgm_header, read_sidecar, write_disparity
 from .scheduler import ScheduleMode, solve
-from .tensor import Tensor
 
 MODES = ("baseline", "convr", "ilar")
 MODE_HELP = (
@@ -84,7 +85,7 @@ def _effective_layer(
         return layer, None, ScheduleMode.CONV_R
     if mode == "baseline":
         return dense_equivalent(layer), None, ScheduleMode.CONV_R
-    kernel_set = decompose_nd(Tensor.zeros(layer.kernel))
+    kernel_set = decompose_nd(np.zeros(layer.kernel))
     if mode == "ilar":
         return layer, kernel_set, ScheduleMode.ILAR
     return layer, kernel_set, ScheduleMode.CONV_R

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DTYPE, ShapeError, Tensor, conv_valid, upsampled_dims, valid_dims
+from .tensor import DTYPE, ShapeError, as_array, conv_valid, upsampled_dims, valid_dims
 
 __all__ = [
     "SubKernel",
     "SubKernelSet",
-    "decompose_2d",
     "decompose_nd",
     "deconv_output_dims",
     "gather",
@@ -40,24 +39,25 @@ __all__ = [
 MAX_RANK = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubKernel:
     """One parity slice of a decomposed kernel.
 
     Element (i0, ..., i_{N-1}) of the slice equals original-kernel element
     (2*i0 + delta_0, ..., 2*i_{N-1} + delta_{N-1}). The extents follow
     ceil((K_j - delta_j) / 2); a slice with a zero extent carries no
-    tensor and never contributes a sub-convolution.
+    array and never contributes a sub-convolution. Compared by identity,
+    as a field-wise __eq__ over an ndarray raises.
     """
 
     phase_index: int
     delta: tuple[int, ...]
     dims: tuple[int, ...]
-    tensor: Tensor | None
+    array: np.ndarray | None
 
     @property
     def is_empty(self) -> bool:
-        return self.tensor is None
+        return self.array is None
 
     @property
     def element_count(self) -> int:
@@ -92,27 +92,16 @@ def parity_classes(kernel_dims):
         yield k, delta, tuple((e - d + 1) // 2 for e, d in zip(kernel_dims, delta))
 
 
-def decompose_nd(kernel: Tensor) -> SubKernelSet:
+def decompose_nd(kernel) -> SubKernelSet:
     """Split a rank-N kernel (1 <= N <= 4) into its 2^N parity slices."""
-    n = kernel.rank
-    if not 1 <= n <= MAX_RANK:
-        raise ShapeError(f"decomposition supports rank 1..{MAX_RANK}, got rank {n}")
+    kernel = as_array(kernel)
+    if kernel.ndim > MAX_RANK:
+        raise ShapeError(f"decomposition supports rank 1..{MAX_RANK}, got rank {kernel.ndim}")
     subs = []
-    for k, delta, dims in parity_classes(kernel.dims):
-        view = kernel.array[tuple(slice(d, None, 2) for d in delta)]
-        subs.append(SubKernel(k, delta, dims, Tensor(view.copy()) if all(dims) else None))
-    return SubKernelSet(kernel.dims, tuple(subs))
-
-
-def decompose_2d(kernel: Tensor) -> SubKernelSet:
-    """Split a rank-2 kernel into its four parity slices.
-
-    Phase 0 holds the even-row/even-column elements, phase 1 odd rows,
-    phase 2 odd columns, phase 3 odd rows and columns.
-    """
-    if kernel.rank != 2:
-        raise ShapeError(f"decompose_2d needs a rank-2 kernel, got rank {kernel.rank}")
-    return decompose_nd(kernel)
+    for k, delta, dims in parity_classes(kernel.shape):
+        view = kernel[tuple(slice(d, None, 2) for d in delta)]
+        subs.append(SubKernel(k, delta, dims, view.copy() if all(dims) else None))
+    return SubKernelSet(kernel.shape, tuple(subs))
 
 
 def deconv_output_dims(ifmap_dims, kernel_dims) -> tuple[int, ...]:
@@ -141,17 +130,17 @@ def phases(out_dims, kernel_dims):
     return tuple(owned)
 
 
-def gather(sub_ofmaps, kernel_set: SubKernelSet, out_dims) -> Tensor:
+def gather(sub_ofmaps, kernel_dims, out_dims) -> np.ndarray:
     """Interleave per-parity sub-ofmaps into the final ofmap.
 
     Expects one sub-ofmap, of exactly the owned counts, per entry of
-    phases(out_dims, kernel_set.source_dims), in phase order: the valid
+    phases(out_dims, kernel_dims), in phase order: the valid
     convolution of each owning sub-kernel over the full ifmap. Distinct
     phases own disjoint parity classes; a class no phase owns is
     structurally zero and stays zero-filled.
     """
     out_dims = tuple(out_dims)
-    owned = phases(out_dims, kernel_set.source_dims)
+    owned = phases(out_dims, kernel_dims)
     if len(sub_ofmaps) != len(owned):
         raise ShapeError(
             f"{len(sub_ofmaps)} sub-ofmaps supplied for {len(owned)} phases that own "
@@ -159,16 +148,17 @@ def gather(sub_ofmaps, kernel_set: SubKernelSet, out_dims) -> Tensor:
         )
     out = np.zeros(out_dims, dtype=DTYPE)
     for sof, (k, _, parity, counts) in zip(sub_ofmaps, owned):
-        if sof.dims != counts:
+        sof = as_array(sof)
+        if sof.shape != counts:
             raise ShapeError(
-                f"sub-ofmap for phase {k} has dims {sof.dims}, "
+                f"sub-ofmap for phase {k} has dims {sof.shape}, "
                 f"expected {counts} for out_dims {out_dims}"
             )
-        out[tuple(slice(p, p + 2 * c, 2) for p, c in zip(parity, counts))] = sof.array
-    return Tensor(out)
+        out[tuple(slice(p, p + 2 * c, 2) for p, c in zip(parity, counts))] = sof
+    return out
 
 
-def transformed_deconv(ifmap: Tensor, kernel: Tensor) -> Tensor:
+def transformed_deconv(ifmap, kernel) -> np.ndarray:
     """Deconvolution via decomposition: dense sub-convolutions plus a gather.
 
     Numerically equal to deconv_reference(ifmap, kernel); the multiply
@@ -176,11 +166,12 @@ def transformed_deconv(ifmap: Tensor, kernel: Tensor) -> Tensor:
     owning sub-kernel convolves the original ifmap, which holds no
     inserted zero.
     """
-    out_dims = deconv_output_dims(ifmap.dims, kernel.dims)
+    ifmap, kernel = as_array(ifmap), as_array(kernel)
+    out_dims = deconv_output_dims(ifmap.shape, kernel.shape)
     kernel_set = decompose_nd(kernel)
-    sub_ofmaps = [conv_valid(ifmap, kernel_set.kernels[k].tensor)
-                  for k, *_ in phases(out_dims, kernel.dims)]
-    return gather(sub_ofmaps, kernel_set, out_dims)
+    sub_ofmaps = [conv_valid(ifmap, kernel_set.kernels[k].array)
+                  for k, *_ in phases(out_dims, kernel.shape)]
+    return gather(sub_ofmaps, kernel.shape, out_dims)
 
 
 def transform_multiply_count(ifmap_dims, kernel_dims) -> int:

@@ -78,11 +78,21 @@ class Frame:
         return self.luma.shape[0]
 
 
+def _whole_int32(name: str, values) -> np.ndarray:
+    """`values` as int32, refusing any value the cast would change; int32 comes back as given."""
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values fail the compare
+        whole = arr.astype(np.int32, copy=False)
+    if whole is not arr and not np.array_equal(whole, arr):
+        raise ValueError(f"{name} must hold whole pixels in int32 range")
+    return whole
+
+
 @dataclass(frozen=True, eq=False)
 class DisparityMap:
     """Per-pixel integer disparity; INVALID_DISPARITY marks holes.
 
-    An int32 array is kept as given, not copied, as a Frame keeps its luma.
+    Whole values only; an int32 array is kept as given, not copied, as a Frame keeps its luma.
     """
 
     d: np.ndarray
@@ -91,7 +101,7 @@ class DisparityMap:
         arr = np.asarray(self.d)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"disparity map needs a non-empty 2-d array, got shape {arr.shape}")
-        object.__setattr__(self, "d", np.asarray(arr, dtype=np.int32))
+        object.__setattr__(self, "d", _whole_int32("disparity", arr))
 
     @property
     def width(self) -> int:
@@ -119,11 +129,7 @@ class MotionField:
         if dx.shape != dy.shape or dx.ndim != 2:
             raise ValueError("dx and dy must be equal-shape 2-d arrays")
         for name, arr in (("dx", dx), ("dy", dy)):
-            with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range values fail the compare
-                whole = arr.astype(np.int32, copy=False)
-            if whole is not arr and not np.array_equal(whole, arr):
-                raise ValueError(f"motion {name} must hold whole pixels in int32 range")
-            object.__setattr__(self, name, whole)
+            object.__setattr__(self, name, _whole_int32(f"motion {name}", arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +146,11 @@ class CorrespondenceSet:
     yr: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = [np.asarray(a, dtype=np.int32) for a in (self.xl, self.yl, self.xr, self.yr)]
+        names = ("xl", "yl", "xr", "yr")
+        arrays = [_whole_int32(name, getattr(self, name)) for name in names]
         if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
             raise ValueError("coordinate arrays must be equal-length 1-d")
-        for name, arr in zip(("xl", "yl", "xr", "yr"), arrays):
+        for name, arr in zip(names, arrays):
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:

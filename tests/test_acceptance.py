@@ -13,7 +13,6 @@ import pytest
 
 from svopt.cli import main
 from svopt.deconv import (
-    decompose_2d,
     decompose_nd,
     deconv_output_dims,
     transform_multiply_count,
@@ -33,7 +32,6 @@ from svopt.perfmodel import (
 )
 from svopt.scheduler import ScheduleMode, solve
 from svopt.tensor import (
-    Tensor,
     deconv_reference,
     redundant_mac_fraction,
     upsample_zero,
@@ -47,14 +45,14 @@ def announce(number, text):
 
 
 def test_criterion_01_decomposition_shapes():
-    kernel = Tensor(np.arange(9, dtype=np.float32).reshape(3, 3))
-    ks = decompose_2d(kernel)
+    kernel = np.arange(9, dtype=np.float32).reshape(3, 3)
+    ks = decompose_nd(kernel)
     shapes = [sub.dims for sub in ks.kernels]
     assert shapes == [(2, 2), (1, 2), (2, 1), (1, 1)]
     t0 = time.perf_counter()
     repeats = 200
     for _ in range(repeats):
-        decompose_2d(kernel)
+        decompose_nd(kernel)
     per_call = (time.perf_counter() - t0) / repeats
     assert per_call < 1e-3
     announce(1, f"3x3 kernel splits into {{2x2, 1x2, 2x1, 1x1}} in {per_call * 1e6:.0f} us/call")
@@ -62,14 +60,14 @@ def test_criterion_01_decomposition_shapes():
 
 def test_criterion_02_nd_generalization():
     kernel = np.arange(27, dtype=np.float32).reshape(3, 3, 3)
-    ks = decompose_nd(Tensor(kernel))
+    ks = decompose_nd(kernel)
     assert len(ks.kernels) == 8
     assert sum(sub.element_count for sub in ks.kernels) == 27
     for sub in ks.kernels:
         assert sub.delta == tuple((sub.phase_index >> j) & 1 for j in range(3))
         for idx in itertools.product(*(range(d) for d in sub.dims)):
             src = tuple(2 * i + d for i, d in zip(idx, sub.delta))
-            assert sub.tensor.array[idx] == kernel[src]
+            assert sub.array[idx] == kernel[src]
     announce(2, "3x3x3 kernel yields 8 sub-kernels, 27 elements, bit mapping verified for all 8 phases")
 
 
@@ -85,18 +83,18 @@ def test_criterion_03_transformation_equivalence():
         if any(k > 2 * n + 1 for k, n in zip(kdims, idims)):
             continue
         if (float_cases + int_cases) % 5 == 0:
-            ifmap = Tensor(rng.integers(-9, 10, idims).astype(np.float32))
-            kernel = Tensor(rng.integers(-9, 10, kdims).astype(np.float32))
+            ifmap = rng.integers(-9, 10, idims).astype(np.float32)
+            kernel = rng.integers(-9, 10, kdims).astype(np.float32)
             got = transformed_deconv(ifmap, kernel)
             want = deconv_reference(ifmap, kernel)
-            assert np.array_equal(got.array, want.array)
+            assert np.array_equal(got, want)
             int_cases += 1
         else:
-            ifmap = Tensor(rng.uniform(-1, 1, idims).astype(np.float32))
-            kernel = Tensor(rng.uniform(-1, 1, kdims).astype(np.float32))
+            ifmap = rng.uniform(-1, 1, idims).astype(np.float32)
+            kernel = rng.uniform(-1, 1, kdims).astype(np.float32)
             got = transformed_deconv(ifmap, kernel)
             want = deconv_reference(ifmap, kernel)
-            diff = float(np.abs(got.array - want.array).max())
+            diff = float(np.abs(got - want).max())
             worst = max(worst, diff)
             assert diff <= 1e-4
             float_cases += 1
@@ -114,7 +112,7 @@ def test_criterion_04_redundancy_elimination():
     assert frac == 176 / 225
     assert frac >= 0.75
     for n in (1, 2, 3, 5):
-        up = upsample_zero(Tensor(np.ones((n, n, n))))
+        up = upsample_zero(np.ones((n, n, n)))
         assert 1.0 - n**3 / up.size >= 7 / 8
     rng = np.random.default_rng(7)
     checked = 0
@@ -138,7 +136,7 @@ def test_criterion_04_redundancy_elimination():
 
 def test_criterion_05_compute_bound_speedup():
     layer = LayerSpec("up", LayerKind.DECONV, (3, 3), 16, 8, (48, 48), 2)
-    kset = decompose_nd(Tensor.zeros((3, 3)))
+    kset = decompose_nd(np.zeros((3, 3)))
     hw = HardwareConfig(16, 16, 10**9, math.inf)
     dct = total_latency(
         solve(layer, kset, hw, ScheduleMode.ILAR), layer, kset, hw
@@ -165,7 +163,7 @@ def test_criterion_06_constraint_soundness():
         layer = LayerSpec(
             "r", kind, kernel, rng.randint(1, 4), rng.randint(1, 8), ifmap, stride
         )
-        kset = decompose_nd(Tensor.zeros(kernel)) if kind is LayerKind.DECONV else None
+        kset = decompose_nd(np.zeros(kernel)) if kind is LayerKind.DECONV else None
         hw = HardwareConfig(
             rng.randint(2, 10), rng.randint(2, 10), rng.randint(80, 4000),
             float(rng.choice([1, 2, 4, 8, 16])), double_buffered=rng.random() < 0.5,
@@ -203,7 +201,7 @@ def test_criterion_07_scheduler_oracle_gap():
             "s", LayerKind.DECONV, kernel, rng.randint(1, 2), rng.randint(1, 4),
             (rng.randint(4, 8), rng.randint(4, 8)), 2,
         )
-        kset = decompose_nd(Tensor.zeros(kernel))
+        kset = decompose_nd(np.zeros(kernel))
         hw = HardwareConfig(
             rng.randint(2, 5), rng.randint(2, 5), rng.randint(150, 700),
             float(rng.choice([2, 4, 8])),
@@ -237,7 +235,7 @@ def test_criterion_07_scheduler_oracle_gap():
 
 def test_criterion_08_solver_speed():
     layer = LayerSpec("up5", LayerKind.DECONV, (5, 5), 128, 64, (96, 54), 2)
-    kset = decompose_nd(Tensor.zeros((5, 5)))
+    kset = decompose_nd(np.zeros((5, 5)))
     hw = HardwareConfig(24, 24, 786432, 16.0)
     t0 = time.perf_counter()
     schedule = solve(layer, kset, hw, ScheduleMode.ILAR)

@@ -23,7 +23,7 @@ from svopt.ism import (
     three_pixel_error,
     triangulate,
 )
-from svopt.tensor import Tensor, conv_valid
+from svopt.tensor import conv_valid
 import ism_oracle as oracle
 from conftest import (
     ism_maps, make_approaching_sequence, make_sequence, make_two_plane, make_two_plane_sequence)
@@ -84,6 +84,51 @@ class TestReconstruct:
         d = rng.integers(-1, 6, (6, 8)).astype(np.int32)
         dmap = DisparityMap(d)
         assert len(reconstruct(dmap)) == int(dmap.valid_mask().sum())
+
+
+class TestDisparityMap:
+    @pytest.mark.parametrize("bad", [2.7, -0.5, np.nan, np.inf, 2.0**31])
+    def test_disparity_that_is_not_a_whole_int32_rejected(self, bad):
+        # truncating would turn 2.7 into 2 and NaN into -2**31
+        d = np.zeros((2, 3))
+        d[1, 2] = bad
+        with pytest.raises(ValueError, match="disparity must hold whole pixels"):
+            DisparityMap(d)
+
+    def test_int64_outside_int32_range_rejected(self):
+        # wrapping would turn 2**32 + 3 into 3
+        with pytest.raises(ValueError, match="disparity must hold whole pixels"):
+            DisparityMap(np.array([[2**32 + 3]]))
+
+    def test_int32_kept_as_given(self):
+        d = np.full((2, 3), 4, np.int32)
+        assert DisparityMap(d).d is d
+
+    def test_whole_values_of_other_dtypes_kept_as_int32(self):
+        for d in (np.full((2, 3), -1.0), np.full((2, 3), 7, np.uint16)):
+            got = DisparityMap(d).d
+            assert got.dtype == np.int32
+            assert np.array_equal(got, d)
+
+
+class TestCorrespondenceSet:
+    @pytest.mark.parametrize("name", ["xl", "yl", "xr", "yr"])
+    @pytest.mark.parametrize("bad", [1.9, 3.2, np.nan, 2**32 + 3])
+    def test_coordinate_that_is_not_a_whole_int32_rejected(self, name, bad):
+        coords = dict(xl=[0, 1], yl=[0, 0], xr=[2, 3], yr=[0, 0])
+        coords[name] = [1, bad]
+        with pytest.raises(ValueError, match=f"{name} must hold whole pixels"):
+            CorrespondenceSet(**coords)
+
+    def test_int32_kept_as_given(self):
+        coords = [np.arange(3, dtype=np.int32) for _ in range(4)]
+        cs = CorrespondenceSet(*coords)
+        assert all(got is want for got, want in zip((cs.xl, cs.yl, cs.xr, cs.yr), coords))
+
+    def test_whole_valued_floats_kept_as_int32(self):
+        cs = CorrespondenceSet([1.0], [0], [3.0], [0])
+        assert cs.xl.dtype == cs.xr.dtype == np.int32
+        assert (cs.xl.tolist(), cs.xr.tolist()) == ([1], [3])
 
 
 class TestMotionField:
@@ -196,7 +241,7 @@ class TestGaussianBlur:
         taps = np.exp(-(offsets**2) / (2 * sigma * sigma))
         taps = (taps / taps.sum()).astype(np.float32)
         padded = np.pad(luma.astype(np.float32), radius, mode="edge")
-        want = conv_valid(Tensor(padded), Tensor(np.outer(taps, taps))).array
+        want = conv_valid(padded, np.outer(taps, taps))
         assert np.abs(out - want).max() <= 0.5 + 1e-3
 
     @pytest.mark.parametrize("radius", [1, 2, 3])

@@ -20,7 +20,6 @@ from svopt.perfmodel import (
 )
 from svopt.tensor import (
     ShapeError,
-    Tensor,
     conv_valid,
     deconv_reference,
     redundant_mac_fraction,
@@ -35,7 +34,7 @@ def deconv_layer(kernel=(3, 3), in_ch=3, out_ch=4, ifmap=(8, 8)):
 
 
 def kernel_set_for(layer):
-    return decompose_nd(Tensor.zeros(layer.kernel))
+    return decompose_nd(np.zeros(layer.kernel))
 
 
 def terms(round_, layer, include_input_channels=False):
@@ -104,7 +103,7 @@ class TestComputeTime:
         hw = HardwareConfig(8, 8, 10**6, 1.0)
         with pytest.raises(ValueError, match="SubKernelSet"):
             total_latency(full_cover_schedule(layer), layer, None, hw)
-        other = decompose_nd(Tensor.zeros((5, 5)))
+        other = decompose_nd(np.zeros((5, 5)))
         with pytest.raises(ValueError, match=r"kernel \(5, 5\) do not match kernel \(3, 3\)"):
             total_latency(full_cover_schedule(layer), layer, other, hw)
 
@@ -225,7 +224,7 @@ class TestTotalLatency:
     def test_hand_spreadsheet_evaluation(self):
         # independent straight-line arithmetic for a two-round deconv schedule
         layer = LayerSpec("d", LayerKind.DECONV, (5, 5), 16, 8, (12, 10), 2)
-        kset = decompose_nd(Tensor.zeros((5, 5)))
+        kset = decompose_nd(np.zeros((5, 5)))
         hw = HardwareConfig(12, 12, 10**6, 8.0)
         rounds = (
             RoundPlan((0, 0), (12, 10), (8, 8, 8, 0)),
@@ -371,9 +370,9 @@ def test_geometry_agrees_across_modules():
         rank = int(rng.integers(1, 4))
         idims = tuple(int(n) for n in rng.integers(1, 5, rank))
         kdims = tuple(int(k) for k in rng.integers(1, 11, rank))
-        ifmap, kernel = Tensor.zeros(idims), Tensor.zeros(kdims)
-        assert upsample_zero(ifmap).dims == upsampled_dims(idims)
-        want = dims_or_none(lambda: deconv_reference(ifmap, kernel).dims)
+        ifmap, kernel = np.zeros(idims), np.zeros(kdims)
+        assert upsample_zero(ifmap).shape == upsampled_dims(idims)
+        want = dims_or_none(lambda: deconv_reference(ifmap, kernel).shape)
         assert dims_or_none(deconv_output_dims, idims, kdims) == want
         fraction = dims_or_none(redundant_mac_fraction, idims, kdims)
         assert (fraction is None) == (want is None)
@@ -382,15 +381,15 @@ def test_geometry_agrees_across_modules():
         rank = int(rng.integers(2, 4))
         idims = tuple(int(n) for n in rng.integers(1, 7, rank))
         kdims = tuple(int(k) for k in rng.integers(1, 9, rank))
-        ifmap, kernel = Tensor.zeros(idims), Tensor.zeros(kdims)
+        ifmap, kernel = np.zeros(idims), np.zeros(kdims)
         kind = LayerKind.DECONV if rng.integers(2) else LayerKind.CONV
         if kind is LayerKind.DECONV:
             stride = 2
-            want = dims_or_none(lambda: deconv_reference(ifmap, kernel).dims)
+            want = dims_or_none(lambda: deconv_reference(ifmap, kernel).shape)
         else:
             stride = int(rng.integers(1, 3))
             strided = (slice(None, None, stride),) * rank
-            want = dims_or_none(lambda: conv_valid(ifmap, kernel).array[strided].shape)
+            want = dims_or_none(lambda: conv_valid(ifmap, kernel)[strided].shape)
         seen.add((kind, want is not None))
         if want is None:
             with pytest.raises(ValueError, match="does not fit"):
@@ -400,7 +399,7 @@ def test_geometry_agrees_across_modules():
         assert output_dims(layer) == want
         if kind is LayerKind.DECONV:
             dense = dense_equivalent(layer)
-            assert dense.ifmap == upsample_zero(ifmap).dims
+            assert dense.ifmap == upsample_zero(ifmap).shape
             assert output_dims(dense) == want
     assert seen == {(what, fits) for what in ("reference fits", *LayerKind)
                     for fits in (True, False)}

@@ -34,7 +34,7 @@ from svopt.scheduler import (
     pack_round,
     solve,
 )
-from svopt.tensor import Tensor, deconv_reference
+from svopt.tensor import deconv_reference
 import schedule_oracle
 from schedule_oracle import (
     SearchSpaceExceeded,
@@ -52,7 +52,7 @@ def deconv_layer(name="d", kernel=(3, 3), in_ch=2, out_ch=4, ifmap=(8, 8)):
 
 
 def kset(kernel):
-    return decompose_nd(Tensor.zeros(kernel))
+    return decompose_nd(np.zeros(kernel))
 
 
 def random_instance(rng):
@@ -895,7 +895,7 @@ def test_model_schedules_exactly_the_sub_convolutions_the_transform_runs(monkeyp
     real_conv_valid = deconv.conv_valid
 
     def recording_conv_valid(ifmap, kernel):
-        convolved.append(kernel.dims)
+        convolved.append(kernel.shape)
         return real_conv_valid(ifmap, kernel)
 
     monkeypatch.setattr(deconv, "conv_valid", recording_conv_valid)
@@ -905,11 +905,11 @@ def test_model_schedules_exactly_the_sub_convolutions_the_transform_runs(monkeyp
     for (n0, k0), (n1, k1) in itertools.product(axis, repeat=2):
         in_ch, out_ch = (int(c) for c in rng.integers(1, 4, 2))
         layer = LayerSpec("s", LayerKind.DECONV, (k0, k1), in_ch, out_ch, (n0, n1), 2)
-        ifmap = Tensor(rng.uniform(-1, 1, layer.ifmap))
-        kernel = Tensor(rng.uniform(-1, 1, layer.kernel))
+        ifmap = rng.uniform(-1, 1, layer.ifmap)
+        kernel = rng.uniform(-1, 1, layer.kernel)
         convolved.clear()
         got = transformed_deconv(ifmap, kernel)
-        assert abs(got.array - deconv_reference(ifmap, kernel).array).max() <= 1e-4
+        assert abs(got - deconv_reference(ifmap, kernel)).max() <= 1e-4
         assert tuple(convolved) == filter_group_dims(layer), layer
         for mode in ScheduleMode:
             schedule = solve(layer, kset(layer.kernel), hw, mode)
