@@ -39,9 +39,10 @@ print("estimated camera motion between frames 0 and 1 "
       f"(median): dx={np.median(motion.dx):+.0f} dy={np.median(motion.dy):+.0f} "
       f"(actual {-PAN_X:+d}, {-PAN_Y:+d})\n")
 
-key_disparity = {t: gt for t in range(0, 6, 2)}
+# frames 0, 2 and 4 carry their key disparity; the others carry None
+stream = [(left, right, gt if t % 2 == 0 else None) for t, (left, right) in enumerate(frames)]
 maps = []  # ism_run hands each map over as soon as it is made
-ism_run(frames, key_disparity, 2, maps.append)
+ism_run(stream, maps.append)
 
 print(f"{'frame':>5} {'source':>12} {'three-pixel error':>18}")
 for t, dmap in enumerate(maps):

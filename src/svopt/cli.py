@@ -141,13 +141,14 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _check_sequence(sequence, pw: int) -> None:
+def _check_sequence(sequence) -> None:
     """Raise SpecValidationError for a sequence `cmd_ism` would stop on, before any sample is read.
 
-    Every key frame must have a key map and every disparity map a good
-    sidecar (`read_sidecar`). From the PGM headers, every raster must be
-    as large as its frame's left raster, and every left raster as frame 0's;
-    every view must share frame 0's left maxval, as SADs compare raw samples.
+    Every key frame (every `sequence.pw`-th) must have a key map and every
+    disparity map a good sidecar (`read_sidecar`). From the PGM headers,
+    every raster must be as large as its frame's left raster, and every
+    left raster as frame 0's; every view must share frame 0's left maxval,
+    as SADs compare raw samples.
     """
     def same_size(path, size, j, want):
         if size != want:
@@ -155,6 +156,7 @@ def _check_sequence(sequence, pw: int) -> None:
             raise SpecValidationError(f"{path}: raster is {w}x{h}, but frame {j}'s left raster "
                                       f"{sequence.frames[j].left} is {lw}x{lh}")
 
+    pw = sequence.pw
     first = None  # frame 0's left raster header
     for i, entry in enumerate(sequence.frames):
         maps = [] if entry.gt_disparity is None else [entry.gt_disparity]
@@ -181,21 +183,15 @@ def _check_sequence(sequence, pw: int) -> None:
 
 def cmd_ism(args) -> int:
     sequence = load_sequence(args.sequence, strict=args.strict)
-    pw = args.pw if args.pw is not None else sequence.pw
-    if pw < 2:
-        raise SpecValidationError(f"propagation window must be >= 2, got {pw}")
-    _check_sequence(sequence, pw)
+    _check_sequence(sequence)
+    pw = sequence.pw
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    key_disp = {}  # the key map of the frame last handed over, read just before it
 
     def frames():
         for i, entry in enumerate(sequence.frames):
-            left, right = frame_from_pgm(entry.left), frame_from_pgm(entry.right)
-            key_disp.clear()
-            if i % pw == 0:
-                key_disp[i] = read_disparity(entry.key_disparity)
-            yield left, right
+            yield (frame_from_pgm(entry.left), frame_from_pgm(entry.right),
+                   read_disparity(entry.key_disparity) if i % pw == 0 else None)
 
     rows = []
 
@@ -206,7 +202,7 @@ def cmd_ism(args) -> int:
         err = "" if gt is None else f"{three_pixel_error(dmap, read_disparity(gt)):.4f}"
         rows.append([str(i), "1" if i % pw == 0 else "0", err])
 
-    ism_run(frames(), key_disp, pw, emit)
+    ism_run(frames(), emit)
     # written last, so a run stopped by a bad input leaves no metrics.csv
     write_csv(out_dir / "metrics.csv", ["frame", "is_key", "three_pixel_error_pct"], rows)
     return 0
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ism", help="propagate key-frame disparity over a sequence")
     p.add_argument("--sequence", required=True, help="sequence manifest JSON")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--pw", type=int, default=None, help="propagation window override")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_ism)
 

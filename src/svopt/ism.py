@@ -11,7 +11,7 @@ disparities are whole pixels; x_right = x_left + d with d >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -456,16 +456,13 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
         raise ValueError("left, right, and init must share their extents")
     h, w = left.luma.shape
     half = REFINE_BLOCK // 2
-    max_d = w - 1 - np.arange(w, dtype=np.int32)[None, :]
     usable = init.valid_mask()
     guess = np.where(usable, init.d, np.int32(0))
     reach = np.where(usable, np.int32(REFINE_RADIUS), np.int32(2 * REFINE_RADIUS))
     lo = np.maximum(guess - reach, 0)
-    hi = np.minimum(guess + reach, max_d)
-    # |d - g| <= reach exactly where the rank |4(d - g) + 1| below is <= 4 * reach + 1
-    top_rank = np.multiply(reach, 4, out=reach)
-    top_rank += 1
-    rank_bits = (8 * REFINE_RADIUS + 1).bit_length()  # hold the largest top_rank
+    hi = np.minimum(guess + reach, w - 1 - np.arange(w, dtype=np.int32))  # x + d stays in frame
+    # hold the largest rank |4(d - g) + 1| below, 8 * REFINE_RADIUS + 1 at the doubled reach
+    rank_bits = (8 * REFINE_RADIUS + 1).bit_length()
     best_d = np.zeros((h, w), np.int32)
     for y0 in range(0, h, REFINE_TILE):
         ty = slice(y0, min(y0 + REFINE_TILE, h))
@@ -496,10 +493,8 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
             # the least key SAD << rank_bits | rank has the least SAD, then the least rank
             costs <<= rank_bits
             costs += rank
-            # d lies outside [lo, hi] where it is out of reach of the guess or x + d
-            # leaves the frame (d >= 0 always holds)
-            mask = rank > top_rank[ty, tx]
-            mask |= ds > max_d[:, tx]
+            mask = ds < t_lo
+            mask |= ds > t_hi
             np.copyto(costs, np.iinfo(np.int32).max, where=mask)
             rank = costs.min(axis=0) & ((1 << rank_bits) - 1)
             step = (rank + 1) >> 2
@@ -522,36 +517,33 @@ def scatter_pairs(cs: CorrespondenceSet, height: int, width: int) -> DisparityMa
     return DisparityMap(d.reshape(height, width))
 
 
-def ism_run(frames: Iterable[tuple[Frame, Frame]], key_disp: Mapping[int, DisparityMap],
-            pw: int, emit: Callable[[DisparityMap], object]) -> None:
+def ism_run(frames: Iterable[tuple[Frame, Frame, DisparityMap | None]],
+            emit: Callable[[DisparityMap], object]) -> None:
     """Disparity for every frame of a stereo sequence, handed to `emit` in frame order.
 
-    Frames at indices divisible by `pw` emit their supplied key disparity
-    unchanged. Every other frame chains forward from the previous emitted
-    map: reconstruct pairs, displace both sides by dense motion, scatter
-    the pairs into a guess map, fill each hole of the guess from the
+    Each item of `frames` is (left, right, key). A frame whose key is a
+    DisparityMap is a key frame and emits that map unchanged; frame 0 must
+    be one. Every frame whose key is None chains forward from the previous
+    emitted map: reconstruct pairs, displace both sides by dense motion,
+    scatter the pairs into a guess map, fill each hole of the guess from the
     previous map at the same pixel (where that is invalid too, `refine`
     falls back to its zero guess), and refine with block matching. Each view
     of a frame gets one motion pyramid, which the next frame reuses as its
     previous one; a key frame's is built only when the frame after needs it.
 
-    `frames` is consumed one frame at a time, and `key_disp[t]` is read
-    only once frame t has been taken from it. Each map goes to `emit` as
+    `frames` is consumed one frame at a time. Each map goes to `emit` as
     soon as it is made, before the next frame is taken, and only the
     previous frame's views, pyramids and map are kept, so memory does not
     grow with the sequence.
     """
-    if pw < 2:
-        raise ValueError(f"propagation window must be >= 2, got {pw}")
     views = pyramids = dmap = None  # the previous frame's
-    for t, (left, right) in enumerate(frames):
-        if t % pw == 0:
-            if t not in key_disp:
-                raise ValueError(f"missing key disparity for frame {t}")
-            dmap = key_disp[t]
-            if dmap.d.shape != left.luma.shape:
+    for t, (left, right, key) in enumerate(frames):
+        if key is not None:
+            if key.d.shape != left.luma.shape:
                 raise ValueError(f"key disparity for frame {t} does not match the frame")
-            pyramids = None
+            dmap, pyramids = key, None
+        elif dmap is None:
+            raise ValueError("frame 0 needs a key disparity")
         else:
             if pyramids is None:
                 pyramids = [motion_pyramid(view) for view in views]

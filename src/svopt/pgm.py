@@ -44,16 +44,20 @@ def _integers(path, tokens: list[bytes]) -> np.ndarray:
     raise ValueError(f"{path}: PGM token {bad.decode('latin-1')!r} is not a 64-bit integer")
 
 
-def _read_tokens(path, raw: bytes, count: int) -> tuple[list[int], int]:
-    """First `count` whitespace-separated integer tokens, skipping # comments."""
+def _header_tokens(raw: bytes) -> tuple[list[bytes], int]:
+    """Up to three whitespace-separated tokens after the magic, skipping # comments.
+
+    Also returns the offset just past the last token found; fewer than
+    three tokens means the header runs to the end of `raw`.
+    """
     tokens: list[bytes] = []
-    pos = 0
+    pos = 2
     length = len(raw)
-    while len(tokens) < count:
+    while len(tokens) < 3:
         while pos < length and raw[pos : pos + 1].isspace():
             pos += 1
         if pos >= length:
-            raise ValueError(f"{path}: truncated PGM header")
+            break
         if raw[pos : pos + 1] == b"#":
             while pos < length and raw[pos : pos + 1] != b"\n":
                 pos += 1
@@ -62,38 +66,40 @@ def _read_tokens(path, raw: bytes, count: int) -> tuple[list[int], int]:
         while pos < length and not raw[pos : pos + 1].isspace():
             pos += 1
         tokens.append(raw[start:pos])
-    return _integers(path, tokens).tolist(), pos
+    return tokens, pos
 
 
 def _header(path, raw: bytes) -> tuple[bytes, int, int, int, int]:
     """Magic, width, height, maxval, and the offset of the whitespace after maxval."""
     if raw[:2] not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a PGM file (magic {raw[:2]!r})")
-    (width, height, maxval), pos = _read_tokens(path, raw[2:], 3)
+    tokens, pos = _header_tokens(raw)
+    if len(tokens) < 3:
+        raise ValueError(f"{path}: truncated PGM header")
+    width, height, maxval = _integers(path, tokens).tolist()
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad PGM geometry {width}x{height} maxval {maxval}")
-    return raw[:2], width, height, maxval, pos + 2
+    return raw[:2], width, height, maxval, pos
 
 
 def read_pgm_header(path) -> tuple[int, int, int]:
     """(width, height, maxval) of a P2 or P5 PGM, read without its samples.
 
-    The file is read in growing chunks until the header is whole: maxval
-    must be followed by a byte, or the chunk must end the file.
+    The file is read in growing chunks only while its header may be cut
+    short: while fewer than three tokens follow the magic, or the maxval
+    token runs to the end of the bytes read (a cut "65535" parses as "6").
+    A malformed header is rejected from the chunk that shows it.
     """
     raw = b""
     with open(path, "rb") as f:
         while True:
             chunk = f.read(max(len(raw), 256))
             raw += chunk
-            try:
-                _, width, height, maxval, pos = _header(path, raw)
-            except ValueError:
-                if not chunk:
-                    raise
-                continue
-            if pos < len(raw) or not chunk:
-                return width, height, maxval
+            if chunk and raw[:2] in (b"P2", b"P5"):
+                tokens, pos = _header_tokens(raw)
+                if len(tokens) < 3 or pos == len(raw):
+                    continue
+            return _header(path, raw)[1:4]
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

@@ -16,10 +16,10 @@ def panorama():
     return np.rint(gaussian_blur(raw, 1.2, 2) / 257).astype(np.uint8)
 
 
-def ism_maps(frames, key_disp, pw):
-    """Every map `ism_run` emits, in frame order."""
+def ism_maps(frames, keys):
+    """Every map `ism_run` emits, in frame order; frame t carries `keys[t]`, if there is one."""
     maps = []
-    ism_run(frames, key_disp, pw, maps.append)
+    ism_run(((left, right, keys.get(t)) for t, (left, right) in enumerate(frames)), maps.append)
     return maps
 
 

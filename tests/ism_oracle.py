@@ -156,17 +156,17 @@ def refine(
     return DisparityMap(best_d)
 
 
-def ism_run(frames, key_disp, pw, block=5, radius=2):
-    """Key maps at multiples of pw; every other frame propagated from the last map.
+def ism_run(frames, block=5, radius=2):
+    """Each (left, right, key) frame's map: its key, or else propagated from the last map.
 
     Holes of the scattered guess take the last map's value at the same pixel.
     """
     out = []
-    for t, (left, right) in enumerate(frames):
-        if t % pw == 0:
-            out.append(key_disp[t])
+    for t, (left, right, key) in enumerate(frames):
+        if key is not None:
+            out.append(key)
             continue
-        prev_left, prev_right = frames[t - 1]
+        prev_left, prev_right, _ = frames[t - 1]
         mf_left = estimate_motion(prev_left, left)
         mf_right = estimate_motion(prev_right, right)
         pairs = propagate(reconstruct(out[-1]), mf_left, mf_right)

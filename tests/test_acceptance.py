@@ -253,13 +253,13 @@ def test_criterion_09_ism_fidelity(panorama):
     # moving scene: per-frame uniform motion (1, 2) px, disparity 4
     frames, gt = make_sequence(panorama, 6, 96, 128, disparity=4, motion=(1, 2))
     key = {t: gt for t in range(0, 6, 2)}
-    maps = ism_maps(frames, key, 2)
+    maps = ism_maps(frames, key)
     key_score = three_pixel_error(gt, gt)
     worst = min(three_pixel_error(m, gt) for m in maps)
     assert key_score - worst <= 2.0
     # zero motion: scores match the key-frame-only score exactly
     static_frames, gt0 = make_sequence(panorama, 4, 96, 128, disparity=4)
-    static_maps = ism_maps(static_frames, {0: gt0, 2: gt0}, 2)
+    static_maps = ism_maps(static_frames, {0: gt0, 2: gt0})
     for m in static_maps:
         assert three_pixel_error(m, gt0) == three_pixel_error(gt0, gt0)
         assert np.array_equal(m.d[gt0.valid_mask()], gt0.d[gt0.valid_mask()])

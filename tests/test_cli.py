@@ -320,7 +320,8 @@ class TestTransform:
 
 
 class TestIsmCommand:
-    def build_sequence(self, tmp_path, panorama, n_frames=4, motion=(0, 1), shape=(48, 64)):
+    def build_sequence(self, tmp_path, panorama, n_frames=4, motion=(0, 1), shape=(48, 64),
+                       pw=2):
         frames, gt = make_sequence(panorama, n_frames, *shape, disparity=4, motion=motion)
         records = []
         for i, (left, right) in enumerate(frames):
@@ -337,14 +338,13 @@ class TestIsmCommand:
                 record["key_disparity"] = key_path.name
             records.append(record)
         manifest = tmp_path / "seq.json"
-        write_json(manifest, {"format_version": 1, "pw": 2, "frames": records})
+        write_json(manifest, {"format_version": 1, "pw": pw, "frames": records})
         return manifest, gt
 
     def test_emits_one_map_and_metric_row_per_frame(self, tmp_path, panorama):
         manifest, gt = self.build_sequence(tmp_path, panorama)
         out = tmp_path / "out"
-        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out),
-                     "--pw", "2"]) == 0
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 0
         maps = sorted(out.glob("disparity_*.pgm"))
         assert len(maps) == 4
         _, rows = load_report(out / "metrics.csv")
@@ -357,7 +357,7 @@ class TestIsmCommand:
 
     def test_maps_match_the_oracle_on_a_two_plane_scene(self, tmp_path, panorama):
         # a D=16 wall panning (1, 2) px per frame behind a D=40 box moving (0, 3) px;
-        # --pw 3 overrides the manifest's pw=2, so frames 1, 2, 4 and 5 are propagated
+        # with pw 3, frames 1, 2, 4 and 5 are propagated
         frames, truths = make_two_plane_sequence(
             panorama, 6, 96, 160, 16, 40, (20, 30, 70, 80), (1, 2), (0, 3), origin=(20, 60))
         records = []
@@ -367,14 +367,14 @@ class TestIsmCommand:
             frame_to_pgm(tmp_path / record["right"], right, maxval=65535)
             write_disparity(tmp_path / record["key_disparity"], truths[i])
             records.append(record)
-        manifest = write_json(tmp_path / "seq.json", {"format_version": 1, "pw": 2, "frames": records})
+        manifest = write_json(tmp_path / "seq.json", {"format_version": 1, "pw": 3, "frames": records})
         out = tmp_path / "out"
-        assert main(["ism", "--sequence", manifest, "--out-dir", str(out), "--pw", "3"]) == 0
+        assert main(["ism", "--sequence", manifest, "--out-dir", str(out)]) == 0
         # the oracle sees the frames as the CLI reads them back: 16-bit rasters of 8-bit
         # samples, as uint16
-        read = [(frame_from_pgm(tmp_path / r["left"]), frame_from_pgm(tmp_path / r["right"]))
-                for r in records]
-        expected = ism_oracle.ism_run(read, {0: truths[0], 3: truths[3]}, 3)
+        read = [(frame_from_pgm(tmp_path / r["left"]), frame_from_pgm(tmp_path / r["right"]),
+                 truths[i] if i % 3 == 0 else None) for i, r in enumerate(records)]
+        expected = ism_oracle.ism_run(read)
         written = sorted(out.glob("disparity_*.pgm"))
         assert len(written) == 6
         for path, dmap in zip(written, expected):
@@ -382,18 +382,26 @@ class TestIsmCommand:
         assert all((dmap.d >= 38).any() for dmap in expected)
 
     def test_missing_key_disparity_is_input_error(self, tmp_path, panorama):
-        manifest, _ = self.build_sequence(tmp_path, panorama)
+        manifest, _ = self.build_sequence(tmp_path, panorama, pw=3)
         assert main(["ism", "--sequence", str(manifest), "--out-dir",
-                     str(tmp_path / "o"), "--pw", "3"]) == 2  # frame 3 lacks a key map
+                     str(tmp_path / "o")]) == 2  # frame 3 lacks a key map
+
+    def test_pw_below_two_is_input_error(self, tmp_path, panorama, capsys):
+        manifest, _ = self.build_sequence(tmp_path, panorama, pw=1)
+        out = tmp_path / "o"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
+        assert f"{manifest}: field 'pw' must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_block_option_is_rejected(self, tmp_path, panorama, capsys):
-        # the refinement runs one configuration, `ism.REFINE_BLOCK` and `REFINE_RADIUS`
+        # the refinement runs one configuration, `ism.REFINE_BLOCK` and `REFINE_RADIUS`,
+        # and the manifest alone sets the propagation window
         manifest, _ = self.build_sequence(tmp_path, panorama)
         with pytest.raises(SystemExit) as info:
             main(["ism", "--sequence", str(manifest), "--out-dir", str(tmp_path / "o"),
-                  "--block", "5"])
+                  "--block", "5", "--pw", "3"])
         assert info.value.code == 2
-        assert "unrecognized arguments: --block 5" in capsys.readouterr().err
+        assert "unrecognized arguments: --block 5 --pw 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["r1.pgm", "k2.pgm", "g3.pgm"])

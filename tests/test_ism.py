@@ -412,7 +412,7 @@ class TestScatterPairs:
 class TestIsmRun:
     def test_static_scene_exact_on_valid_region(self, panorama):
         frames, gt = make_sequence(panorama, 4, 64, 96, disparity=4)
-        maps = ism_maps(frames, {0: gt, 2: gt}, 2)
+        maps = ism_maps(frames, {0: gt, 2: gt})
         valid = gt.valid_mask()
         for m in maps:
             assert np.array_equal(m.d[valid], gt.d[valid])
@@ -421,17 +421,24 @@ class TestIsmRun:
         # disparity 0 is valid at every pixel, so non-key frames must
         # reproduce the key map exactly, holes and all
         frames, gt = make_sequence(panorama, 4, 48, 64, disparity=0)
-        maps = ism_maps(frames, {0: gt, 2: gt}, 2)
+        maps = ism_maps(frames, {0: gt, 2: gt})
         for m in maps:
             assert np.array_equal(m.d, gt.d)
 
-    def test_pw4_key_frame_indices(self, panorama):
+    def test_key_frames_emit_their_maps_unchanged(self, panorama):
+        # key frames at irregular indices, two of them back to back
         frames, gt = make_sequence(panorama, 9, 48, 64, disparity=4)
-        with pytest.raises(ValueError, match="missing key disparity"):
-            ism_maps(frames, {0: gt, 4: gt}, 4)  # frame 8 is a key frame too
-        maps = ism_maps(frames, {0: gt, 4: gt, 8: gt}, 4)
-        for t in (0, 4, 8):
+        maps = ism_maps(frames, {0: gt, 4: gt, 5: gt, 8: gt})
+        for t in (0, 4, 5, 8):
             assert maps[t] is gt
+
+    def test_frame_0_without_a_key_raises_before_any_emit(self, panorama):
+        frames, gt = make_sequence(panorama, 3, 48, 64, disparity=4)
+        emitted = []
+        with pytest.raises(ValueError, match="frame 0 needs a key disparity"):
+            ism_run([(left, right, None if t == 0 else gt)
+                     for t, (left, right) in enumerate(frames)], emitted.append)
+        assert emitted == []
 
     def test_each_map_is_emitted_before_the_next_frame_is_taken(self, panorama):
         # the streaming contract: a frame's map leaves before the next frame is read
@@ -439,23 +446,23 @@ class TestIsmRun:
         events = []
 
         def stream():
-            for views in frames:
+            for t, (left, right) in enumerate(frames):
                 events.append("take")
-                yield views
+                yield left, right, gt if t % 4 == 0 else None
 
-        ism_run(stream(), {0: gt, 4: gt}, 4, lambda dmap: events.append("emit"))
+        ism_run(stream(), lambda dmap: events.append("emit"))
         assert events == ["take", "emit"] * 5
 
     def test_moving_scene_stays_close(self, panorama):
         frames, gt = make_sequence(panorama, 6, 96, 128, disparity=4, motion=(1, 2))
-        maps = ism_maps(frames, {t: gt for t in (0, 2, 4)}, 2)
+        maps = ism_maps(frames, {t: gt for t in (0, 2, 4)})
         for m in maps:
             assert three_pixel_error(m, gt) >= 98.0
 
     def test_one_motion_pyramid_per_frame_and_view(self, panorama, monkeypatch):
-        # key, three propagated frames, key: frames 0-3 each blur one 3-level pyramid
-        # per view, and the last key frame none
-        frames, gt = make_sequence(panorama, 5, 48, 64, disparity=4, motion=(1, 2))
+        # key, three propagated frames, two back-to-back keys: frames 0-3 each blur one
+        # 3-level pyramid per view, and the last two key frames none
+        frames, gt = make_sequence(panorama, 6, 48, 64, disparity=4, motion=(1, 2))
         blurred = []
         blur = ism.gaussian_blur
 
@@ -464,7 +471,7 @@ class TestIsmRun:
             return blur(luma, sigma, radius)
 
         monkeypatch.setattr(ism, "gaussian_blur", counting_blur)
-        ism_maps(frames, {0: gt, 4: gt}, 4)
+        ism_maps(frames, {0: gt, 4: gt, 5: gt})
         assert blurred == [(48, 64), (24, 32), (12, 16)] * 8
 
     def test_moving_two_plane_scene_keeps_a_floor(self, panorama):
@@ -472,7 +479,7 @@ class TestIsmRun:
         # (0, 4) px: the box uncovers and hides wall, and the scattered guess has holes
         frames, truths = make_two_plane_sequence(
             panorama, 5, 192, 256, 16, 48, (40, 60, 150, 170), (1, 2), (0, 4))
-        maps = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4)
+        maps = ism_maps(frames, {0: truths[0], 4: truths[4]})
         scores = [three_pixel_error(m, gt) for m, gt in zip(maps, truths)]
         # each propagated frame loses a few points to wrong motion vectors, which put
         # pairs more than the search radius off (95.8, 92.1 and 88.2 % here)
@@ -484,7 +491,7 @@ class TestIsmRun:
         # blur, the motion search or the refinement moves these bits
         frames, truths = make_two_plane_sequence(
             panorama, 5, 192, 256, 16, 48, (40, 60, 150, 170), (1, 2), (0, 4))
-        maps = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4)
+        maps = ism_maps(frames, {0: truths[0], 4: truths[4]})
         got = hashlib.sha256(b"".join(m.d.tobytes() for m in maps)).hexdigest()
         assert got == "9a5570f8c4ef68aac35306dc34d2d76a2ca0e72e42b45e9e6f25249699128a19"
 
@@ -500,7 +507,7 @@ class TestIsmRun:
         for growth in self.APPROACHING:
             frames, truths = make_approaching_sequence(
                 panorama, 5, 120, 240, 8, 20, (30, 60, 90, 150), growth)
-            runs[growth] = ism_maps(frames, {0: truths[0], 4: truths[4]}, 4), truths
+            runs[growth] = ism_maps(frames, {0: truths[0], 4: truths[4]}), truths
         return runs
 
     @pytest.mark.parametrize("growth", sorted(APPROACHING))
@@ -517,11 +524,6 @@ class TestIsmRun:
         for growth in sorted(approaching):
             got.update(b"".join(m.d.tobytes() for m in approaching[growth][0]))
         assert got.hexdigest() == "d5701a765788d440e29dbe79e508ee95e7618c2433c0a5a846e0140b09eb16ad"
-
-    def test_pw_below_two_rejected(self, panorama):
-        frames, gt = make_sequence(panorama, 2, 48, 64, disparity=4)
-        with pytest.raises(ValueError):
-            ism_maps(frames, {0: gt}, 1)
 
     def test_operation_count_order_of_magnitude(self):
         ops = nonkey_operation_count(960, 540)

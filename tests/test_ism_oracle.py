@@ -206,18 +206,22 @@ def test_motion_key_fits_int32_with_16_bit_samples():
 
 @pytest.mark.parametrize("scene", ["pan", "two_plane"])
 def test_ism_run_matches_oracle(panorama, scene):
-    # two windows of pw=3: the second starts without the first window's pyramids
+    # key frames 0, 3 and 6: the second window starts without the first one's pyramids.
+    # Key frames 0, 1 and 4: frame 2 moves from the views of frame 1, the second of two
+    # back-to-back key frames
     if scene == "pan":
         frames, gt = make_sequence(panorama, 7, 48, 64, disparity=4, motion=(1, 2))
         truths = [gt] * 7
     else:
         frames, truths = make_two_plane_sequence(
             panorama, 7, 64, 96, 8, 20, (20, 20, 44, 50), (1, 2), (0, 3), origin=(20, 60))
-    keys = {t: truths[t] for t in (0, 3, 6)}
-    # the maps as they are emitted, from frames that can be iterated only once
-    fast = []
-    ism.ism_run(iter(frames), keys, 3, fast.append)
-    slow = oracle.ism_run(frames, keys, 3)
-    assert len(fast) == len(slow) == 7
-    for f, s in zip(fast, slow):
-        assert_same(f.d, s.d)
+    for key_frames in ((0, 3, 6), (0, 1, 4)):
+        stream = [(left, right, truths[t] if t in key_frames else None)
+                  for t, (left, right) in enumerate(frames)]
+        # the maps as they are emitted, from frames that can be iterated only once
+        fast = []
+        ism.ism_run(iter(stream), fast.append)
+        slow = oracle.ism_run(stream)
+        assert len(fast) == len(slow) == 7
+        for f, s in zip(fast, slow):
+            assert_same(f.d, s.d)

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from svopt.formats import SpecValidationError
+from svopt import pgm
 from svopt.ism import INVALID_DISPARITY, DisparityMap, Frame
 from svopt.pgm import (
     frame_from_pgm,
     frame_to_pgm,
     read_disparity,
     read_pgm,
+    read_pgm_header,
     sidecar_path,
     write_disparity,
     write_pgm,
@@ -143,6 +145,60 @@ def test_non_pgm_rejected(tmp_path):
     path.write_bytes(b"hello")
     with pytest.raises(ValueError, match="not a PGM"):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_header_matches_the_raster(tmp_path, binary, maxval):
+    raster = np.arange(35).reshape(7, 5) * (maxval // 34)
+    path = tmp_path / "img.pgm"
+    if binary:
+        write_pgm(path, raster, maxval)
+    else:
+        path.write_text(f"P2\n# c\n5 7 {maxval}\n" + " ".join(map(str, raster.ravel())) + "\n")
+    got, got_max = read_pgm(path)
+    assert read_pgm_header(path) == (got.shape[1], got.shape[0], got_max) == (5, 7, maxval)
+
+
+@pytest.mark.parametrize("head, match", [
+    (b"XX 64 48 255\n", "not a PGM file"),
+    (b"P5\n0 48\n255\n", "bad PGM geometry 0x48"),
+    (b"P5\n6x4 48\n255\n", "PGM token '6x4' is not"),
+], ids=["magic", "zero-width", "token"])
+def test_malformed_header_rejected_after_one_read(tmp_path, monkeypatch, head, match):
+    # the file is many chunks long, but the first chunk already shows the header is bad
+    path = tmp_path / "big.pgm"
+    path.write_bytes(head + b"\0" * (1 << 20))
+    reads = []
+    real_open = open
+
+    def counting_open(file, mode):
+        f = real_open(file, mode)
+        read = f.read
+        f.read = lambda n: reads.append(n) or read(n)
+        return f
+
+    monkeypatch.setattr(pgm, "open", counting_open, raising=False)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+        read_pgm_header(path)
+    assert len(reads) == 1
+
+
+def test_header_comment_longer_than_the_first_chunk_reads(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n# " + b"c" * 1000 + b"\n3 2\n255\n" + bytes(6))
+    assert read_pgm_header(path) == (3, 2, 255)
+
+
+@pytest.mark.parametrize("cut", [1, 3, 5])
+def test_maxval_across_a_chunk_boundary_reads(tmp_path, cut):
+    # the first 256-byte chunk ends `cut` bytes into "65535", which alone would parse
+    head = b"P5\n3 2\n"
+    pad = b"#" + b"c" * (256 - cut - len(head) - 2) + b"\n"
+    path = tmp_path / "m.pgm"
+    path.write_bytes(head + pad + b"65535\n" + bytes(12))
+    assert len(head + pad) + cut == 256
+    assert read_pgm_header(path) == (3, 2, 65535)
 
 
 @pytest.mark.parametrize("meta, match", [
