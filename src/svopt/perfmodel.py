@@ -357,8 +357,6 @@ class RoundTerms(NamedTuple):
             traffic = sum(self.weights) + sum(self.ofmap)
         else:
             raise ValueError(f"beta must be 0 or 1, got {beta}")
-        if traffic == 0 or math.isinf(hw.bandwidth):
-            return 0
         return math.ceil(traffic / hw.bandwidth)
 
 
@@ -438,9 +436,6 @@ class RoundPricer:
                 if c is None:
                     c = shape_compute[elems] = sum([-(-m * elems // pe_count) for m in full_macs])
                 compute += mult * c
-            if math.isinf(hw.bandwidth):
-                yield compute, 0, tile
-                continue
             capacity = usable - tile_elems * in_ch
             ofmap = -(-tile_elems // self._stride_vol)
             loads = [(w + ofmap) * out_ch for w in self._filter_weights]

@@ -9,6 +9,9 @@ maxval, 65535, as that value.
 
 from __future__ import annotations
 
+import mmap
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,6 @@ from .ism import INVALID_DISPARITY, DisparityMap, Frame
 
 __all__ = [
     "frame_from_pgm",
-    "frame_to_pgm",
     "read_disparity",
     "read_pgm",
     "read_pgm_header",
@@ -44,61 +46,39 @@ def _integers(path, tokens: list[bytes]) -> np.ndarray:
     raise ValueError(f"{path}: PGM token {bad.decode('latin-1')!r} is not a 64-bit integer")
 
 
-def _header_tokens(raw: bytes) -> tuple[list[bytes], int]:
-    """Up to three whitespace-separated tokens after the magic, skipping # comments.
-
-    Also returns the offset just past the last token found; fewer than
-    three tokens means the header runs to the end of `raw`.
-    """
-    tokens: list[bytes] = []
-    pos = 2
-    length = len(raw)
-    while len(tokens) < 3:
-        while pos < length and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos >= length:
-            break
-        if raw[pos : pos + 1] == b"#":
-            while pos < length and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < length and not raw[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    return tokens, pos
+# The magic, then width, height and maxval, each after any whitespace and
+# `#` comments that run to a newline (Netpbm's grammar), so `#` opens a
+# comment only where a token would start, and a comment with no newline
+# leaves the header truncated. Every quantifier is possessive: nothing it
+# takes is given back, so a header that never ends fails in one pass, in
+# constant memory, and no token splits in two.
+_HEADER = re.compile(rb"(P[25])" + rb"(?:\s++|#[^\n]*+\n)*+([^\s#]\S*+)" * 3)
 
 
-def _header(path, raw: bytes) -> tuple[bytes, int, int, int, int]:
+def _header(path, raw: bytes | mmap.mmap) -> tuple[bytes, int, int, int, int]:
     """Magic, width, height, maxval, and the offset of the whitespace after maxval."""
     if raw[:2] not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a PGM file (magic {raw[:2]!r})")
-    tokens, pos = _header_tokens(raw)
-    if len(tokens) < 3:
+    m = _HEADER.match(raw)
+    if m is None:
         raise ValueError(f"{path}: truncated PGM header")
-    width, height, maxval = _integers(path, tokens).tolist()
+    width, height, maxval = _integers(path, list(m.group(2, 3, 4))).tolist()
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise ValueError(f"{path}: bad PGM geometry {width}x{height} maxval {maxval}")
-    return raw[:2], width, height, maxval, pos
+    return m[1], width, height, maxval, m.end()
 
 
 def read_pgm_header(path) -> tuple[int, int, int]:
     """(width, height, maxval) of a P2 or P5 PGM, read without its samples.
 
-    The file is read in growing chunks only while its header may be cut
-    short: while fewer than three tokens follow the magic, or the maxval
-    token runs to the end of the bytes read (a cut "65535" parses as "6").
-    A malformed header is rejected from the chunk that shows it.
+    The header pattern scans a read-only map of the file, so only the
+    pages it reaches are read: a valid header never reads the samples,
+    and a header that never ends is a truncated header.
     """
-    raw = b""
     with open(path, "rb") as f:
-        while True:
-            chunk = f.read(max(len(raw), 256))
-            raw += chunk
-            if chunk and raw[:2] in (b"P2", b"P5"):
-                tokens, pos = _header_tokens(raw)
-                if len(tokens) < 3 or pos == len(raw):
-                    continue
+        if os.fstat(f.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return _header(path, b"")[1:4]
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as raw:
             return _header(path, raw)[1:4]
 
 
@@ -148,11 +128,6 @@ def frame_from_pgm(path) -> Frame:
     """Load a PGM as a frame of its samples: uint8, or uint16 when maxval > 255."""
     raster, maxval = read_pgm(path)
     return Frame(raster.astype(np.uint16 if maxval > 255 else np.uint8, copy=False))
-
-
-def frame_to_pgm(path, frame: Frame, maxval: int = 255) -> None:
-    """Write a frame's samples as they are (`write_pgm`): each must lie in [0, maxval]."""
-    write_pgm(path, frame.luma, maxval)
 
 
 def sidecar_path(path) -> Path:

@@ -19,9 +19,9 @@ from svopt.formats import (
     load_transform_manifest,
     save_network,
 )
-from svopt.ism import DisparityMap, Frame
+from svopt.ism import DisparityMap
 from svopt.perfmodel import RoundPlan
-from svopt.pgm import frame_from_pgm, frame_to_pgm, read_disparity, write_disparity
+from svopt.pgm import frame_from_pgm, read_disparity, write_disparity, write_pgm
 import ism_oracle
 from conftest import make_sequence, make_two_plane_sequence
 
@@ -326,8 +326,8 @@ class TestIsmCommand:
         records = []
         for i, (left, right) in enumerate(frames):
             lp, rp = tmp_path / f"l{i}.pgm", tmp_path / f"r{i}.pgm"
-            frame_to_pgm(lp, left)
-            frame_to_pgm(rp, right)
+            write_pgm(lp, left.luma, 255)
+            write_pgm(rp, right.luma, 255)
             record = {"left": lp.name, "right": rp.name}
             gt_path = tmp_path / f"g{i}.pgm"
             write_disparity(gt_path, gt)
@@ -363,8 +363,8 @@ class TestIsmCommand:
         records = []
         for i, (left, right) in enumerate(frames):
             record = {"left": f"l{i}.pgm", "right": f"r{i}.pgm", "key_disparity": f"k{i}.pgm"}
-            frame_to_pgm(tmp_path / record["left"], left, maxval=65535)
-            frame_to_pgm(tmp_path / record["right"], right, maxval=65535)
+            write_pgm(tmp_path / record["left"], left.luma, 65535)
+            write_pgm(tmp_path / record["right"], right.luma, 65535)
             write_disparity(tmp_path / record["key_disparity"], truths[i])
             records.append(record)
         manifest = write_json(tmp_path / "seq.json", {"format_version": 1, "pw": 3, "frames": records})
@@ -411,7 +411,7 @@ class TestIsmCommand:
         manifest, _ = self.build_sequence(tmp_path, panorama)
         path = tmp_path / name
         if name.startswith("r"):
-            frame_to_pgm(path, Frame(np.zeros((48, 65), np.uint8)))
+            write_pgm(path, np.zeros((48, 65), np.uint8), 255)
         else:
             write_disparity(path, DisparityMap(np.zeros((48, 65))))
         out = tmp_path / "out"
@@ -426,7 +426,7 @@ class TestIsmCommand:
         # frame 2 is consistent in itself but four columns narrower than frame 0
         manifest, gt = self.build_sequence(tmp_path, panorama)
         for name in ("l2.pgm", "r2.pgm"):
-            frame_to_pgm(tmp_path / name, Frame(np.zeros((48, 60), np.uint8)))
+            write_pgm(tmp_path / name, np.zeros((48, 60), np.uint8), 255)
         for name in ("k2.pgm", "g2.pgm"):
             write_disparity(tmp_path / name, DisparityMap(gt.d[:, :60]))
         out = tmp_path / "out"
@@ -443,7 +443,7 @@ class TestIsmCommand:
         # compared unscaled; the 16-bit key and ground-truth maps are not views
         manifest, _ = self.build_sequence(tmp_path, panorama)
         path = tmp_path / name
-        frame_to_pgm(path, frame_from_pgm(path), maxval=65535)
+        write_pgm(path, frame_from_pgm(path).luma, 65535)
         out = tmp_path / "out"
         assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err

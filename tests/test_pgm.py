@@ -1,5 +1,7 @@
 import json
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from svopt import pgm
 from svopt.ism import INVALID_DISPARITY, DisparityMap, Frame
 from svopt.pgm import (
     frame_from_pgm,
-    frame_to_pgm,
     read_disparity,
     read_pgm,
     read_pgm_header,
@@ -50,7 +51,7 @@ def test_frame_roundtrip_is_exact(tmp_path, maxval, dtype):
     rng = np.random.default_rng(1)
     frame = Frame(rng.integers(0, maxval + 1, (6, 9), dtype=dtype))
     path = tmp_path / "f.pgm"
-    frame_to_pgm(path, frame, maxval=maxval)
+    write_pgm(path, frame.luma, maxval)
     assert read_pgm(path)[1] == maxval
     # and the same samples from a plain P2 raster
     rows = "\n".join(" ".join(str(v) for v in row) for row in frame.luma.tolist())
@@ -165,8 +166,8 @@ def test_header_matches_the_raster(tmp_path, binary, maxval):
     (b"P5\n0 48\n255\n", "bad PGM geometry 0x48"),
     (b"P5\n6x4 48\n255\n", "PGM token '6x4' is not"),
 ], ids=["magic", "zero-width", "token"])
-def test_malformed_header_rejected_after_one_read(tmp_path, monkeypatch, head, match):
-    # the file is many chunks long, but the first chunk already shows the header is bad
+def test_malformed_header_rejected_without_reading_the_file(tmp_path, monkeypatch, head, match):
+    # the header is scanned in a map of the file, so its read is never called
     path = tmp_path / "big.pgm"
     path.write_bytes(head + b"\0" * (1 << 20))
     reads = []
@@ -175,13 +176,88 @@ def test_malformed_header_rejected_after_one_read(tmp_path, monkeypatch, head, m
     def counting_open(file, mode):
         f = real_open(file, mode)
         read = f.read
-        f.read = lambda n: reads.append(n) or read(n)
+        f.read = lambda *n: reads.append(n) or read(*n)
         return f
 
     monkeypatch.setattr(pgm, "open", counting_open, raising=False)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
         read_pgm_header(path)
-    assert len(reads) == 1
+    assert reads == []
+
+
+def reference_header_tokens(raw: bytes) -> tuple[list[bytes], int]:
+    """Up to three tokens after the magic, skipping # comments, one byte at a time.
+
+    Also returns the offset just past the last token found; a `#` opens a
+    comment only where a token would start, and runs to a newline.
+    """
+    tokens, pos = [], 2
+    while len(tokens) < 3:
+        while pos < len(raw) and raw[pos:pos + 1].isspace():
+            pos += 1
+        if pos == len(raw):
+            break
+        if raw[pos:pos + 1] == b"#":
+            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(raw) and not raw[pos:pos + 1].isspace():
+            pos += 1
+        tokens.append(raw[start:pos])
+    return tokens, pos
+
+
+def test_header_pattern_matches_the_byte_loop():
+    rng = np.random.default_rng(2)
+    alphabet = [b"1", b"7", b"-", b"x", b"#", b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"\0"]
+    for _ in range(3000):
+        raw = b"P5" + b"".join(alphabet[i] for i in rng.integers(0, len(alphabet), rng.integers(0, 24)))
+        tokens, pos = reference_header_tokens(raw)
+        m = pgm._HEADER.match(raw)
+        if len(tokens) < 3:
+            assert m is None, raw
+        else:
+            assert (list(m.group(2, 3, 4)), m.end()) == (tokens, pos), raw
+
+
+@pytest.mark.parametrize("head", [b"P5\n# " + b"c" * (16 << 20), b"P5\n" + b"1" * (16 << 20)],
+                         ids=["comment-without-newline", "token-without-whitespace"])
+def test_header_that_never_ends_is_truncated_at_once(tmp_path, head):
+    # a Python loop over the header's bytes took about 8 s on these 16 MiB
+    path = tmp_path / "endless.pgm"
+    path.write_bytes(head)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated PGM header")):
+        read_pgm_header(path)
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("head", [b"P5" + b" " * (1 << 20), b"P5\n" + b"#\n" * (1 << 19)],
+                         ids=["whitespace", "comment-lines"])
+def test_header_that_never_ends_is_scanned_in_constant_memory(tmp_path, head):
+    # a backtracking repeat keeps about 150 bytes per whitespace byte or comment
+    path = tmp_path / "endless.pgm"
+    path.write_bytes(head)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated PGM header"):
+            read_pgm_header(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("magic, match", [(b"P5", "truncated P5 body"),
+                                          (b"P2", "expected 1 samples, got 0")])
+def test_maxval_on_the_last_byte_is_a_header(tmp_path, magic, match):
+    # the maxval ends at the end of the file: a whole header with no body
+    path = tmp_path / "m.pgm"
+    path.write_bytes(magic + b"\n1 1\n255")
+    assert read_pgm_header(path) == (1, 1, 255)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {match}")):
+        read_pgm(path)
 
 
 def test_header_comment_longer_than_the_first_chunk_reads(tmp_path):
