@@ -253,16 +253,16 @@ def gaussian_blur(luma: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     return np.rint(out, out=out).astype(luma.dtype)
 
 
-# the pyramid block-matching motion estimator: pyramid levels, SAD block
-# side, residual search radius, and the Gaussian blur of every level
+# every SAD, of the motion search and of the refinement, sums a BLOCK-square
+# patch: the 5 entries a side that `_sum5` and `_box_cost` add
+BLOCK = 5
+# the pyramid block-matching motion estimator: pyramid levels, residual
+# search radius, and the Gaussian blur of every level
 MOTION_LEVELS = 3
-MOTION_BLOCK = 5
 MOTION_RADIUS = 2
 BLUR_SIGMA = 1.0
 BLUR_RADIUS = 2
-# the refinement: SAD block side and search radius around the guess. Both
-# blocks stay 5, the patch side `_box_cost` sums
-REFINE_BLOCK = 5
+# the refinement's search radius around the guess
 REFINE_RADIUS = 2
 
 
@@ -297,77 +297,13 @@ def _box_cost(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out[..., :-4]
 
 
-def _offsets(radius: int) -> list[tuple[int, int]]:
-    # zero displacement first so exact ties resolve to "no residual motion"
-    offs = [
-        (dy, dx)
-        for dy in range(-radius, radius + 1)
-        for dx in range(-radius, radius + 1)
-    ]
-    offs.sort(key=lambda o: (abs(o[0]) + abs(o[1]), o))
-    return offs
-
-
+# the residual (dy, dx) each pixel tries: zero first, so that exact ties resolve
+# to "no residual motion", then by |dy| + |dx|, then by (dy, dx)
+MOTION_OFFSETS = tuple(sorted(
+    ((dy, dx) for dy in range(-MOTION_RADIUS, MOTION_RADIUS + 1)
+     for dx in range(-MOTION_RADIUS, MOTION_RADIUS + 1)),
+    key=lambda o: (abs(o[0]) + abs(o[1]), o)))
 MOTION_BAND = 64
-
-
-def _search_band(p: np.ndarray, warped: np.ndarray, lo: int, y0: int,
-                 rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel residual (dy, dx) whose block SAD between p and the warped frame is least.
-
-    For p's rows [y0, y0 + rows). `warped` holds the warped frame's rows
-    from `lo` on, every row within MOTION_RADIUS + MOTION_BLOCK // 2 of
-    the band that lies in the frame. Of equal SADs the earliest offset in
-    `_offsets` order wins.
-
-    Both frames are scaled once by 2**key_bits, key_bits being the bits of
-    the last offset index k, so offset k's sum comes out as SAD << key_bits
-    and adding k makes the key SAD << key_bits | k. One `np.minimum` per
-    offset keeps the least key: the least SAD, then the earliest offset,
-    whose k is the key's low bits. With 16-bit samples (16x in the pyramid) the
-    largest key, MOTION_BLOCK**2 * 16 * 65535 << key_bits plus k, is
-    838.8 M < 2**31 at MOTION_RADIUS 2 (25 offsets, key_bits 5); radius 4
-    (81 offsets, key_bits 7) would wrap the int32, and a test fails first.
-
-    The rows are padded to one row stride, so that the band's rows lie
-    end to end in flat buffers, one per dy, and each dx is a flat offset:
-    the subtract sweeps one contiguous buffer. Its columns over p's zero
-    border are junk, so the diff's border columns take its edge columns'
-    values, as edge padding makes them, and `_box_cost` sums rows, then
-    columns, as (2 + 2) + 1 into the band's reused cost buffer.
-    """
-    h, w = p.shape
-    r, half = MOTION_RADIUS, MOTION_BLOCK // 2
-    border = max(r, half)
-    stride = w + 2 * border
-    offsets = _offsets(r)
-    key_bits = (len(offsets) - 1).bit_length()
-    # band rows plus a `half` halo, clamped: the edge padding of the diff image
-    cy = np.clip(np.arange(y0 - half, y0 + rows + half), 0, h - 1)
-    p_rows = np.pad(p[cy], ((0, 0), (border, border))).ravel()
-    p_rows <<= key_bits
-    # the warped frame edge-padded: a clamped shift by (dy, dx) is a row pick and a flat offset
-    src = np.pad(warped, ((0, 0), (border, border)), mode="edge")
-    src <<= key_bits
-    src_rows = {dy: src[np.clip(cy + dy, 0, h - 1) - lo].ravel() for dy in range(-r, r + 1)}
-    n = p_rows.size
-    # the band's sweep buffers, which every offset reuses
-    diff = np.zeros((len(cy), stride), np.int32)
-    inner = diff.ravel()[border : n - border]
-    cost = np.empty((rows, stride), np.int32)
-    best = np.full_like(cost, np.iinfo(np.int32).max)
-    for k, (dy, dx) in enumerate(offsets):
-        np.subtract(p_rows[border : n - border],
-                    src_rows[dy][border + dx : n - border + dx], out=inner)
-        np.abs(inner, out=inner)
-        diff[:, border - half : border] = diff[:, border : border + 1]
-        diff[:, border + w : border + w + half] = diff[:, border + w - 1 : border + w]
-        _box_cost(diff, cost)
-        cost += k
-        np.minimum(best, cost, out=best)
-    best = best[:, border - half : border - half + w] & ((1 << key_bits) - 1)
-    dys, dxs = (np.array(axis, np.int32) for axis in zip(*offsets))
-    return dys.take(best), dxs.take(best)
 
 
 def motion_pyramid(frame: Frame) -> list[np.ndarray]:
@@ -378,7 +314,7 @@ def motion_pyramid(frame: Frame) -> list[np.ndarray]:
     blur rounds each level to a whole sixteenth, not a whole grey level.
     """
     levels = [gaussian_blur(np.multiply(frame.luma, 16, dtype=np.int32), BLUR_SIGMA, BLUR_RADIUS)]
-    while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * MOTION_BLOCK:
+    while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * BLOCK:
         levels.append(gaussian_blur(levels[-1][::2, ::2], BLUR_SIGMA, BLUR_RADIUS))
     return levels
 
@@ -387,41 +323,82 @@ def estimate_motion(prev: list[np.ndarray], cur: list[np.ndarray]) -> MotionFiel
     """Dense per-pixel motion between the frames of two `motion_pyramid`s.
 
     Coarse to fine: at each level the flow carried up from the coarser
-    level warps `cur`, a block-SAD search over a small residual window
-    updates every pixel, and the field is clamped to stay inside the
-    frame. The flow is int32, in whole pixels. A frame's pyramid can
-    serve as `cur` for one field and as `prev` for the next.
+    level (zero above the coarsest) warps `cur`, each pixel takes the
+    residual offset in MOTION_OFFSETS whose BLOCK-square SAD between
+    `prev` and the warped frame is least, the earliest of equal SADs, and
+    the field is clamped to stay inside the frame. The flow is int32, in
+    whole pixels. A frame's pyramid can serve as `cur` for one field and
+    as `prev` for the next.
 
     Each level is warped and searched in bands of MOTION_BAND rows, each
-    taking the coarser level's flow for its own rows only; the bands'
-    buffers stay in cache, and only each level's field is frame-sized.
+    taking the coarser level's flow for its own rows and the
+    MOTION_RADIUS + BLOCK // 2 rows its search reads beyond them; the
+    bands' buffers stay in cache, and only each level's field is
+    frame-sized. A band's rows are padded to one row stride, so that they
+    lie end to end in flat buffers, one per dy, and each dx is a flat
+    offset: the subtract sweeps one contiguous buffer. Its columns over
+    `prev`'s zero border are junk, so the diff's border columns take its
+    edge columns' values, as edge padding makes them, and `_box_cost`
+    sums rows, then columns, into the band's reused cost buffer.
+
+    Both frames are scaled once by 2**key_bits, key_bits being the bits of
+    the last offset index k, so offset k's sum comes out as SAD << key_bits
+    and adding k makes the key SAD << key_bits | k. One `np.minimum` per
+    offset keeps the least key: the least SAD, then the earliest offset,
+    whose k is the key's low bits. With 16-bit samples (16x in the pyramid) the
+    largest key, BLOCK**2 * 16 * 65535 << key_bits plus k, is
+    838.8 M < 2**31 at MOTION_RADIUS 2 (25 offsets, key_bits 5); radius 4
+    (81 offsets, key_bits 7) would wrap the int32, and a test fails first.
     """
     if [p.shape for p in prev] != [c.shape for c in cur]:
         raise ValueError("pyramids must share their levels and extents")
-    # rows of the warped frame that a band's search reads beyond the band
-    halo = MOTION_RADIUS + MOTION_BLOCK // 2
-    flow = None  # the (dx, dy) field of the coarser level
+    r, half = MOTION_RADIUS, BLOCK // 2
+    border = max(r, half)
+    key_bits = (len(MOTION_OFFSETS) - 1).bit_length()
+    dys, dxs = (np.array(axis, np.int32) for axis in zip(*MOTION_OFFSETS))
+    h, w = prev[-1].shape
+    flow = np.zeros((2, (h + 1) // 2, (w + 1) // 2), np.int32)  # the (dx, dy) of the coarser level
     for p, c in zip(prev[::-1], cur[::-1]):
         h, w = p.shape
         xs = np.arange(w, dtype=np.int32)
         field = np.empty((2, h, w), np.int32)
         for y0 in range(0, h, MOTION_BAND):
             rows = min(MOTION_BAND, h - y0)
-            lo, hi = max(y0 - halo, 0), min(y0 + rows + halo, h)
+            lo, hi = max(y0 - r - half, 0), min(y0 + rows + r + half, h)
             ys = np.arange(lo, hi, dtype=np.int32)[:, None]
-            # the flow carried up to rows lo..hi, as the in-frame pixel it points at
-            if flow is None:
-                fx, fy = np.zeros((2, hi - lo, w), np.int32)
-            else:
-                # pixel (y, x) takes the coarse flow at (y // 2, x // 2), doubled
-                up = (flow[:, lo // 2 : (hi + 1) // 2] * 2).repeat(2, axis=1)
-                fx, fy = up[:, lo % 2 : lo % 2 + hi - lo].repeat(2, axis=2)[..., :w]
+            # pixel (y, x) of rows lo..hi takes the coarse flow at (y // 2, x // 2), doubled,
+            # and points at the in-frame pixel (ty, tx)
+            up = (flow[:, lo // 2 : (hi + 1) // 2] * 2).repeat(2, axis=1)
+            fx, fy = up[:, lo % 2 : lo % 2 + hi - lo].repeat(2, axis=2)[..., :w]
             tx = np.clip(xs + fx, 0, w - 1)
             ty = np.clip(ys + fy, 0, h - 1)
-            dy, dx = _search_band(p, c.ravel().take(ty * w + tx), lo, y0, rows)
+            # the warped rows edge-padded: a clamped (dy, dx) shift is a row pick and a flat offset
+            src = np.pad(c.ravel().take(ty * w + tx), ((0, 0), (border, border)), mode="edge")
+            src <<= key_bits
+            # band rows plus a `half` halo, clamped: the edge padding of the diff image
+            cy = np.clip(np.arange(y0 - half, y0 + rows + half), 0, h - 1)
+            src_rows = {dy: src[np.clip(cy + dy, 0, h - 1) - lo].ravel() for dy in range(-r, r + 1)}
+            p_rows = np.pad(p[cy], ((0, 0), (border, border))).ravel()
+            p_rows <<= key_bits
+            n = p_rows.size
+            # the band's sweep buffers, which every offset reuses
+            diff = np.zeros((len(cy), w + 2 * border), np.int32)
+            inner = diff.ravel()[border : n - border]
+            cost = np.empty((rows, w + 2 * border), np.int32)
+            best = np.full_like(cost, np.iinfo(np.int32).max)
+            for k, (dy, dx) in enumerate(MOTION_OFFSETS):
+                np.subtract(p_rows[border : n - border],
+                            src_rows[dy][border + dx : n - border + dx], out=inner)
+                np.abs(inner, out=inner)
+                diff[:, border - half : border] = diff[:, border : border + 1]
+                diff[:, border + w : border + w + half] = diff[:, border + w - 1 : border + w]
+                _box_cost(diff, cost)
+                cost += k
+                np.minimum(best, cost, out=best)
+            best = best[:, border - half : border - half + w] & ((1 << key_bits) - 1)
             band = slice(y0 - lo, y0 - lo + rows)
-            field[0, y0 : y0 + rows] = np.clip(tx[band] + dx, 0, w - 1) - xs
-            field[1, y0 : y0 + rows] = np.clip(ty[band] + dy, 0, h - 1) - ys[band]
+            field[0, y0 : y0 + rows] = np.clip(tx[band] + dxs.take(best), 0, w - 1) - xs
+            field[1, y0 : y0 + rows] = np.clip(ty[band] + dys.take(best), 0, h - 1) - ys[band]
         flow = field
     return MotionField(*flow)
 
@@ -434,7 +411,7 @@ REFINE_CHUNK = 32
 def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
     """Block-matching disparity search around a per-pixel initial guess.
 
-    For each left-image pixel the REFINE_BLOCK-square SAD is evaluated
+    For each left-image pixel the BLOCK-square SAD is evaluated
     at horizontal offsets init +- REFINE_RADIUS (clipped to keep x+d in
     frame) and the minimizing offset wins; ties go to the offset nearest
     the guess, then to the smaller offset. Pixels whose guess is invalid
@@ -455,7 +432,7 @@ def refine(left: Frame, right: Frame, init: DisparityMap) -> DisparityMap:
     if left.luma.shape != right.luma.shape or left.luma.shape != init.d.shape:
         raise ValueError("left, right, and init must share their extents")
     h, w = left.luma.shape
-    half = REFINE_BLOCK // 2
+    half = BLOCK // 2
     usable = init.valid_mask()
     guess = np.where(usable, init.d, np.int32(0))
     reach = np.where(usable, np.int32(REFINE_RADIUS), np.int32(2 * REFINE_RADIUS))

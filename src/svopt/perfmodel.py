@@ -250,14 +250,14 @@ class RoundCost:
         return max(self.compute_cycles, self.memory_cycles)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LatencyReport:
     """Per-layer cost summary under one schedule.
 
     `rounds`, each round's cost in schedule order, is expanded on first
     read from the schedule and the cost of each of its distinct
-    (tile, filters) pairs. Reports with equal fields and rounds are equal;
-    reports of equal grid schedules tell so by their costs, without
+    (tile, filters) pairs. Reports are equal when their fields are, the
+    schedule and those costs too; equal grid schedules tell so without
     expanding their rounds.
     """
 
@@ -276,21 +276,6 @@ class LatencyReport:
     def rounds(self) -> tuple[RoundCost, ...]:
         costs = self._costs
         return tuple(costs[r.tile, r.filters] for r in self._schedule.rounds)
-
-    def _totals(self) -> tuple:
-        return (self.total_cycles, self.compute_cycles, self.memory_cycles, self.dram_ifmap,
-                self.dram_weights, self.dram_ofmap, self.macs, self.utilization)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatencyReport):
-            return NotImplemented
-        if self._totals() != other._totals():
-            return False
-        grid = self._schedule.grid
-        if grid is not None and grid == other._schedule.grid:
-            # every key of `_costs` runs somewhere in the grid, so equal costs mean equal rounds
-            return self._costs == other._costs
-        return self.rounds == other.rounds
 
 
 @cache

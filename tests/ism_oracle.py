@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from svopt.ism import (
+    BLOCK,
     BLUR_RADIUS,
     BLUR_SIGMA,
     INVALID_DISPARITY,
-    MOTION_BLOCK,
     MOTION_LEVELS,
     MOTION_RADIUS,
     DisparityMap,
@@ -60,7 +60,7 @@ def _offsets(radius: int) -> list[tuple[int, int]]:
 def motion_pyramid(frame: Frame) -> list[np.ndarray]:
     """Gaussian-blurred 16x samples as int64, then each blurred half-size level."""
     levels = [gaussian_blur(frame.luma.astype(np.int64) * 16, BLUR_SIGMA, BLUR_RADIUS)]
-    while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * MOTION_BLOCK:
+    while len(levels) < MOTION_LEVELS and min(levels[-1].shape) // 2 >= 2 * BLOCK:
         levels.append(gaussian_blur(levels[-1][::2, ::2], BLUR_SIGMA, BLUR_RADIUS))
     return levels
 
@@ -94,7 +94,7 @@ def estimate_motion(prev: Frame, cur: Frame) -> MotionField:
         best_dy = np.zeros((h, w), np.int32)
         best_dx = np.zeros((h, w), np.int32)
         for dy, dx in _offsets(MOTION_RADIUS):
-            cost = _box_cost(np.abs(p - _shift_clamped(warped, dy, dx)), MOTION_BLOCK)
+            cost = _box_cost(np.abs(p - _shift_clamped(warped, dy, dx)), BLOCK)
             if best_cost is None:
                 best_cost = cost
                 best_dy.fill(dy)

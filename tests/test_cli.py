@@ -394,7 +394,7 @@ class TestIsmCommand:
         assert not out.exists()
 
     def test_block_option_is_rejected(self, tmp_path, panorama, capsys):
-        # the refinement runs one configuration, `ism.REFINE_BLOCK` and `REFINE_RADIUS`,
+        # the refinement runs one configuration, `ism.BLOCK` and `REFINE_RADIUS`,
         # and the manifest alone sets the propagation window
         manifest, _ = self.build_sequence(tmp_path, panorama)
         with pytest.raises(SystemExit) as info:

@@ -11,8 +11,7 @@ import pytest
 import ism_oracle as oracle
 from svopt import ism
 from svopt.ism import (
-    INVALID_DISPARITY, MOTION_BLOCK, MOTION_RADIUS, REFINE_BLOCK, REFINE_RADIUS, DisparityMap,
-    Frame)
+    BLOCK, INVALID_DISPARITY, MOTION_RADIUS, REFINE_RADIUS, DisparityMap, Frame)
 from conftest import make_sequence, make_two_plane_sequence
 
 # (129, 67): two motion bands and a 1-row remainder, one refine tile and a
@@ -57,16 +56,16 @@ def test_box_cost_matches_sliding_window_sums(shape, seed):
     # |differences| of 16-bit samples, as `refine` takes them
     rng = np.random.default_rng(seed * 1000 + shape[0])
     diff = np.abs(rng.integers(0, 1 << 16, shape) - rng.integers(0, 1 << 16, shape))
-    padded = np.pad(diff.astype(np.int32), REFINE_BLOCK // 2, mode="edge")
+    padded = np.pad(diff.astype(np.int32), BLOCK // 2, mode="edge")
     fast = ism._box_cost(padded)
     assert fast.dtype == np.int32
-    assert np.array_equal(fast, oracle._box_cost(diff, REFINE_BLOCK))
+    assert np.array_equal(fast, oracle._box_cost(diff, BLOCK))
 
 
 def refine_both(left, right, init):
     """`ism.refine` and the oracle's refine at the module's one configuration."""
     fast = ism.refine(left, right, init)
-    return fast, oracle.refine(left, right, init, REFINE_BLOCK, REFINE_RADIUS)
+    return fast, oracle.refine(left, right, init, BLOCK, REFINE_RADIUS)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -116,7 +115,7 @@ def test_refine_window_bounds_match_oracle(seed):
     assert_same(fast.d, slow.d)
     usable = init.valid_mask()
     # interior pixels whose whole block matches at D
-    inner = usable & (xs >= REFINE_BLOCK // 2) & (xs < w - true_d - REFINE_BLOCK // 2)
+    inner = usable & (xs >= BLOCK // 2) & (xs < w - true_d - BLOCK // 2)
     off = guess - true_d
     assert np.all(fast.d[inner & (np.abs(off) == r)] == true_d)
     assert np.all(fast.d[inner & (np.abs(off) == r + 1)] != true_d)
@@ -196,11 +195,11 @@ def test_black_against_white_16_bit_frames_match_oracle(shape, texture, order):
 
 
 def test_motion_key_fits_int32_with_16_bit_samples():
-    # `_search_band` keeps SAD << key_bits | k in int32, where key_bits holds the last
+    # `estimate_motion` keeps SAD << key_bits | k in int32, where key_bits holds the last
     # offset index k; a wider search (radius 4 needs key_bits 7) would wrap it
     offsets = (2 * MOTION_RADIUS + 1) ** 2
     key_bits = (offsets - 1).bit_length()
-    largest_sad = MOTION_BLOCK**2 * 65535 * 16  # the pyramid holds 16x samples
+    largest_sad = BLOCK**2 * 65535 * 16  # the pyramid holds 16x samples
     assert (largest_sad << key_bits) + offsets - 1 < 2**31
 
 

@@ -3,9 +3,13 @@
 A timed benchmark run wraps only the `CLOCKED` calls, so a renamed or
 removed attribute among perfbench's other traced ones would fail only a
 traced run. This imports perfbench's modules without changing them, checks
-every traced name, and runs one traced smoke pass of each workload.
+every traced name, runs one traced smoke pass of each workload and reads
+its per-layer metrics and separation, and runs the set-up probe on each
+workload's smoke inputs.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +21,9 @@ sys.path.insert(0, str(PERFBENCH))
 import gen  # noqa: E402
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
+
+PER_LAYER = [m["name"] for m in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]]
 
 
 @pytest.mark.parametrize("module, attr, name", workloads.TRACED,
@@ -33,3 +40,13 @@ def test_traced_smoke_pass_reports_no_problem(tmp_path, workload):
         result = bench.run_pass()
     assert result.ops and result.problems
     assert [found for found in result.problems if found] == []
+    # the names a traced run reports, whatever `separation` finds ("holds" may read false)
+    assert sorted(bench.layer_metrics([result])) == sorted(PER_LAYER)
+    assert isinstance(bench.separation([result])["holds"], bool)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_setup_probe_loads_smoke_inputs(tmp_path, workload):
+    gen.write_inputs(workload, 0, tmp_path / "in", smoke=True)
+    subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), str(tmp_path / "in")],
+                   check=True, timeout=120)

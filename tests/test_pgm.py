@@ -260,15 +260,16 @@ def test_maxval_on_the_last_byte_is_a_header(tmp_path, magic, match):
         read_pgm(path)
 
 
-def test_header_comment_longer_than_the_first_chunk_reads(tmp_path):
+def test_header_comment_of_1000_bytes_before_the_dimensions_reads(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# " + b"c" * 1000 + b"\n3 2\n255\n" + bytes(6))
     assert read_pgm_header(path) == (3, 2, 255)
 
 
 @pytest.mark.parametrize("cut", [1, 3, 5])
-def test_maxval_across_a_chunk_boundary_reads(tmp_path, cut):
-    # the first 256-byte chunk ends `cut` bytes into "65535", which alone would parse
+def test_maxval_is_read_whole_where_a_prefix_would_parse(tmp_path, cut):
+    # after a comment, byte 256 falls `cut` bytes into the maxval "65535": its prefixes
+    # "6" and "655" are maxvals too, so a reader that stopped there would still parse
     head = b"P5\n3 2\n"
     pad = b"#" + b"c" * (256 - cut - len(head) - 2) + b"\n"
     path = tmp_path / "m.pgm"
