@@ -47,28 +47,16 @@ MODE_HELP = (
     "transformed, rounds mix sub-kernels"
 )
 
-REPORT_HEADER = [
-    "layer",
-    "mode",
-    "latency_cycles",
-    "compute_cycles",
-    "memory_cycles",
-    "dram_ifmap_elems",
-    "dram_weight_elems",
-    "dram_ofmap_elems",
-    "macs",
-    "utilization",
-]
-# the LatencyReport counts behind REPORT_HEADER's count columns, in order
-REPORT_COUNTS = (
-    "total_cycles",
-    "compute_cycles",
-    "memory_cycles",
-    "dram_ifmap",
-    "dram_weights",
-    "dram_ofmap",
-    "macs",
-)
+# each count column of the model report, and the LatencyReport field it holds
+REPORT_COUNTS = {
+    "latency_cycles": "total_cycles",
+    "compute_cycles": "compute_cycles",
+    "memory_cycles": "memory_cycles",
+    "dram_ifmap_elems": "dram_ifmap",
+    "dram_weight_elems": "dram_weights",
+    "dram_ofmap_elems": "dram_ofmap",
+    "macs": "macs",
+}
 
 
 def _effective_layer(
@@ -85,10 +73,7 @@ def _effective_layer(
         return layer, None, ScheduleMode.CONV_R
     if mode == "baseline":
         return dense_equivalent(layer), None, ScheduleMode.CONV_R
-    kernel_set = decompose_nd(np.zeros(layer.kernel))
-    if mode == "ilar":
-        return layer, kernel_set, ScheduleMode.ILAR
-    return layer, kernel_set, ScheduleMode.CONV_R
+    return layer, decompose_nd(np.zeros(layer.kernel)), ScheduleMode(mode)
 
 
 def _schedule_all(layers, hw: HardwareConfig, mode: str):
@@ -124,20 +109,21 @@ def cmd_model(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def row(name: str, counts: list[int]) -> list[str]:
-        total, macs = counts[0], counts[-1]
+    def row(name: str, counts: dict[str, int]) -> list[str]:
+        total, macs = counts["total_cycles"], counts["macs"]
         utilization = macs / (total * hw.pe_count) if total else 0.0
-        return [name, args.mode, *map(str, counts), f"{utilization:.6f}"]
+        return [name, args.mode, *map(str, counts.values()), f"{utilization:.6f}"]
 
     rows = []
-    totals = [0] * len(REPORT_COUNTS)
+    totals = dict.fromkeys(REPORT_COUNTS.values(), 0)
     for name, effective, kernel_set, schedule in _schedule_all(layers, hw, args.mode):
         report = total_latency(schedule, effective, kernel_set, hw)
-        counts = [getattr(report, field) for field in REPORT_COUNTS]
+        counts = {field: getattr(report, field) for field in REPORT_COUNTS.values()}
         rows.append(row(name, counts))
-        totals = [t + c for t, c in zip(totals, counts)]
+        totals = {field: totals[field] + c for field, c in counts.items()}
     rows.append(row("TOTAL", totals))
-    write_csv(out_dir / f"report_{args.mode}.csv", REPORT_HEADER, rows)
+    header = ["layer", "mode", *REPORT_COUNTS, "utilization"]
+    write_csv(out_dir / f"report_{args.mode}.csv", header, rows)
     return 0
 
 
@@ -296,21 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="reject unknown input fields")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("schedule", help="write a schedule file per layer")
-    p.add_argument("--network", required=True)
-    p.add_argument("--hardware", required=True)
-    p.add_argument("--mode", required=True, choices=MODES, help=MODE_HELP)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("model", help="write the latency/traffic report CSV")
-    p.add_argument("--network", required=True)
-    p.add_argument("--hardware", required=True)
-    p.add_argument("--mode", required=True, choices=MODES, help=MODE_HELP)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_model)
+    for name, summary, func in (("schedule", "write a schedule file per layer", cmd_schedule),
+                                ("model", "write the latency/traffic report CSV", cmd_model)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--network", required=True)
+        p.add_argument("--hardware", required=True)
+        p.add_argument("--mode", required=True, choices=MODES, help=MODE_HELP)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--strict", action="store_true")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("ism", help="propagate key-frame disparity over a sequence")
     p.add_argument("--sequence", required=True, help="sequence manifest JSON")

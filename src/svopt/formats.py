@@ -75,6 +75,7 @@ _KINDS = {
             None),
     str: (lambda v: isinstance(v, str), "a string", None),
     bool: (lambda v: isinstance(v, bool), "true or false", None),
+    "true": (lambda v: v is True, "true", None),
     dict: (lambda v: isinstance(v, dict), "an object", "objects"),
     1: (lambda v: _is_int(v) and v == 1, "1", None),
     2: (lambda v: _is_int(v) and v == 2, "2", None),
@@ -86,11 +87,12 @@ def _field(context: str, record: dict, name: str, kind, default=_REQUIRED):
     """Read field `name` of a JSON object and check its JSON type.
 
     `kind` is int, float (a number or "inf", read as a float), str, bool,
-    1 or 2 (that integer), or [int] or [dict] for a list of those read as a
-    tuple ([int, int]: of two integers). An optional field that is missing
-    reads as `default`, and so does a null when the default is None; a
-    required field must already be known to be present (_record). Raises
-    SpecValidationError naming the record and the field on a wrong type.
+    "true" (JSON true alone), 1 or 2 (that integer), or [int] or [dict] for
+    a list of those read as a tuple ([int, int]: of two integers). An
+    optional field that is missing reads as `default`, and so does a null
+    when the default is None; a required field must already be known to be
+    present (_record). Raises SpecValidationError naming the record and the
+    field on a wrong type.
     """
     value = record.get(name, default)
     if value is default:
@@ -151,7 +153,7 @@ _HARDWARE_FIELDS = {"pe_array": [int, int], "buffer_capacity": int, "bandwidth":
 _SCHEDULE_FIELDS = {"layer": str, "mode": str, "beta": int, "ifmap": [int], "tile": [int],
                     "parts": [dict]}
 _PART_FIELDS = {"filters": [int]}
-_MANIFEST_FIELDS = {"with_border": bool, "layers": [dict]}
+_MANIFEST_FIELDS = {"with_border": "true", "layers": [dict]}
 _MANIFEST_LAYER_FIELDS = {"name": str, "kind": str, "kernel": [int], "sub_kernels": [dict]}
 _SUB_KERNEL_FIELDS = {"phase": int, "delta": [int], "dims": [int], "ofmap_parity": [int],
                       "empty": bool}

@@ -29,7 +29,7 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -63,10 +63,6 @@ class InfeasibleScheduleError(Exception):
 class LayerKind(enum.Enum):
     CONV = "conv"
     DECONV = "deconv"
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 @dataclass(frozen=True)
@@ -562,15 +558,7 @@ def dense_equivalent(layer: LayerSpec) -> LayerSpec:
     """
     if layer.kind is not LayerKind.DECONV:
         raise ValueError(f"layer {layer.name} is not a deconvolution")
-    return LayerSpec(
-        name=layer.name,
-        kind=LayerKind.CONV,
-        kernel=layer.kernel,
-        in_channels=layer.in_channels,
-        out_channels=layer.out_channels,
-        ifmap=upsampled_dims(layer.ifmap),
-        stride=1,
-    )
+    return replace(layer, kind=LayerKind.CONV, ifmap=upsampled_dims(layer.ifmap), stride=1)
 
 
 def output_dims(layer: LayerSpec) -> tuple[int, ...]:

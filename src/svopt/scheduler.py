@@ -40,7 +40,6 @@ from .perfmodel import (
     RoundTerms,
     TileGrid,
     TileSchedule,
-    _ceil_div,
     _check_kernel_set,
     validate_schedule,
 )
@@ -147,23 +146,17 @@ def pack_round(
     return tuple(selection)
 
 
-def _axis_candidates(extent: int, min_extent: int) -> list[int]:
-    values = {extent}
-    for d in range(1, extent + 1):
-        if extent % d == 0:
-            values.add(d)
-    power = 1
-    while power < extent:
-        values.add(power)
-        power *= 2
-    return sorted(v for v in values if v >= min_extent)
-
-
 def _candidate_extents(layer: LayerSpec, groups) -> list[list[int]]:
-    """Per axis, the divisors of the ifmap extent plus powers of two clipped
-    to it; the candidate tiles are their product."""
-    return [_axis_candidates(extent, max(dims[axis] for dims in groups))
-            for axis, extent in enumerate(layer.ifmap)]
+    """Per axis, the divisors of the ifmap extent plus the powers of two below
+    it, none smaller than the largest group extent on that axis, sorted; the
+    candidate tiles are their product."""
+    per_axis = []
+    for axis, extent in enumerate(layer.ifmap):
+        least = max(dims[axis] for dims in groups)
+        values = {d for d in range(1, extent + 1) if extent % d == 0}
+        values.update(1 << k for k in range((extent - 1).bit_length()))
+        per_axis.append(sorted(v for v in values if v >= least))
+    return per_axis
 
 
 def _grid_cycles(price: RoundPricer, tile, parts, hw: HardwareConfig) -> tuple[int, int]:
@@ -191,8 +184,6 @@ def _pack_tile(
     one = _filter_round(price, tile)
     classes = [(w + o, v) for w, o, v in zip(one.weights, one.ofmap, one.macs)]
     capacity = hw.usable_buffer - one.ifmap
-    if capacity <= 0:  # the tile alone fills the buffer: no knapsack to solve
-        raise InfeasibleTileError(f"tile {tile} leaves {capacity} buffer elements for filters")
     out_ch = price.layer.out_channels
     n_groups = len(price.groups)
     if mode is ScheduleMode.CONV_R:
@@ -218,7 +209,7 @@ def _scored_tiles(price: RoundPricer, hw: HardwareConfig, mode: ScheduleMode):
     """
     layer = price.layer
     whole = price(layer.ifmap, (layer.out_channels,) * len(price.groups))
-    lb = _ceil_div(sum(whole.macs), hw.pe_count)
+    lb = -(-sum(whole.macs) // hw.pe_count)
     extents = _candidate_extents(layer, price.groups)
     return sorted([(max(compute, traffic), max(lb, traffic), tile) for compute, traffic, tile
                    in price.candidate_floors(extents, hw, mode is ScheduleMode.ILAR)])

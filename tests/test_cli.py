@@ -310,7 +310,8 @@ class TestTransform:
         with pytest.raises(SpecValidationError, match=re.escape(f"{path}: {match}")):
             load_transform_manifest(path)
 
-    @pytest.mark.parametrize("field, value", [("with_border", "yes"), ("layers", 5)])
+    @pytest.mark.parametrize("field, value", [("with_border", "yes"), ("with_border", False),
+                                              ("layers", 5)])
     def test_manifest_field_of_wrong_json_type_rejected(self, tmp_path, field, value):
         doc = {"format_version": 1, "with_border": True, "layers": [], field: value}
         path = write_json(tmp_path / "transform.json", doc)

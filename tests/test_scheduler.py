@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -324,6 +325,26 @@ def test_no_tile_whose_ifmap_fills_the_buffer_is_packed(monkeypatch):
     assert packed
     assert all(math.prod(tile) * layer.in_channels < hw.usable_buffer
                for layer, tile, hw in packed)
+    # packed anyway, such a tile leaves pack_round less room than any filter weighs
+    layer = DECODER_LAYERS[0]  # 1,024 input channels: a 4x6 tile fills 24,576 elements
+    price, hw = RoundPricer(layer), HardwareConfig(24, 24, 49152, 16.0)
+    for tile in ((4, 6), (5, 6)):
+        for mode in ScheduleMode:
+            with pytest.raises(InfeasibleTileError, match="holds no filter"):
+                _pack_tile(price, tile, hw, mode)
+
+
+def test_candidate_extents_are_divisors_and_powers_of_two():
+    # per axis: the extent's divisors, the powers of two below it and the extent
+    # itself, none below the largest group extent on that axis, sorted
+    extents = range(1, 301)
+    layer = types.SimpleNamespace(ifmap=tuple(extents))  # only the ifmap is read
+    for least in range(1, 8):
+        groups = [(least,) * len(extents), (1,) * len(extents)]
+        want = [sorted(v for v in {d for d in range(1, e + 1) if e % d == 0}
+                       | {2**k for k in range(10) if 2**k < e} | {e} if v >= least)
+                for e in extents]
+        assert scheduler._candidate_extents(layer, groups) == want, least
 
 
 UPCONV2 = LayerSpec("upconv2", LayerKind.DECONV, (4, 4), 128, 64, (68, 120), 2)
