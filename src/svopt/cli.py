@@ -86,7 +86,7 @@ def _schedule_all(layers, hw: HardwareConfig, mode: str):
 
 
 def cmd_transform(args) -> int:
-    layers = load_network(args.network, strict=args.strict)
+    layers = load_network(args.network)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_transform_manifest(out_dir / "transform.json", layers)
@@ -94,8 +94,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    layers = load_network(args.network, strict=args.strict)
-    hw = load_hardware(args.hardware, strict=args.strict)
+    layers = load_network(args.network)
+    hw = load_hardware(args.hardware)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, _, _, schedule in _schedule_all(layers, hw, args.mode):
@@ -104,8 +104,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_model(args) -> int:
-    layers = load_network(args.network, strict=args.strict)
-    hw = load_hardware(args.hardware, strict=args.strict)
+    layers = load_network(args.network)
+    hw = load_hardware(args.hardware)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -168,7 +168,7 @@ def _check_sequence(sequence) -> None:
 
 
 def cmd_ism(args) -> int:
-    sequence = load_sequence(args.sequence, strict=args.strict)
+    sequence = load_sequence(args.sequence)
     _check_sequence(sequence)
     pw = sequence.pw
     out_dir = Path(args.out_dir)
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="write the sub-kernel decomposition manifest")
     p.add_argument("--network", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--strict", action="store_true", help="reject unknown input fields")
     p.set_defaults(func=cmd_transform)
 
     for name, summary, func in (("schedule", "write a schedule file per layer", cmd_schedule),
@@ -289,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hardware", required=True)
         p.add_argument("--mode", required=True, choices=MODES, help=MODE_HELP)
         p.add_argument("--out-dir", required=True)
-        p.add_argument("--strict", action="store_true")
         p.set_defaults(func=func)
 
     p = sub.add_parser("ism", help="propagate key-frame disparity over a sequence")
     p.add_argument("--sequence", required=True, help="sequence manifest JSON")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_ism)
 
     p = sub.add_parser("report", help="join named model runs into a comparison")

@@ -43,7 +43,7 @@ _HEADER = {"format_version": 1}
 _SCHEDULE_HEADER = {"format_version": 2}  # a tile grid, where version 1 listed every round
 
 
-def _load_json(path, table: dict, strict: bool = False, header: dict = _HEADER) -> dict:
+def _load_json(path, table: dict, strict: bool = True, header: dict = _HEADER) -> dict:
     """Read a JSON object file whose `header` (checked first) and `table` declare its fields."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -53,7 +53,7 @@ def _load_json(path, table: dict, strict: bool = False, header: dict = _HEADER) 
         raise SpecValidationError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise SpecValidationError(f"{path}: top level must be a JSON object")
-    _record(str(path), data, header)
+    _record(str(path), data, header, strict=False)
     return _record(str(path), data, {**header, **table}, strict)
 
 
@@ -113,12 +113,12 @@ def _field(context: str, record: dict, name: str, kind, default=_REQUIRED):
     return tuple(value) if isinstance(kind, list) else value
 
 
-def _record(context: str, record: dict, table: dict, strict: bool = False) -> dict:
+def _record(context: str, record: dict, table: dict, strict: bool = True) -> dict:
     """The fields of a JSON object that `table` declares, by name.
 
     `table` maps each name to a kind (a required field) or to a (kind,
     default) pair (an optional one), as _field reads them. Reports missing
-    fields, then with `strict` undeclared ones, then wrong JSON types.
+    fields, then undeclared ones (unless `strict` is off), then wrong JSON types.
     """
     specs = {name: spec if isinstance(spec, tuple) else (spec,) for name, spec in table.items()}
     missing = {name for name, spec in specs.items() if len(spec) == 1} - record.keys()
@@ -162,7 +162,7 @@ _FRAME_FIELDS = {"left": str, "right": str, "key_disparity": (str, None),
                  "gt_disparity": (str, None)}
 
 
-def load_network(path, strict: bool = False) -> list[LayerSpec]:
+def load_network(path, strict: bool = True) -> list[LayerSpec]:
     """Parse and validate an ordered layer list.
 
     Checks field types, names (check_name), positive extents, kernel fit,
@@ -204,7 +204,7 @@ def save_network(path, layers: list[LayerSpec]) -> None:
     _save_json(path, _NETWORK_FIELDS, records)
 
 
-def load_hardware(path, strict: bool = False) -> HardwareConfig:
+def load_hardware(path, strict: bool = True) -> HardwareConfig:
     data = _load_json(path, _HARDWARE_FIELDS, strict)
     try:
         return HardwareConfig(*data["pe_array"], data["buffer_capacity"], data["bandwidth"],
@@ -305,7 +305,7 @@ class SequenceSpec:
     frames: list[SequenceEntry]
 
 
-def load_sequence(path, strict: bool = False) -> SequenceSpec:
+def load_sequence(path, strict: bool = True) -> SequenceSpec:
     """Parse a stereo sequence manifest; paths resolve relative to it, none empty or a dir."""
     data = _load_json(path, _SEQUENCE_FIELDS, strict)
     base = Path(path).parent

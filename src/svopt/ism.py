@@ -69,14 +69,6 @@ class Frame:
             raise ValueError(f"frame needs a non-empty 2-d luma array, got shape {arr.shape}")
         object.__setattr__(self, "luma", arr)
 
-    @property
-    def width(self) -> int:
-        return self.luma.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.luma.shape[0]
-
 
 def _whole_int32(name: str, values) -> np.ndarray:
     """`values` as int32, refusing any value the cast would change; int32 comes back as given."""
@@ -103,18 +95,10 @@ class DisparityMap:
             raise ValueError(f"disparity map needs a non-empty 2-d array, got shape {arr.shape}")
         object.__setattr__(self, "d", _whole_int32("disparity", arr))
 
-    @property
-    def width(self) -> int:
-        return self.d.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.d.shape[0]
-
     def valid_mask(self) -> np.ndarray:
         """True where the disparity is non-negative and x + d stays in frame."""
-        xs = np.arange(self.width, dtype=np.int32)
-        return (self.d >= 0) & (self.d < self.width - xs)
+        width = self.d.shape[1]
+        return (self.d >= 0) & (self.d < width - np.arange(width, dtype=np.int32))
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,7 +511,7 @@ def ism_run(frames: Iterable[tuple[Frame, Frame, DisparityMap | None]],
             cur = [motion_pyramid(view) for view in (left, right)]
             fields = [estimate_motion(p, c) for p, c in zip(pyramids, cur)]
             pyramids = cur
-            guess = scatter_pairs(propagate(reconstruct(dmap), *fields), left.height, left.width)
+            guess = scatter_pairs(propagate(reconstruct(dmap), *fields), *left.luma.shape)
             del fields  # refine runs with no motion field, pair or old pyramid alive
             np.copyto(guess.d, dmap.d, where=guess.d < 0)  # a hole keeps the last map's value
             dmap = refine(left, right, guess)

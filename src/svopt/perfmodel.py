@@ -385,10 +385,12 @@ class RoundPricer:
         """Lower bounds (compute, traffic, tile) on the cycles of candidate tiles' grids.
 
         The candidates are the product of `extents`, a list of tile extents
-        per axis, in itertools.product order, less every tile whose ifmap
-        elements alone fill the usable buffer, as no filter fits beside
-        them. Both floors hold for every schedule that runs one packing of
-        the full tile at every origin. The compute floor prices all filters
+        per axis, in itertools.product order, less every tile that leaves
+        too little room beside it for the heaviest filter with its ofmap
+        share (its heaviest knapsack class): exactly the tiles on which
+        `scheduler._pack_tile` cannot place every filter. Both floors hold
+        for every schedule that runs one packing of the full tile at every
+        origin. The compute floor prices all filters
         of every group at once on each clipped tile shape: a group's
         per-round ceilings sum to at least the ceiling of its total MACs.
         The traffic floor takes the fewest rounds that hold every filter
@@ -409,16 +411,19 @@ class RoundPricer:
                       [(a * s, m * n) for a, m in cells for s, n in options])
                      for tile, elems, origins, cells in tiles
                      for t, count, options in axis if elems * t * in_ch < usable]
+        heaviest = max(self._filter_weights)
         shape_compute: dict[int, int] = {}  # by element count: clipped shapes repeat
         for tile, tile_elems, origins, cells in tiles:
+            capacity = usable - tile_elems * in_ch
+            ofmap = -(-tile_elems // self._stride_vol)
+            if capacity < heaviest + ofmap:  # the heaviest filter never fits beside the tile
+                continue
             compute = 0
             for elems, mult in cells:
                 c = shape_compute.get(elems)
                 if c is None:
                     c = shape_compute[elems] = sum([-(-m * elems // pe_count) for m in full_macs])
                 compute += mult * c
-            capacity = usable - tile_elems * in_ch
-            ofmap = -(-tile_elems // self._stride_vol)
             loads = [(w + ofmap) * out_ch for w in self._filter_weights]
             if mixed:
                 rounds = -(-sum(loads) // capacity)

@@ -15,13 +15,13 @@ which is also the only mode meaningful for plain convolutions. The reuse
 order beta is chosen per layer as the argmin of total modeled latency.
 
 The candidate tiles, the product of per-axis extents, are scored per
-axis in one pricer call, which drops the tiles that leave no room for a
-filter. They are packed in one pass, in order of a lower bound on their
-cycles (the larger of the tile's compute floor and its DRAM-traffic
-floor), and the pass stops at the first tile whose bound cannot beat the
-best packed so far. Equal-cycle tiles are told apart by a tie key (the
-larger of the whole layer's compute and the traffic floor), then by the
-tile itself.
+axis in one pricer call, which drops the tiles that leave no room for
+the heaviest filter, so every scored tile packs. They are packed in one
+pass, in order of a lower bound on their cycles (the larger of the
+tile's compute floor and its DRAM-traffic floor), and the pass stops at
+the first tile whose bound cannot beat the best packed so far.
+Equal-cycle tiles are told apart by a tie key (the larger of the whole
+layer's compute and the traffic floor), then by the tile itself.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def _pack_tile(
 
 
 def _scored_tiles(price: RoundPricer, hw: HardwareConfig, mode: ScheduleMode):
-    """Candidate tiles that leave room for a filter, as (bound, tie, tile), sorted.
+    """Candidate tiles that leave room for every filter, as (bound, tie, tile), sorted.
 
     `bound`, the larger of the tile's two `RoundPricer.candidate_floors`,
     is beaten by no schedule built on the tile. `tie`, the larger of the
@@ -242,10 +242,7 @@ def solve(
     for bound, tie, tile in _scored_tiles(price, hw, mode):
         if best is not None and (bound, tie, tile) >= (best[0], best_tie, best[1]):
             break
-        try:
-            parts = _pack_tile(price, tile, hw, mode)
-        except InfeasibleTileError:
-            continue
+        parts = _pack_tile(price, tile, hw, mode)
         for beta, cycles in zip((1, 0), _grid_cycles(price, tile, parts, hw)):
             if best is None or (cycles, tie, tile) < (best[0], best_tie, best[1]):
                 best, best_tie = (cycles, tile, parts, beta), tie

@@ -170,7 +170,7 @@ def ism_run(frames, block=5, radius=2):
         mf_left = estimate_motion(prev_left, left)
         mf_right = estimate_motion(prev_right, right)
         pairs = propagate(reconstruct(out[-1]), mf_left, mf_right)
-        guess = scatter_pairs(pairs, left.height, left.width).d
+        guess = scatter_pairs(pairs, *left.luma.shape).d
         guess = np.where(guess == INVALID_DISPARITY, out[-1].d, guess)
         out.append(refine(left, right, DisparityMap(guess), block, radius))
     return out

@@ -39,7 +39,6 @@ from svopt.perfmodel import (
     validate_schedule,
 )
 from svopt.scheduler import (
-    InfeasibleTileError,
     ScheduleMode,
     _grid_cycles,
     _pack_tile,
@@ -197,10 +196,7 @@ def every_tile(
     price = RoundPricer(layer, include_input_channels)
     best = None
     for _, tile in sorted(scored[1:] for scored in _scored_tiles(price, hw, mode)):
-        try:
-            parts = _pack_tile(price, tile, hw, mode)
-        except InfeasibleTileError:
-            continue
+        parts = _pack_tile(price, tile, hw, mode)
         for beta, cycles in zip((1, 0), _grid_cycles(price, tile, parts, hw)):
             if best is None or cycles < best[0]:
                 best = (cycles, tile, parts, beta)

@@ -21,7 +21,7 @@ from svopt.formats import (
 )
 from svopt.ism import DisparityMap
 from svopt.perfmodel import RoundPlan
-from svopt.pgm import frame_from_pgm, read_disparity, write_disparity, write_pgm
+from svopt.pgm import frame_from_pgm, read_disparity, read_sidecar, write_disparity, write_pgm
 import ism_oracle
 from conftest import make_sequence, make_two_plane_sequence
 
@@ -29,6 +29,16 @@ from conftest import make_sequence, make_two_plane_sequence
 def write_json(path, obj):
     Path(path).write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def with_field(doc, at, field):
+    """A copy of the JSON `doc` whose record at key path `at` also holds `field`."""
+    doc = json.loads(json.dumps(doc))
+    record = doc
+    for key in at:
+        record = record[key]
+    record[field] = 2
+    return doc
 
 
 NETWORK = {
@@ -50,6 +60,12 @@ VALID = {
                  "ifmap": [12, 12], "tile": [12, 12], "parts": [{"filters": [4, 4, 4, 4]}]},
     "sequence": {"format_version": 1, "pw": 2, "frames": [
         {"left": "l0.pgm", "right": "r0.pgm", "key_disparity": "k0.pgm"}]},
+    "hardware": HARDWARE,
+    "manifest": {"format_version": 1, "with_border": True, "layers": [
+        {"name": "up1", "kind": "deconv", "kernel": [2, 2], "sub_kernels": [
+            {"phase": 0, "delta": [0, 0], "dims": [1, 1], "ofmap_parity": [1, 1],
+             "empty": False}]}]},
+    "sidecar": {"format_version": 1, "scale": 1},
 }
 
 
@@ -92,12 +108,42 @@ class TestIngest:
         with pytest.raises(SpecValidationError, match="up1.*in_channels"):
             load_network(path)
 
-    def test_unknown_field_only_rejected_in_strict_mode(self, tmp_path):
+    def test_unknown_field_rejected_by_default_and_read_when_not_strict(self, tmp_path):
         layers = [dict(NETWORK["layers"][0], surprise=1)]
         path = write_json(tmp_path / "extra.json", {"format_version": 1, "layers": layers})
-        load_network(path)  # lenient by default
-        with pytest.raises(SpecValidationError, match="unknown"):
-            load_network(path, strict=True)
+        with pytest.raises(SpecValidationError, match=re.escape("unknown field(s) ['surprise']")):
+            load_network(path)
+        layer, = load_network(path, strict=False)
+        assert layer.name == "conv1"
+
+    # a misspelt or undeclared field in every kind of record each reader reads
+    @pytest.mark.parametrize("kind, at, field", [
+        ("network", (), "layer"),
+        ("network", ("layers", 0), "strides"),
+        ("hardware", (), "double_bufferd"),
+        ("sequence", (), "pW"),
+        ("sequence", ("frames", 0), "gt_disparty"),
+        ("sidecar", (), "scal"),
+        ("schedule", (), "betas"),
+        ("schedule", ("parts", 0), "filter"),
+        ("manifest", (), "with_bordr"),
+        ("manifest", ("layers", 0), "sub_kernel"),
+        ("manifest", ("layers", 0, "sub_kernels", 0), "phases"),
+    ])
+    def test_undeclared_field_is_rejected_by_default(self, tmp_path, net_path, capsys, kind,
+                                                      at, field):
+        doc = with_field(VALID[kind], at, field)
+        path = write_json(tmp_path / ("k.pgm.json" if kind == "sidecar" else f"{kind}.json"), doc)
+        loader = {"network": load_network, "hardware": load_hardware,
+                  "sequence": load_sequence, "sidecar": lambda _: read_sidecar(tmp_path / "k.pgm"),
+                  "schedule": load_schedule, "manifest": load_transform_manifest}[kind]
+        unknown = f"unknown field(s) ['{field}']"
+        with pytest.raises(SpecValidationError, match=re.escape(unknown)):
+            loader(path)
+        if kind == "hardware":  # for svopt ism's inputs see TestIsmCommand
+            assert main(["model", "--network", net_path, "--hardware", path, "--mode", "ilar",
+                         "--out-dir", str(tmp_path / "o")]) == 2
+            assert f"{path}: {unknown}" in capsys.readouterr().err
 
     def test_network_roundtrip(self, tmp_path, net_path):
         layers = load_network(net_path)
@@ -261,7 +307,7 @@ class TestScheduleAndModel:
         # odd-row sub-kernels own; the even-row ones (4 rows) are not scheduled
         net = network_with(tmp_path, kernel=[7, 3], ifmap=[3, 3])
         assert run_cli("model", "--network", net, "--hardware", hw_path, "--mode", mode,
-                       "--out-dir", tmp_path / "o", "--strict") == 0
+                       "--out-dir", tmp_path / "o") == 0
         _, rows = load_report(tmp_path / "o" / f"report_{mode}.csv")
         assert [r["layer"] for r in rows] == ["up1", "TOTAL"]
 
@@ -453,15 +499,13 @@ class TestIsmCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["left", "right", "key_disparity", "gt_disparity"])
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_empty_path_is_input_error(self, tmp_path, panorama, capsys, field, strict):
+    def test_empty_path_is_input_error(self, tmp_path, panorama, capsys, field):
         manifest, _ = self.build_sequence(tmp_path, panorama)
         doc = json.loads(manifest.read_text())
         doc["frames"][2][field] = ""
         write_json(manifest, doc)
         out = tmp_path / "out"
-        args = ["ism", "--sequence", str(manifest), "--out-dir", str(out)]
-        assert main(args + ["--strict"] * strict) == 2
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
         assert f"{manifest}: frame 2: field '{field}' is an empty path" in capsys.readouterr().err
         assert not out.exists()
 
@@ -476,6 +520,23 @@ class TestIsmCommand:
         assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{manifest}: frame 2: field '{field}' names a directory ({tmp_path / 'sub'})" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path, at, field", [
+        ("seq.json", (), "pW"),
+        ("seq.json", ("frames", 2), "gt_disparty"),
+        ("k2.pgm.json", (), "scal"),
+        ("g3.pgm.json", (), "scal"),
+    ])
+    def test_undeclared_field_stops_the_run_before_any_output(self, tmp_path, panorama, capsys,
+                                                               path, at, field):
+        manifest, _ = self.build_sequence(tmp_path, panorama)
+        doc = json.loads((tmp_path / path).read_text())
+        write_json(tmp_path / path, with_field(doc, at, field))
+        out = tmp_path / "o"
+        assert main(["ism", "--sequence", str(manifest), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / path}: " in err and f"unknown field(s) ['{field}']" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["k0.pgm", "k2.pgm", "g3.pgm"])
@@ -609,11 +670,23 @@ class TestMalformedInputs:
             self, tmp_path, hw_path, capsys, command, changes, named):
         net = network_with(tmp_path, **changes)
         hw = ["--hardware", hw_path, "--mode", "convr"] if command == "model" else []
-        assert run_cli(command, "--network", net, *hw, "--out-dir", tmp_path / "o",
-                       "--strict") == 2
+        assert run_cli(command, "--network", net, *hw, "--out-dir", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert f"{net}: {named}" in err
         assert "layer 'up1'" not in err  # the layer is named once
+
+    @pytest.mark.parametrize("command", ["transform", "schedule", "model", "ism"])
+    def test_strict_option_is_rejected(self, tmp_path, net_path, hw_path, capsys, command):
+        # every reader rejects an undeclared field, so there is no lenient mode to leave
+        inputs = {"transform": ["--network", net_path],
+                  "ism": ["--sequence", write_json(tmp_path / "seq.json", VALID["sequence"])]}
+        args = inputs.get(command, ["--network", net_path, "--hardware", hw_path,
+                                    "--mode", "ilar"])
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, *args, "--out-dir", tmp_path / "o", "--strict")
+        assert info.value.code == 2
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["TOTAL", "a,b", "a\nb", "a\rb", "up/5", "up\\5", "a\tb"])
     @pytest.mark.parametrize("existing_dir", [False, True])

@@ -254,10 +254,7 @@ def test_compute_floor_bounds_every_packed_tile():
         for bound, tie, tile in _scored_tiles(price, hw, mode):
             compute, traffic = tile_floors(price, tile, hw, mode is ScheduleMode.ILAR)
             assert bound == max(compute, traffic) and tie <= bound
-            try:
-                parts = _pack_tile(price, tile, hw, mode)
-            except InfeasibleTileError:
-                continue
+            parts = _pack_tile(price, tile, hw, mode)
             cycles = min(_grid_cycles(price, tile, parts, hw))
             assert compute <= cycles and traffic <= cycles, (layer, hw, mode, iaware, tile)
             tight += compute == cycles
@@ -267,17 +264,25 @@ def test_compute_floor_bounds_every_packed_tile():
     assert checked > 1000 and tight and above and below
 
 
-def assert_floors_match_oracle(price, hw, mode) -> int:
+def holds_every_filter(price, tile, hw) -> bool:
+    """Whether the heaviest knapsack class, one filter with its ofmap share, fits beside `tile`."""
+    one = price(tile, (1,) * len(price.groups))
+    return max(w + o for w, o in zip(one.weights, one.ofmap)) <= hw.usable_buffer - one.ifmap
+
+
+def assert_floors_match_oracle(price, hw, mode) -> list:
     """candidate_floors equals tile_floors, as ints, on every candidate that
-    leaves room for a filter, and drops the others; returns how many it dropped."""
+    holds every filter, and drops the others; returns the dropped tiles."""
     mixed, layer = mode is ScheduleMode.ILAR, price.layer
     extents = scheduler._candidate_extents(layer, price.groups)
     tiles = list(itertools.product(*extents))
-    fits = [t for t in tiles if math.prod(t) * layer.in_channels < hw.usable_buffer]
+    fits, dropped = [], []
+    for t in tiles:
+        (fits if holds_every_filter(price, t, hw) else dropped).append(t)
     got = list(price.candidate_floors(extents, hw, mixed))
     assert got == [(*tile_floors(price, t, hw, mixed), t) for t in fits], (layer, hw, mode)
     assert all(type(c) is int and type(t) is int for c, t, _ in got)
-    return len(tiles) - len(fits)
+    return dropped
 
 
 def test_candidate_floors_match_the_per_tile_oracle_on_guard_draws():
@@ -285,7 +290,17 @@ def test_candidate_floors_match_the_per_tile_oracle_on_guard_draws():
     dropped, regimes = 0, set()
     for _ in range(300):
         layer, _, hw, mode, iaware = guard_case(rng, small=False)
-        dropped += assert_floors_match_oracle(RoundPricer(layer, iaware), hw, mode)
+        price = RoundPricer(layer, iaware)
+        gone = set(assert_floors_match_oracle(price, hw, mode))
+        # scoring drops exactly the candidates on which the packer raises
+        for tile in itertools.product(*scheduler._candidate_extents(layer, price.groups)):
+            try:
+                _pack_tile(price, tile, hw, mode)
+            except InfeasibleTileError:
+                assert tile in gone, (layer, hw, mode, tile)
+            else:
+                assert tile not in gone, (layer, hw, mode, tile)
+        dropped += len(gone)
         regimes |= {("rank", layer.rank), ("mode", mode), ("inf", math.isinf(hw.bandwidth))}
     assert dropped and len(regimes) == 6
 
@@ -307,7 +322,7 @@ def test_no_tile_whose_ifmap_fills_the_buffer_is_packed(monkeypatch):
     pack_tile = scheduler._pack_tile
 
     def spy(price, tile, hw, mode):
-        packed.append((price.layer, tile, hw))
+        packed.append((price, tile, hw))
         return pack_tile(price, tile, hw, mode)
 
     monkeypatch.setattr(scheduler, "_pack_tile", spy)
@@ -323,8 +338,10 @@ def test_no_tile_whose_ifmap_fills_the_buffer_is_packed(monkeypatch):
         except InfeasibleScheduleError:
             pass
     assert packed
-    assert all(math.prod(tile) * layer.in_channels < hw.usable_buffer
-               for layer, tile, hw in packed)
+    assert all(math.prod(tile) * price.layer.in_channels < hw.usable_buffer
+               for price, tile, hw in packed)
+    # nor one that leaves room for some filters but not the heaviest
+    assert all(holds_every_filter(price, tile, hw) for price, tile, hw in packed)
     # packed anyway, such a tile leaves pack_round less room than any filter weighs
     layer = DECODER_LAYERS[0]  # 1,024 input channels: a 4x6 tile fills 24,576 elements
     price, hw = RoundPricer(layer), HardwareConfig(24, 24, 49152, 16.0)
